@@ -17,11 +17,7 @@ Expected shape (asserted):
 
 import pytest
 
-from repro.bench import (
-    run_experiment2,
-    sweep_figure12_tmmax,
-    sweep_figure12_tres,
-)
+from repro.bench import run_experiment2, run_scenario
 from repro.bench.reporting import (
     format_table,
     linear_fit,
@@ -32,7 +28,7 @@ from repro.bench.reporting import (
 
 @pytest.mark.benchmark(group="figure12")
 def test_figure12_varying_tmmax(benchmark, report):
-    rows = sweep_figure12_tmmax()
+    rows = run_scenario("figure12_tmmax")
     reference = paper_reference_figure12()["varying_tmmax"]
 
     for row in rows:
@@ -60,7 +56,7 @@ def test_figure12_varying_tmmax(benchmark, report):
 
 @pytest.mark.benchmark(group="figure12")
 def test_figure12_varying_tres(benchmark, report):
-    rows = sweep_figure12_tres()
+    rows = run_scenario("figure12_tres")
     reference = paper_reference_figure12()["varying_tres"]
 
     for row in rows:

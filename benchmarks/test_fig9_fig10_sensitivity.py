@@ -20,11 +20,10 @@ Expected shape (asserted below):
 import pytest
 
 from repro.bench import (
-    FIGURE9_TABO_VALUES,
-    FIGURE9_TMMAX_VALUES,
-    FIGURE9_TRESO_VALUES,
+    FIGURE9_GRIDS,
+    figure9_grid,
     run_experiment1,
-    sweep_figure9,
+    run_scenario,
 )
 from repro.bench.reporting import (
     format_table,
@@ -41,7 +40,7 @@ def _assert_monotone(values):
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_varying_tmmax(benchmark, report):
-    rows = sweep_figure9("t_msg")
+    rows = run_scenario("figure9", points=figure9_grid("t_msg"))
     xs, ys = series(rows, "t_msg", "total_time")
     _assert_monotone(ys)
     fit = linear_fit(xs, ys)
@@ -63,7 +62,7 @@ def test_figure9_varying_tmmax(benchmark, report):
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_varying_tabo(benchmark, report):
-    rows = sweep_figure9("t_abort")
+    rows = run_scenario("figure9", points=figure9_grid("t_abort"))
     xs, ys = series(rows, "t_abort", "total_time")
     _assert_monotone(ys)
     fit = linear_fit(xs, ys)
@@ -85,7 +84,7 @@ def test_figure9_varying_tabo(benchmark, report):
 
 @pytest.mark.benchmark(group="figure9")
 def test_figure9_varying_treso(benchmark, report):
-    rows = sweep_figure9("t_resolution")
+    rows = run_scenario("figure9", points=figure9_grid("t_resolution"))
     xs, ys = series(rows, "t_resolution", "total_time")
     _assert_monotone(ys)
     fit = linear_fit(xs, ys)
@@ -108,9 +107,10 @@ def test_figure9_varying_treso(benchmark, report):
 @pytest.mark.benchmark(group="figure10")
 def test_figure10_message_cost_dominates(benchmark, report):
     """The Figure 10 conclusion: Tmmax has the steepest slope of the three."""
-    tmmax_rows = sweep_figure9("t_msg", values=FIGURE9_TMMAX_VALUES[:8])
-    tabo_rows = sweep_figure9("t_abort", values=FIGURE9_TABO_VALUES[:8])
-    treso_rows = sweep_figure9("t_resolution", values=FIGURE9_TRESO_VALUES[:8])
+    tmmax_rows, tabo_rows, treso_rows = (
+        run_scenario("figure9", points=figure9_grid(
+            varying, FIGURE9_GRIDS[varying][:8]))
+        for varying in ("t_msg", "t_abort", "t_resolution"))
 
     slope_tmmax = linear_fit(*series(tmmax_rows, "t_msg", "total_time"))["slope"]
     slope_tabo = linear_fit(*series(tabo_rows, "t_abort", "total_time"))["slope"]

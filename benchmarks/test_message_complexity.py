@@ -24,18 +24,28 @@ from repro.analysis import (
     romanovsky96_messages,
     theorem2_worst_case_messages,
 )
-from repro.bench import (
-    algorithm_comparison_table,
-    message_complexity_table,
-    run_complexity_scenario,
-)
+from repro.bench import run_complexity_scenario, run_scenario
 from repro.bench.reporting import format_table
+
+
+def _large_n(thread_counts, algorithm="ours", all_raise=False):
+    """``large_n`` rows for one algorithm: one or all N threads raising."""
+    return run_scenario("large_n", points=[
+        {"n_threads": n, "n_exceptions": n if all_raise else 1,
+         "algorithm": algorithm} for n in thread_counts])
 
 
 @pytest.mark.benchmark(group="complexity")
 def test_new_algorithm_matches_enumeration(benchmark, report):
     """Measured counts equal the paper's exact (N+1)(N−1) enumeration."""
-    rows = message_complexity_table(thread_counts=(2, 3, 4, 5, 6))
+    counts = (2, 3, 4, 5, 6)
+    rows = [{"n_threads": single["n_threads"],
+             "measured_single": single["resolution_messages"],
+             "measured_all": every["resolution_messages"],
+             "paper_single": single["paper_single"],
+             "theorem2_bound": single["theorem2_bound"]}
+            for single, every in zip(_large_n(counts),
+                                     _large_n(counts, all_raise=True))]
     for row in rows:
         n = row["n_threads"]
         assert row["measured_single"] == messages_single_exception(n), \
@@ -76,7 +86,15 @@ def test_exception_count_independence(benchmark, report):
 @pytest.mark.benchmark(group="complexity")
 def test_baseline_comparison(benchmark, report):
     """Ours ≤ Theorem 2 bound; R96 matches 3N(N−1); CR grows like N³."""
-    rows = algorithm_comparison_table(thread_counts=(3, 4, 5))
+    counts = (3, 4, 5)
+    rows = [{"n_threads": ours["n_threads"],
+             **{f"{slug}_{column}": row[f"resolution_{column}"]
+                for slug, row in (("ours", ours), ("cr", cr), ("r96", r96))
+                for column in ("messages", "calls")}}
+            for ours, cr, r96 in zip(
+                _large_n(counts, "ours", all_raise=True),
+                _large_n(counts, "campbell-randell", all_raise=True),
+                _large_n(counts, "romanovsky96", all_raise=True))]
     for row in rows:
         n = row["n_threads"]
         assert row["ours_messages"] <= theorem2_worst_case_messages(n, 1)
@@ -88,16 +106,15 @@ def test_baseline_comparison(benchmark, report):
         assert 0.5 * cubic <= row["cr_messages"] <= 2.0 * cubic
         # Resolution-procedure invocations: exactly one for ours, one per
         # thread for R96, super-linear for CR.
-        assert row["ours_resolution_calls"] == 1
-        assert row["r96_resolution_calls"] == n
-        assert row["cr_resolution_calls"] > n
+        assert row["ours_calls"] == 1
+        assert row["r96_calls"] == n
+        assert row["cr_calls"] > n
 
     report("Resolution-message counts per algorithm (all N threads raise)",
            format_table(rows, columns=["n_threads", "ours_messages",
                                        "r96_messages", "cr_messages",
-                                       "ours_resolution_calls",
-                                       "r96_resolution_calls",
-                                       "cr_resolution_calls"]))
+                                       "ours_calls", "r96_calls",
+                                       "cr_calls"]))
 
     benchmark.pedantic(run_complexity_scenario, args=(4, 4),
                        kwargs={"algorithm": "campbell-randell"},

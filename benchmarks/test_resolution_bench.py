@@ -19,9 +19,7 @@ import pytest
 
 from repro.bench import (
     format_table,
-    graph_microbench_table,
     run_scenario,
-    wide_graph_table,
     write_resolution_baseline,
 )
 
@@ -48,7 +46,8 @@ def test_wide_graph_storms_resolve_and_recover(benchmark, report):
 
 @pytest.mark.benchmark(group="graph-microbench")
 def test_compiled_resolution_meets_the_latency_bar(benchmark, report):
-    rows = benchmark.pedantic(graph_microbench_table, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: run_scenario("graph_microbench"), rounds=1, iterations=1)
     for row in rows:
         # Acceptance bar: stats + 100 resolves < 1s; with the compiled
         # index the whole loop is comfortably in the milliseconds.
@@ -84,6 +83,6 @@ def test_wide_graph_rows_identical_in_parallel_mode(report):
     def strip(rows):
         return [{k: v for k, v in row.items() if k != "wall_seconds"}
                 for row in rows]
-    sequential = wide_graph_table()
-    parallel = wide_graph_table(parallel=True)
+    sequential = run_scenario("wide_graph")
+    parallel = run_scenario("wide_graph", parallel=True)
     assert strip(sequential) == strip(parallel)

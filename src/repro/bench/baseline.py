@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cli import add_logging_arguments, configure_logging
 from ..workload.scenarios import saturation_knee
-from .engine import GridPoint, ScenarioConfig, run_scenario
+from .engine import REGISTRY, GridPoint, ScenarioConfig, run_scenario
 from .kernelbench import collect_kernel_baseline
 
 #: Bump when the row layout changes incompatibly.
@@ -63,16 +63,24 @@ SCALE_SEED = 2026
 SCALE_POOL_SIZE = 16
 
 
+def _write_json(path: str, document: Dict[str, object]) -> Dict[str, object]:
+    """Write ``document`` to ``path`` as indented, key-sorted JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return document
+
+
 def registry_listing() -> List[str]:
     """Every registered scenario and traffic action, one block per entry.
 
     Shared by ``python -m repro.bench.baseline --list`` and
     ``python -m repro.conformance --list`` so both CLIs show the same
-    registry view: name, grid size, description and the declared
-    parameters a grid point (or a field override) is validated against.
+    registry view: name, grid size, description, the declared
+    parameters a grid point (or a field override) is validated against,
+    and — for real-capable scenarios — the OS-process nodes.
     """
     from ..workload.registry import ACTIONS
-    from .engine import REGISTRY
 
     lines: List[str] = [f"Scenarios ({len(REGISTRY)}):"]
     for name in REGISTRY.names():
@@ -81,6 +89,9 @@ def registry_listing() -> List[str]:
         if scenario.description:
             lines.append(f"      {scenario.description}")
         lines.append(f"      params: {scenario.describe_params()}")
+        if scenario.nodes:
+            lines.append(f"      nodes: {', '.join(scenario.nodes)} "
+                         f"(runs on the real backend)")
     lines.append("")
     lines.append(f"Traffic actions ({len(ACTIONS)}):")
     for name in ACTIONS.names():
@@ -112,20 +123,9 @@ def collect_resolution_baseline(
     }
 
 
-def write_resolution_baseline(path: str,
-                              wide_points: Optional[Sequence[GridPoint]] = None,
-                              micro_points: Optional[Sequence[GridPoint]] = None,
-                              parallel: bool = False,
-                              max_workers: Optional[int] = None
-                              ) -> Dict[str, object]:
+def write_resolution_baseline(path: str, **options) -> Dict[str, object]:
     """Collect the baseline and write it to ``path`` as indented JSON."""
-    document = collect_resolution_baseline(wide_points, micro_points,
-                                           parallel=parallel,
-                                           max_workers=max_workers)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return _write_json(path, collect_resolution_baseline(**options))
 
 
 def collect_workload_baseline(
@@ -143,54 +143,36 @@ def collect_workload_baseline(
     only); the transactional and production-cell sections carry their own
     violation totals.
     """
-    capacity = run_scenario("capacity", points=capacity_points,
-                            parallel=parallel, max_workers=max_workers)
-    mixed = run_scenario("mixed_traffic", points=mixed_points,
-                         parallel=parallel, max_workers=max_workers)
-    transactional = run_scenario("transactional",
-                                 points=transactional_points,
-                                 parallel=parallel, max_workers=max_workers)
-    cell = run_scenario("production_cell", points=cell_points,
-                        parallel=parallel, max_workers=max_workers)
+    rows = {name: run_scenario(name, points=points, parallel=parallel,
+                               max_workers=max_workers)
+            for name, points in (("capacity", capacity_points),
+                                 ("mixed_traffic", mixed_points),
+                                 ("transactional", transactional_points),
+                                 ("production_cell", cell_points))}
+
+    def violations(name: str) -> int:
+        return sum(row["n_violations"] for row in rows[name])
+
     return {
         "schema": SCHEMA_VERSION,
-        "capacity": capacity,
-        "saturation_knee": saturation_knee(capacity),
-        "mixed_traffic": mixed,
-        "oracle_violations": sum(row["n_violations"] for row in mixed),
-        "transactional": transactional,
-        "transactional_violations":
-            sum(row["n_violations"] for row in transactional),
-        "production_cell": cell,
-        "production_cell_violations":
-            sum(row["n_violations"] for row in cell),
+        **rows,
+        "saturation_knee": saturation_knee(rows["capacity"]),
+        "oracle_violations": violations("mixed_traffic"),
+        "transactional_violations": violations("transactional"),
+        "production_cell_violations": violations("production_cell"),
     }
 
 
-def write_workload_baseline(path: str,
-                            capacity_points: Optional[Sequence[GridPoint]] = None,
-                            mixed_points: Optional[Sequence[GridPoint]] = None,
-                            parallel: bool = False,
-                            max_workers: Optional[int] = None
-                            ) -> Dict[str, object]:
+def write_workload_baseline(path: str, **options) -> Dict[str, object]:
     """Collect the workload baseline and write it to ``path`` as JSON."""
-    document = collect_workload_baseline(capacity_points, mixed_points,
-                                         parallel=parallel,
-                                         max_workers=max_workers)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return _write_json(path, collect_workload_baseline(**options))
 
 
 def write_kernel_baseline(path: str) -> Dict[str, object]:
     """Collect the kernel microbenchmark baseline and write it to ``path``."""
     document = dict(collect_kernel_baseline())
     document["schema"] = SCHEMA_VERSION
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return _write_json(path, document)
 
 
 def collect_scale_baseline(small: bool = False,
@@ -302,19 +284,14 @@ def collect_scale_baseline(small: bool = False,
     return document
 
 
-def write_scale_baseline(path: str, small: bool = False,
-                         workers: int = 0) -> Dict[str, object]:
+def write_scale_baseline(path: str, **options) -> Dict[str, object]:
     """Collect the scale baseline and write it to ``path`` as JSON."""
-    document = collect_scale_baseline(small=small, workers=workers)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return _write_json(path, collect_scale_baseline(**options))
 
 
-#: Real-backend smoke matrix: every registered real scenario under every
-#: resolution algorithm (the figure9 spec wraps the paper's Experiment 1;
-#: transactional adds external objects behind an RPC host).
+#: Real-backend smoke matrix: every real-capable scenario under every
+#: resolution algorithm (figure9 is the paper's Experiment 1;
+#: remote_counter adds external objects behind an RPC host).
 REAL_BACKEND_ALGORITHMS = ("ours", "campbell-randell", "romanovsky96")
 
 
@@ -332,9 +309,8 @@ def collect_real_backend_baseline(
     real run non-reproducible, but the paper's invariants must hold on
     every one of them.
     """
-    from ..net.real.scenarios import REAL_SCENARIOS
-
-    names = list(scenarios) if scenarios else sorted(REAL_SCENARIOS)
+    names = list(scenarios) if scenarios else sorted(
+        scenario.name for scenario in REGISTRY if scenario.nodes)
     config = ScenarioConfig(backend="real", export_dir=obs_dir,
                             backend_options={"time_scale": time_scale,
                                              "wall_timeout": wall_timeout})
@@ -356,11 +332,7 @@ def collect_real_backend_baseline(
 
 def write_real_backend_baseline(path: str, **options) -> Dict[str, object]:
     """Collect the real-backend smoke document and write it to ``path``."""
-    document = collect_real_backend_baseline(**options)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
+    return _write_json(path, collect_real_backend_baseline(**options))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -386,7 +358,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backend", choices=("sim", "real"), default="sim",
                         help="execution backend: 'real' ignores --suite and "
                              "runs the real-process smoke matrix (every "
-                             "real scenario x algorithm, oracle-gated)")
+                             "real-capable scenario x algorithm, "
+                             "oracle-gated)")
     parser.add_argument("--scenario", action="append", default=None,
                         help="real backend only: restrict the matrix to "
                              "this scenario (repeatable)")

@@ -29,6 +29,11 @@ Registering a new workload::
 
 Runners must be module-level functions (picklable) for the process-pool
 path; anything else silently degrades to the sequential fallback.
+
+This registry is the only scenario model: a scenario that can also run
+across OS processes (``ScenarioConfig(backend="real")``) declares its
+``nodes`` and a node builder next to its runner, and the real backend
+resolves names and validates parameters here, as a sim sweep does.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ from ..workload.sharding import run_scale_point
 from ..workload.transactional import run_transactional_point
 from .scenarios import (
     EXPERIMENT1_ITERATIONS,
+    BuiltNode,
+    build_experiment1,
+    build_remote_counter,
+    observed_node,
     run_churn,
     run_complexity_scenario,
     run_experiment1,
@@ -81,8 +90,11 @@ logger = logging.getLogger(__name__)
 
 #: One grid point: keyword arguments for a scenario runner.
 GridPoint = Mapping[str, object]
-#: One result row, as the harness tables expect them.
+#: One result row.
 Row = Dict[str, object]
+#: ``build(params, local, forward)``: the world of node ``local`` (wire
+#: sends go to ``forward``), or of the whole system when ``local`` is None.
+NodeBuilder = Callable[[Dict[str, object], Optional[str], object], BuiltNode]
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,10 @@ class Scenario:
     signature when the scenario is added to a registry); ``accepts_extra``
     is true for runners taking ``**options``, whose unknown keys forward
     to a lower-level function and therefore pass validation.
+
+    ``nodes`` and ``build`` make the scenario *real-capable*: the real
+    backend boots one OS process per name in ``nodes`` and each calls
+    ``build`` for its own node (see :data:`NodeBuilder`).
     """
 
     name: str
@@ -130,10 +146,8 @@ class Scenario:
     description: str = ""
     params: Optional[Tuple[ParamSpec, ...]] = None
     accepts_extra: bool = False
-
-    def run_point(self, point: GridPoint) -> Row:
-        """Execute one grid point in-process."""
-        return self.runner(**point)
+    nodes: Tuple[str, ...] = ()
+    build: Optional[NodeBuilder] = None
 
     def validate_point(self, point: GridPoint) -> List[ParamError]:
         """Check one grid point against the runner's declared params."""
@@ -149,6 +163,29 @@ class Scenario:
             errors.extend(self.validate_point(point))
         return errors
 
+    def bind_point(self, point: GridPoint) -> Dict[str, object]:
+        """``point`` validated, then completed with the declared defaults."""
+        errors = self.validate_point(point)
+        if errors:
+            raise ParamValidationError(errors)
+        bound = {spec.name: spec.default for spec in self.params or ()
+                 if not spec.required}
+        bound.update(point)
+        return bound
+
+    def require_nodes(self) -> None:
+        """Raise ``KeyError`` unless the scenario is real-capable."""
+        if not self.nodes:
+            raise KeyError(
+                f"scenario {self.name!r} is not real-capable: it declares "
+                f"no nodes and no node builder")
+
+    def build_node(self, point: GridPoint, local: Optional[str] = None,
+                   forward=None) -> BuiltNode:
+        """Build node ``local`` (all-local when None) for grid ``point``."""
+        self.require_nodes()
+        return self.build(self.bind_point(point), local, forward)
+
     def describe_params(self) -> str:
         """One-line rendering of the declared params (``--list`` output)."""
         return format_params(self.params or (), self.accepts_extra)
@@ -160,14 +197,16 @@ class ScenarioRegistry(Registry[Scenario]):
     kind = "scenario"
 
     def register(self, name: str, grid: Sequence[GridPoint] = (),
-                 description: str = ""):
+                 description: str = "", nodes: Sequence[str] = (),
+                 build: Optional[NodeBuilder] = None):
         """Decorator: register the decorated runner under ``name``."""
         def decorate(runner: Callable[..., Row]) -> Callable[..., Row]:
             self.add(Scenario(
                 name=name, runner=runner,
                 grid=tuple(dict(point) for point in grid),
                 description=description or (runner.__doc__ or "").strip()
-                .split("\n")[0]))
+                .split("\n")[0],
+                nodes=tuple(nodes), build=build))
             return runner
         return decorate
 
@@ -179,6 +218,9 @@ class ScenarioRegistry(Registry[Scenario]):
         grid is validated against it immediately — a plugin with a
         mistyped grid fails at registration, not mid-sweep.
         """
+        if bool(scenario.nodes) != (scenario.build is not None):
+            raise ValueError(f"scenario {scenario.name!r}: nodes and a node "
+                             f"builder must be declared together")
         if scenario.params is None:
             params, accepts_extra = params_from_callable(scenario.runner)
             scenario = replace(scenario, params=params,
@@ -213,11 +255,6 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
     ``config`` carries cross-cutting options; when ``config.obs`` is set
     the sweep runs traced (see :class:`ScenarioConfig`).
     """
-    if config is not None and config.backend != "sim":
-        if config.backend != "real":
-            raise ValueError(f"unknown backend {config.backend!r}; "
-                             f"expected 'sim' or 'real'")
-        return _run_real_backend(name, points, config)
     scenario = (registry or REGISTRY).get(name)
     grid: List[GridPoint] = [dict(point) for point in
                              (points if points is not None else scenario.grid)]
@@ -226,6 +263,11 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
     errors = scenario.validate_grid(grid)
     if errors:
         raise ParamValidationError(errors)
+    if config is not None and config.backend != "sim":
+        if config.backend != "real":
+            raise ValueError(f"unknown backend {config.backend!r}; "
+                             f"expected 'sim' or 'real'")
+        return _run_real_backend(scenario, grid, config)
     if config is not None and config.obs is not None:
         if parallel and len(grid) > 1:
             logger.warning(
@@ -250,56 +292,53 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
     return _run_sequential(scenario, grid)
 
 
-def _run_real_backend(name: str, points: Optional[Sequence[GridPoint]],
+def _run_real_backend(scenario: Scenario, grid: Sequence[GridPoint],
                       config: ScenarioConfig) -> List[Row]:
     """Run grid points of a *real-capable* scenario across OS processes.
 
-    Only scenarios with an entry in
-    :data:`repro.net.real.scenarios.REAL_SCENARIOS` can run here; their
-    grid points are the real spec's parameters (``t_msg``, ``iterations``,
-    ``algorithm``, ...), defaulting to one point from the spec's
-    defaults.  Each row reports the merged oracle verdict, the
-    ``(action, status)`` conclusion counts, and wall-clock cost.
+    Only scenarios declaring ``nodes`` can run here (the backend refuses
+    the others).  The grid points are the ones a sim sweep takes; each row
+    reports the merged oracle verdict, the ``(action, status)`` conclusion
+    counts, and wall-clock cost.
     """
     from ..net.real.backend import RealBackend
-    from ..net.real.scenarios import REAL_SCENARIOS
 
-    if name not in REAL_SCENARIOS:
-        raise KeyError(
-            f"scenario {name!r} has no real-backend spec; available: "
-            f"{sorted(REAL_SCENARIOS)}")
-    spec = REAL_SCENARIOS[name]
-    grid = [dict(point) for point in
-            (points if points is not None else (dict(spec.defaults),))]
     backend = RealBackend(**dict(config.backend_options or {}))
     rows: List[Row] = []
     for index, point in enumerate(grid):
-        result = backend.run(name, **point)
+        result = backend.run(scenario.name, **point)
         if config.export_dir is not None:
             # Bridged obs events, one JSONL per run — CI uploads these as
             # the post-mortem artifact when a real run fails its oracles.
             os.makedirs(config.export_dir, exist_ok=True)
             path = os.path.join(config.export_dir,
-                                f"{name}-{index}.events.jsonl")
+                                f"{scenario.name}-{index}.events.jsonl")
             with open(path, "w", encoding="utf-8") as handle:
                 for node, record in sorted(result.records.items()):
                     for event in record.get("obs_events", ()):
                         handle.write(json.dumps(
                             {"node": node, **event}, sort_keys=True,
                             default=str) + "\n")
-        rows.append({
-            **point,
-            "backend": "real",
-            "n_violations": len(result.violations),
-            "violations": [str(violation)
-                           for violation in result.violations],
-            "outcomes": {f"{action}/{status}": count
-                         for (action, status), count
-                         in sorted(result.outcomes.items())},
-            "crashed": list(result.crashed),
-            "wall_seconds": result.wall_time,
-        })
+        rows.append(_backend_row(point, result))
     return rows
+
+
+def _backend_row(point: GridPoint, result) -> Row:
+    """One node-built run as a row: the same keys on both backends."""
+    return {
+        **point,
+        "backend": result.backend,
+        "n_violations": len(result.violations),
+        "violations": [str(violation) for violation in result.violations],
+        "outcomes": {f"{action}/{status}": count
+                     for (action, status), count
+                     in sorted(result.outcomes.items())},
+        "crashed": list(result.crashed),
+        "counters": [counter for _, record in sorted(result.records.items())
+                     for counter in record["counters"]],
+        "by_type": dict(sorted(result.stats["by_type"].items())),
+        "wall_seconds": result.wall_time,
+    }
 
 
 def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
@@ -314,7 +353,7 @@ def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
     if was_enabled:
         gc.disable()
     try:
-        return [scenario.run_point(point) for point in grid]
+        return [scenario.runner(**point) for point in grid]
     finally:
         if was_enabled:
             gc.enable()
@@ -421,19 +460,33 @@ _DEFAULT_FIGURE9_GRID = tuple(point for parameter in FIGURE9_GRIDS
                               for point in figure9_grid(parameter))
 
 
+def _figure9_timing(varying: str, value: float) -> Dict[str, float]:
+    """Experiment 1's three durations: ``varying`` swept, others baseline."""
+    if varying not in FIGURE9_BASELINE:
+        raise ValueError(f"unknown parameter {varying!r}")
+    return {**FIGURE9_BASELINE, varying: value}
+
+
+def figure9_node(params: Dict[str, object], local: Optional[str],
+                 forward) -> BuiltNode:
+    """Node builder of ``figure9``: Experiment 1, one process per thread."""
+    return observed_node(build_experiment1(
+        iterations=params["iterations"], algorithm=params["algorithm"],
+        local=local, forward=forward,
+        **_figure9_timing(params["varying"], params["value"])))
+
+
 @REGISTRY.register("figure9", grid=_DEFAULT_FIGURE9_GRID,
                    description="Figure 9/10 sensitivity sweep "
-                               "(three threads, nested abort, 20 iterations)")
-def figure9_point(varying: str, value: float,
+                               "(three threads, nested abort, 20 iterations)",
+                   nodes=("T1", "T2", "T3"), build=figure9_node)
+def figure9_point(varying: str = "t_msg",
+                  value: float = FIGURE9_BASELINE["t_msg"],
                   iterations: int = EXPERIMENT1_ITERATIONS,
                   algorithm: str = "ours") -> Row:
     """One Figure 9 grid point: sweep ``varying``, others at baseline."""
-    parameters = dict(FIGURE9_BASELINE)
-    if varying not in parameters:
-        raise ValueError(f"unknown parameter {varying!r}")
-    parameters[varying] = value
     result = run_experiment1(iterations=iterations, algorithm=algorithm,
-                             **parameters)
+                             **_figure9_timing(varying, value))
     return {
         varying: value,
         "total_time": result.total_time,
@@ -525,16 +578,9 @@ def large_n_point(n_threads: int, n_exceptions: int = 1,
 WIDE_GRAPH_GRID = tuple({"n_threads": n} for n in (4, 8, 12))
 
 
-@REGISTRY.register("wide_graph", grid=WIDE_GRAPH_GRID,
-                   description="Resolution-heavy all-raise storms over a "
-                               "wide truncated exception graph")
-def wide_graph_point(n_threads: int, n_primitives: int = 12,
-                     max_level: int = 3, iterations: int = 2,
-                     algorithm: str = "ours") -> Row:
-    """One wide-graph storm point (see scenarios.run_wide_graph)."""
-    return run_wide_graph(n_threads=n_threads, n_primitives=n_primitives,
-                          max_level=max_level, iterations=iterations,
-                          algorithm=algorithm)
+REGISTRY.register("wide_graph", grid=WIDE_GRAPH_GRID,
+                  description="Resolution-heavy all-raise storms over a "
+                              "wide truncated exception graph")(run_wide_graph)
 
 
 #: The graph-microbenchmark grid: growing graphs, fixed resolve loop.
@@ -547,17 +593,10 @@ GRAPH_MICROBENCH_GRID = (
 )
 
 
-@REGISTRY.register("graph_microbench", grid=GRAPH_MICROBENCH_GRID,
-                   description="Compiled exception-graph resolution "
-                               "microbenchmark (no runtime)")
-def graph_microbench_point(n_primitives: int, max_level: int = 3,
-                           resolve_calls: int = 100,
-                           naive_calls: int = 3) -> Row:
-    """One microbenchmark point (see scenarios.run_graph_microbench)."""
-    return run_graph_microbench(n_primitives=n_primitives,
-                                max_level=max_level,
-                                resolve_calls=resolve_calls,
-                                naive_calls=naive_calls)
+REGISTRY.register("graph_microbench", grid=GRAPH_MICROBENCH_GRID,
+                  description="Compiled exception-graph resolution "
+                              "microbenchmark (no runtime)")(
+    run_graph_microbench)
 
 
 #: The explorer grid: a fixed-seed 200-plan budget over the nested-abort
@@ -575,15 +614,10 @@ EXPLORE_GRID = tuple(
     for start in range(0, EXPLORE_BUDGET, EXPLORE_CHUNK_SIZE))
 
 
-@REGISTRY.register("explore", grid=EXPLORE_GRID,
-                   description="Fault-space exploration sweep: seeded fault "
-                               "plans + schedule perturbation, checked "
-                               "against the invariant oracles")
-def explore_point(target: str, seed: int, start: int, stop: int,
-                  **options) -> Row:
-    """One chunk of an explorer sweep (see repro.explore.explorer)."""
-    return explore_chunk(target=target, seed=seed, start=start, stop=stop,
-                         **options)
+REGISTRY.register("explore", grid=EXPLORE_GRID,
+                  description="Fault-space exploration sweep: seeded fault "
+                              "plans + schedule perturbation, checked "
+                              "against the invariant oracles")(explore_chunk)
 
 
 #: The corpus-search chunk grid: explicit storm-vocabulary plans (crash /
@@ -607,16 +641,37 @@ def _explore_corpus_grid() -> Tuple[Dict[str, object], ...]:
                            EXPLORE_CORPUS_CHUNK))
 
 
-@REGISTRY.register("explore_corpus", grid=_explore_corpus_grid(),
-                   description="Corpus-search execution chunks: explicit "
-                               "fault plans (full storm vocabulary), "
-                               "canonical trace digests per plan")
-def explore_corpus_point(target: str, plans: Sequence[Dict[str, object]],
-                         start: int = 0, algorithm: str = "ours",
-                         baselines: Sequence[str] = ()) -> Row:
-    """One corpus-search chunk (see repro.explore.corpus)."""
-    return run_plans_chunk(target=target, plans=plans, start=start,
-                           algorithm=algorithm, baselines=baselines)
+REGISTRY.register("explore_corpus", grid=_explore_corpus_grid(),
+                  description="Corpus-search execution chunks: explicit "
+                              "fault plans (full storm vocabulary), "
+                              "canonical trace digests per plan")(
+    run_plans_chunk)
+
+
+#: The remote-counter grid: an overdraft on every pass but the first, and
+#: a quiet run whose limit is never reached.
+REMOTE_COUNTER_GRID = ({"iterations": 3}, {"iterations": 2, "limit": 10})
+
+
+@REGISTRY.register(
+    "remote_counter", grid=REMOTE_COUNTER_GRID,
+    description="Two workers increment a counter on a remote object host: "
+                "every lock, read, write and commit crosses the RPC layer",
+    nodes=("W1", "W2", "objhost"),
+    build=lambda params, local, forward: build_remote_counter(
+        local=local, forward=forward, **params))
+def remote_counter_point(iterations: int = 3, limit: int = 1,
+                         algorithm: str = "ours", t_msg: float = 0.1,
+                         t_resolution: float = 0.2, t_abort: float = 0.1,
+                         rpc_timeout: float = 60.0) -> Row:
+    """One all-local run of the node builder, reported like a real run."""
+    from ..net.real.scenarios import run_sim
+
+    point = {"iterations": iterations, "limit": limit,
+             "algorithm": algorithm, "t_msg": t_msg,
+             "t_resolution": t_resolution, "t_abort": t_abort,
+             "rpc_timeout": rpc_timeout}
+    return _backend_row(point, run_sim("remote_counter", **point))
 
 
 #: The churn grid: an increasing number of unrelated concurrent actions

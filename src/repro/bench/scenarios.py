@@ -28,8 +28,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from .. import obs
 from ..core.action import CAActionDefinition, RoleDefinition
 from ..core.exception_graph import (
     ExceptionGraph,
@@ -38,21 +39,29 @@ from ..core.exception_graph import (
 )
 from ..core.exceptions import internal
 from ..core.handlers import HandlerMap, HandlerResult
+from ..explore.monitor import InvariantMonitor
+from ..explore.targets import (
+    HANDLER_TIME,
+    NORMAL_COMPUTATION_TIME,
+    add_flat_raise,
+    delay_handler,
+    install_action,
+    staggered_raises,
+)
 from ..net.latency import ConstantLatency
+from ..net.rpc import RpcEndpoint
+from ..objects.remote import ObjectHostService, install_remote_objects
 from ..runtime.config import RuntimeConfig
 from ..runtime.report import ActionStatus
 from ..runtime.system import DistributedCASystem
+from ..simkernel.kernel import Kernel
 
 #: Default loop count of experiment 1 ("executed in a loop (20 times)").
 EXPERIMENT1_ITERATIONS = 20
 
-#: Amount of "normal computation" virtual time each role performs before the
-#: exception scenario unfolds; a fixed constant shared by both experiments so
-#: the measured totals are dominated by the swept parameters, as in the paper.
-NORMAL_COMPUTATION_TIME = 1.0
-
-#: Duration of the resolving-exception handlers (the paper's Δ).
-HANDLER_TIME = 0.2
+#: Observation profile of node builds: spans only — events are plain
+#: picklable dicts the real backend's children ship back to the hub.
+_NODE_OBS = obs.ObsConfig(spans=True, metrics=False, flight_recorder=False)
 
 
 @dataclass
@@ -70,14 +79,78 @@ class ExperimentResult:
         return self.total_time / max(1, self.iterations)
 
 
+@dataclass
+class BuiltNode:
+    """One node's (or the all-local sim run's) constructed world.
+
+    What a scenario's node builder (``Scenario.build``) returns: the
+    system (observed: its span events are on ``system.observation``) plus
+    the monitor whose records the real backend merges across processes
+    (see :mod:`repro.net.real`).
+    """
+
+    system: DistributedCASystem
+    monitor: InvariantMonitor
+
+
+# ----------------------------------------------------------------------
+# The scaffold every builder shares
+# ----------------------------------------------------------------------
+def new_system(t_msg: float, algorithm: str = "ours",
+               t_resolution: float = 0.0, t_abort: float = 0.0,
+               local: Optional[str] = None, forward=None,
+               **options) -> DistributedCASystem:
+    """A system with constant message latency ``t_msg`` (the paper's Tmmax).
+
+    All-local on the sim network by default (``options`` pass ``faults`` /
+    ``kernel`` / ``keep_trace`` through).  With ``local`` set, this
+    process is node ``local`` of a real-backend run: the network delivers
+    locally only to that node and hands everything else to ``forward``.
+    """
+    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution,
+                           abort_time=t_abort)
+    latency = ConstantLatency(t_msg)
+    if local is None:
+        return DistributedCASystem(config, latency=latency, **options)
+    from ..net.real.realnet import RealNetwork
+    kernel = Kernel()
+    return DistributedCASystem(
+        config, kernel=kernel,
+        network=RealNetwork(kernel, latency, local={local}, forward=forward))
+
+
+def observed_node(system: DistributedCASystem) -> BuiltNode:
+    """Attach the monitor and span observation a node's record comes from."""
+    monitor = InvariantMonitor(system)
+    obs.observe_system(system, _NODE_OBS)
+    return BuiltNode(system, monitor)
+
+
+def run_totals(system: DistributedCASystem) -> Dict[str, object]:
+    """The measured totals every result row of a finished run starts from."""
+    return {
+        "total_time": system.now,
+        "protocol_messages": system.network.stats.protocol_messages(),
+        "resolution_calls": sum(p.coordinator.resolution_calls
+                                for p in system.partitions.values()),
+    }
+
+
+def _run_experiment(system: DistributedCASystem,
+                    iterations: int) -> ExperimentResult:
+    reports = system.run_to_completion()
+    return ExperimentResult(iterations=iterations, reports=reports,
+                            **run_totals(system))
+
+
 # ----------------------------------------------------------------------
 # Experiment 1: nested action aborted by an enclosing exception
 # ----------------------------------------------------------------------
 def build_experiment1(t_msg: float, t_abort: float, t_resolution: float,
                       iterations: int = EXPERIMENT1_ITERATIONS,
                       algorithm: str = "ours",
-                      spawn_threads: Optional[List[str]] = None,
-                      network_factory=None) -> DistributedCASystem:
+                      local: Optional[str] = None,
+                      forward=None) -> DistributedCASystem:
     """Build the Figure 9/10 application system.
 
     Threads ``T1``–``T3`` participate in the containing action ``Outer``;
@@ -87,22 +160,11 @@ def build_experiment1(t_msg: float, t_abort: float, t_resolution: float,
     ``abort_residue``; both exceptions are resolved into their covering
     exception, which every thread handles.
 
-    ``spawn_threads`` restricts which threads' programs are spawned (all
-    three by default): a transport backend that runs one OS process per
-    partition builds the full system everywhere but spawns only the
-    local thread's program.  ``network_factory(kernel, latency)`` lets
-    such a backend substitute its transport for the sim network.
+    ``local``/``forward`` build one node of a real-backend run (see
+    :func:`new_system` and :func:`install_action`).
     """
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution,
-                           abort_time=t_abort)
-    latency = ConstantLatency(t_msg)
-    if network_factory is not None:
-        from ..simkernel.kernel import Kernel
-        kernel = Kernel()
-        system = DistributedCASystem(config, kernel=kernel,
-                                     network=network_factory(kernel, latency))
-    else:
-        system = DistributedCASystem(config, latency=latency)
+    system = new_system(t_msg, algorithm, t_resolution, t_abort,
+                        local=local, forward=forward)
     system.add_threads(["T1", "T2", "T3"])
     system.create_object("plant", {"state": "idle", "processed": 0})
 
@@ -126,12 +188,10 @@ def build_experiment1(t_msg: float, t_abort: float, t_resolution: float,
 
     inner = CAActionDefinition(
         "Inner",
-        [RoleDefinition("b1", inner_role,
+        [RoleDefinition(role, inner_role,
                         HandlerMap(abortion_handler=abortion_handler,
-                                   default_handler=resolving_handler)),
-         RoleDefinition("b2", inner_role,
-                        HandlerMap(abortion_handler=abortion_handler,
-                                   default_handler=resolving_handler))],
+                                   default_handler=resolving_handler))
+         for role in ("b1", "b2")],
         graph=ExceptionGraph("Inner"), parent="Outer")
 
     def raising_role(ctx):
@@ -145,35 +205,20 @@ def build_experiment1(t_msg: float, t_abort: float, t_resolution: float,
             return report
         return body
 
-    outer_handlers = HandlerMap(default_handler=resolving_handler)
     outer = CAActionDefinition(
         "Outer",
-        [RoleDefinition("a1", raising_role,
-                        HandlerMap(default_handler=resolving_handler)),
-         RoleDefinition("a2", nesting_role("b1"), outer_handlers),
-         RoleDefinition("a3", nesting_role("b2"),
-                        HandlerMap(default_handler=resolving_handler))],
+        [RoleDefinition(role, body,
+                        HandlerMap(default_handler=resolving_handler))
+         for role, body in (("a1", raising_role),
+                            ("a2", nesting_role("b1")),
+                            ("a3", nesting_role("b2")))],
         internal_exceptions=[outer_fault, abort_residue], graph=outer_graph,
         external_objects=["plant"])
 
-    system.define_action(outer)
     system.define_action(inner)
-    system.bind("Outer", {"a1": "T1", "a2": "T2", "a3": "T3"})
     system.bind("Inner", {"b1": "T2", "b2": "T3"})
-
-    def make_program(role):
-        def program(ctx):
-            reports = []
-            for _ in range(iterations):
-                report = yield from ctx.perform_action("Outer", role)
-                reports.append(report)
-            return reports
-        return program
-
-    roles = {"T1": "a1", "T2": "a2", "T3": "a3"}
-    for thread in (spawn_threads if spawn_threads is not None
-                   else sorted(roles)):
-        system.spawn(thread, make_program(roles[thread]))
+    install_action(system, outer, {"a1": "T1", "a2": "T2", "a3": "T3"},
+                   iterations, local)
     return system
 
 
@@ -181,21 +226,13 @@ def run_experiment1(t_msg: float, t_abort: float, t_resolution: float,
                     iterations: int = EXPERIMENT1_ITERATIONS,
                     algorithm: str = "ours") -> ExperimentResult:
     """Run the Figure 9/10 scenario and return the measured totals."""
-    system = build_experiment1(t_msg, t_abort, t_resolution, iterations,
-                               algorithm)
-    reports = system.run_to_completion()
-    return ExperimentResult(
-        total_time=system.now,
-        iterations=iterations,
-        protocol_messages=system.network.stats.protocol_messages(),
-        resolution_calls=sum(p.coordinator.resolution_calls
-                             for p in system.partitions.values()),
-        reports=reports,
-    )
+    return _run_experiment(
+        build_experiment1(t_msg, t_abort, t_resolution, iterations,
+                          algorithm), iterations)
 
 
 # ----------------------------------------------------------------------
-# Experiment 2: three concurrent exceptions, algorithm comparison
+# Experiment 2 and its family: a flat action whose threads raise at once
 # ----------------------------------------------------------------------
 def build_experiment2(t_msg: float, t_resolution: float,
                       algorithm: str = "ours",
@@ -207,45 +244,14 @@ def build_experiment2(t_msg: float, t_resolution: float,
     then all raise *different* exceptions nearly at the same time, forcing
     exception resolution on every iteration.
     """
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution)
-    system = DistributedCASystem(config, latency=ConstantLatency(t_msg))
-    threads = [f"T{i}" for i in range(1, n_threads + 1)]
-    system.add_threads(threads)
-
-    primitives = [internal(f"fault_{i}") for i in range(1, n_threads + 1)]
-    graph = generate_full_graph(primitives, action_name="Compare")
-
-    def resolving_handler(ctx):
-        yield ctx.delay(HANDLER_TIME)
-        return HandlerResult.success()
-
-    def make_raising_role(index):
-        def body(ctx):
-            yield ctx.delay(NORMAL_COMPUTATION_TIME + 0.001 * index)
-            ctx.raise_exception(primitives[index])
-        return body
-
-    roles = [
-        RoleDefinition(f"r{i + 1}", make_raising_role(i),
-                       HandlerMap(default_handler=resolving_handler))
-        for i in range(n_threads)
-    ]
-    action = CAActionDefinition("Compare", roles,
-                                internal_exceptions=primitives, graph=graph)
-    system.define_action(action)
-    system.bind("Compare", {f"r{i + 1}": threads[i] for i in range(n_threads)})
-
-    def make_program(role):
-        def program(ctx):
-            reports = []
-            for _ in range(iterations):
-                report = yield from ctx.perform_action("Compare", role)
-                reports.append(report)
-            return reports
-        return program
-
-    for i, thread in enumerate(threads):
-        system.spawn(thread, make_program(f"r{i + 1}"))
+    system = new_system(t_msg, algorithm, t_resolution)
+    numbers = range(1, n_threads + 1)
+    add_flat_raise(system, "Compare",
+                   threads=[f"T{i}" for i in numbers],
+                   roles=[f"r{i}" for i in numbers],
+                   primitives=[internal(f"fault_{i}") for i in numbers],
+                   raise_delays=staggered_raises(n_threads),
+                   iterations=iterations)
     return system
 
 
@@ -254,17 +260,9 @@ def run_experiment2(t_msg: float, t_resolution: float,
                     iterations: int = 1,
                     n_threads: int = 3) -> ExperimentResult:
     """Run the Figure 12/13 scenario for one algorithm."""
-    system = build_experiment2(t_msg, t_resolution, algorithm, iterations,
-                               n_threads)
-    reports = system.run_to_completion()
-    return ExperimentResult(
-        total_time=system.now,
-        iterations=iterations,
-        protocol_messages=system.network.stats.protocol_messages(),
-        resolution_calls=sum(p.coordinator.resolution_calls
-                             for p in system.partitions.values()),
-        reports=reports,
-    )
+    return _run_experiment(
+        build_experiment2(t_msg, t_resolution, algorithm, iterations,
+                          n_threads), iterations)
 
 
 # ----------------------------------------------------------------------
@@ -279,62 +277,25 @@ def run_complexity_scenario(n_threads: int, n_exceptions: int,
     """
     if not 1 <= n_exceptions <= n_threads:
         raise ValueError("need 1 <= n_exceptions <= n_threads")
-    config = RuntimeConfig(algorithm=algorithm)
-    system = DistributedCASystem(config, latency=ConstantLatency(0.01))
-    threads = [f"T{i:02d}" for i in range(1, n_threads + 1)]
-    system.add_threads(threads)
-
-    primitives = [internal(f"fault_{i}") for i in range(1, n_exceptions + 1)]
-    graph = generate_full_graph(primitives, max_level=1,
-                                action_name="Complexity") \
-        if n_exceptions > 1 else generate_full_graph(primitives,
-                                                     action_name="Complexity")
-
-    def handler(ctx):
-        return HandlerResult.success()
-
-    def make_role(index):
-        if index < n_exceptions:
-            def body(ctx):
-                yield ctx.delay(0.5)
-                ctx.raise_exception(primitives[index])
-        else:
-            def body(ctx):
-                yield ctx.delay(5.0)
-        return body
-
-    roles = [RoleDefinition(f"r{i}", make_role(i),
-                            HandlerMap(default_handler=handler))
-             for i in range(n_threads)]
-    action = CAActionDefinition("Complexity", roles,
-                                internal_exceptions=primitives, graph=graph)
-    system.define_action(action)
-    system.bind("Complexity", {f"r{i}": threads[i] for i in range(n_threads)})
-
-    def make_program(role):
-        def program(ctx):
-            report = yield from ctx.perform_action("Complexity", role)
-            return report
-        return program
-
-    for i, thread in enumerate(threads):
-        system.spawn(thread, make_program(f"r{i}"))
+    system = new_system(0.01, algorithm)
+    add_flat_raise(
+        system, "Complexity",
+        threads=[f"T{i:02d}" for i in range(1, n_threads + 1)],
+        roles=[f"r{i}" for i in range(n_threads)],
+        primitives=[internal(f"fault_{i}")
+                    for i in range(1, n_exceptions + 1)],
+        raise_delays=[0.5] * n_exceptions, idle_delay=5.0,
+        handler_time=None, max_level=1)
     system.run_to_completion()
 
-    by_type = dict(system.network.stats.by_type)
-    resolution_types = ("ExceptionMessage", "SuspendedMessage", "CommitMessage",
-                        "CRForwardMessage", "CRResolvedMessage",
-                        "CRConfirmMessage", "AgreementMessage",
-                        "ConfirmMessage")
-    total = sum(by_type.get(name, 0) for name in resolution_types)
-    signalling = by_type.get("ToBeSignalledMessage", 0)
+    stats = system.network.stats
+    totals = run_totals(system)
     return {
-        "by_type": by_type,
-        "resolution_messages": total,
-        "signalling_messages": signalling,
-        "resolution_calls": sum(p.coordinator.resolution_calls
-                                for p in system.partitions.values()),
-        "total_time": system.now,
+        "by_type": dict(stats.by_type),
+        "resolution_messages": stats.resolution_messages(),
+        "signalling_messages": stats.count("ToBeSignalledMessage"),
+        "resolution_calls": totals["resolution_calls"],
+        "total_time": totals["total_time"],
     }
 
 
@@ -360,52 +321,16 @@ def build_churn(n_groups: int, iterations: int = 1, group_size: int = 3,
         raise ValueError("churn groups need at least two threads")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution)
-    system = DistributedCASystem(config, latency=ConstantLatency(t_msg))
-
-    def resolving_handler(ctx):
-        yield ctx.delay(HANDLER_TIME)
-        return HandlerResult.success()
-
+    system = new_system(t_msg, algorithm, t_resolution)
+    members = range(1, group_size + 1)
     for group in range(n_groups):
-        threads = [f"G{group:02d}T{i}" for i in range(1, group_size + 1)]
-        system.add_threads(threads)
-        action_name = f"Churn{group:02d}"
-        fault = internal(f"churn_fault_{group:02d}")
-        graph = generate_full_graph([fault], action_name=action_name)
-
-        def make_raising_role(exception, offset):
-            def body(ctx):
-                yield ctx.delay(NORMAL_COMPUTATION_TIME + offset)
-                ctx.raise_exception(exception)
-            return body
-
-        def worker_role(ctx):
-            yield ctx.delay(10.0 * NORMAL_COMPUTATION_TIME)
-
-        roles = [RoleDefinition("w1",
-                                make_raising_role(fault, 0.001 * group),
-                                HandlerMap(default_handler=resolving_handler))]
-        roles += [RoleDefinition(f"w{i}", worker_role,
-                                 HandlerMap(default_handler=resolving_handler))
-                  for i in range(2, group_size + 1)]
-        action = CAActionDefinition(action_name, roles,
-                                    internal_exceptions=[fault], graph=graph)
-        system.define_action(action)
-        system.bind(action_name,
-                    {f"w{i}": threads[i - 1] for i in range(1, group_size + 1)})
-
-        def make_program(action_name, role):
-            def program(ctx):
-                reports = []
-                for _ in range(iterations):
-                    report = yield from ctx.perform_action(action_name, role)
-                    reports.append(report)
-                return reports
-            return program
-
-        for i, thread in enumerate(threads, start=1):
-            system.spawn(thread, make_program(action_name, f"w{i}"))
+        add_flat_raise(
+            system, f"Churn{group:02d}",
+            threads=[f"G{group:02d}T{i}" for i in members],
+            roles=[f"w{i}" for i in members],
+            primitives=[internal(f"churn_fault_{group:02d}")],
+            raise_delays=[NORMAL_COMPUTATION_TIME + 0.001 * group],
+            idle_delay=10.0 * NORMAL_COMPUTATION_TIME, iterations=iterations)
     return system
 
 
@@ -432,47 +357,14 @@ def build_wide_graph(n_threads: int = 8, n_primitives: int = 12,
         raise ValueError("need at least two threads for a storm")
     if n_primitives < n_threads:
         raise ValueError("need at least one primitive per thread")
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution)
-    system = DistributedCASystem(config, latency=ConstantLatency(t_msg))
-    threads = [f"T{i}" for i in range(1, n_threads + 1)]
-    system.add_threads(threads)
-
-    primitives = [internal(f"storm_{i:02d}") for i in range(n_primitives)]
-    graph = generate_full_graph(primitives, max_level=max_level,
-                                action_name="WideGraph")
-
-    def resolving_handler(ctx):
-        yield ctx.delay(HANDLER_TIME)
-        return HandlerResult.success()
-
-    def make_raising_role(index):
-        def body(ctx):
-            yield ctx.delay(NORMAL_COMPUTATION_TIME + 0.001 * index)
-            ctx.raise_exception(primitives[index])
-        return body
-
-    roles = [
-        RoleDefinition(f"r{i + 1}", make_raising_role(i),
-                       HandlerMap(default_handler=resolving_handler))
-        for i in range(n_threads)
-    ]
-    action = CAActionDefinition("WideGraph", roles,
-                                internal_exceptions=primitives, graph=graph)
-    system.define_action(action)
-    system.bind("WideGraph",
-                {f"r{i + 1}": threads[i] for i in range(n_threads)})
-
-    def make_program(role):
-        def program(ctx):
-            reports = []
-            for _ in range(iterations):
-                report = yield from ctx.perform_action("WideGraph", role)
-                reports.append(report)
-            return reports
-        return program
-
-    for i, thread in enumerate(threads):
-        system.spawn(thread, make_program(f"r{i + 1}"))
+    system = new_system(t_msg, algorithm, t_resolution)
+    numbers = range(1, n_threads + 1)
+    add_flat_raise(
+        system, "WideGraph",
+        threads=[f"T{i}" for i in numbers], roles=[f"r{i}" for i in numbers],
+        primitives=[internal(f"storm_{i:02d}") for i in range(n_primitives)],
+        raise_delays=staggered_raises(n_threads), max_level=max_level,
+        iterations=iterations)
     return system
 
 
@@ -497,13 +389,86 @@ def run_wide_graph(n_threads: int = 8, n_primitives: int = 12,
         "iterations": iterations,
         "graph_nodes": stats["nodes"],
         "recovered": recovered,
-        "total_time": system.now,
         "wall_seconds": wall_seconds,
-        "protocol_messages": system.network.stats.protocol_messages(),
-        "resolution_calls": sum(p.coordinator.resolution_calls
-                                for p in system.partitions.values()),
+        **run_totals(system),
         "message_stats": system.network.stats.snapshot(),
     }
+
+
+# ----------------------------------------------------------------------
+# Remote counter: external atomic objects behind an RPC object host
+# ----------------------------------------------------------------------
+def build_remote_counter(iterations: int = 3, limit: int = 1,
+                         algorithm: str = "ours", t_msg: float = 0.1,
+                         t_resolution: float = 0.2, t_abort: float = 0.1,
+                         rpc_timeout: float = 60.0,
+                         local: Optional[str] = None,
+                         forward=None) -> BuiltNode:
+    """Workers ``W1``/``W2`` increment a counter hosted on ``objhost``.
+
+    Every object access crosses the RPC layer — locks, reads, writes,
+    commit — in *both* backends, so the sim run exercises exactly the
+    code path the real processes do.  ``W1`` reads the counter under an
+    exclusive lock, writes ``value + 1``, and raises ``overdraft`` once
+    the value it read reaches ``limit`` (deterministic from the
+    authoritative host state); the resolved exception is handled by
+    both workers and the action still commits.
+    """
+    system = new_system(t_msg, algorithm, t_resolution, t_abort,
+                        local=local, forward=forward)
+    network = system.network
+    system.add_threads(["W1", "W2"])
+
+    hosts_object = local is None or local == "objhost"
+    if hosts_object:
+        # The endpoint keeps the service (its registered procedures) alive.
+        system.create_object("acct", {"value": 0})
+        ObjectHostService(RpcEndpoint(network.add_node("objhost"), network),
+                          system.transactions)
+
+    # drain=False: the partition dispatcher owns the inbox and routes RPC
+    # payloads to the endpoint (see Dispatcher).
+    endpoints = {worker: RpcEndpoint(network.node(worker), network,
+                                     drain=False)
+                 for worker in ("W1", "W2")
+                 if local is None or local == worker}
+    if endpoints:
+        designated = endpoints[local if local in endpoints else "W1"]
+        install_remote_objects(
+            system, lambda _instance_key: designated, "objhost",
+            timeout=rpc_timeout)
+
+    overdraft = internal("overdraft")
+    handled = delay_handler(0.1)
+
+    def u1_body(ctx):
+        txn = ctx.transaction
+        yield txn.lock("acct")
+        value = yield txn.read("acct", "value")
+        txn.write("acct", "value", value + 1)
+        yield ctx.delay(0.2)
+        if value >= limit:
+            ctx.raise_exception(overdraft)
+        return value
+
+    def u2_body(ctx):
+        yield ctx.delay(0.4)
+        return "ok"
+
+    transfer = CAActionDefinition(
+        "Transfer",
+        [RoleDefinition("u1", u1_body, HandlerMap(default_handler=handled)),
+         RoleDefinition("u2", u2_body, HandlerMap(default_handler=handled))],
+        internal_exceptions=[overdraft],
+        graph=generate_full_graph([overdraft], action_name="Transfer"),
+        external_objects=["acct"])
+    install_action(system, transfer, {"u1": "W1", "u2": "W2"}, iterations,
+                   local)
+    built = observed_node(system)
+    if hosts_object:
+        # The no-lost-update oracle runs where the authoritative copy is.
+        built.monitor.track_counter("acct", "value")
+    return built
 
 
 # ----------------------------------------------------------------------

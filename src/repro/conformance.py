@@ -104,6 +104,7 @@ def _build_cases() -> Dict[str, ConformanceCase]:
         LARGE_N_GRID,
         MIXED_TRAFFIC_GRID,
         PRODUCTION_CELL_GRID,
+        REMOTE_COUNTER_GRID,
         TRANSACTIONAL_GRID,
         WIDE_GRAPH_GRID,
         _DEFAULT_FIGURE9_GRID,
@@ -118,44 +119,30 @@ def _build_cases() -> Dict[str, ConformanceCase]:
     #: identical to the default grid, only cheaper per point.
     figure9_grid = tuple({**dict(point), "iterations": 2}
                          for point in _DEFAULT_FIGURE9_GRID)
+    per_algorithm = (
+        ("figure9", figure9_grid,
+         "Figure 9 sensitivity sweep (2 iterations per point)"),
+        ("large_n", LARGE_N_GRID, "message-complexity sweep up to N=64"),
+        ("churn", CHURN_GRID,
+         "concurrent top-level actions sharing one network"),
+        ("wide_graph", WIDE_GRAPH_GRID,
+         "all-raise storms over the 794-node truncated graph"),
+        ("capacity", CAPACITY_GRID,
+         "offered-load sweep over the shared partition pool"),
+        ("mixed_traffic", MIXED_TRAFFIC_GRID,
+         "heterogeneous mix + delay noise, oracle-checked"),
+        ("transactional", TRANSACTIONAL_GRID,
+         "transactional CA workload: locks, aborts, deadlock recovery, "
+         "no-lost-update oracle"),
+        ("production_cell", PRODUCTION_CELL_GRID,
+         "production cell under seeded open-loop traffic and fault "
+         "schedules"),
+    )
     for slug, algorithm in ALGORITHMS.items():
-        add(ConformanceCase(
-            f"figure9_{slug}",
-            (("figure9", _with_algorithm(figure9_grid, algorithm)),),
-            note="Figure 9 sensitivity sweep (2 iterations per point)"))
-        add(ConformanceCase(
-            f"large_n_{slug}",
-            (("large_n", _with_algorithm(LARGE_N_GRID, algorithm)),),
-            note="message-complexity sweep up to N=64"))
-        add(ConformanceCase(
-            f"churn_{slug}",
-            (("churn", _with_algorithm(CHURN_GRID, algorithm)),),
-            note="concurrent top-level actions sharing one network"))
-        add(ConformanceCase(
-            f"wide_graph_{slug}",
-            (("wide_graph", _with_algorithm(WIDE_GRAPH_GRID, algorithm)),),
-            note="all-raise storms over the 794-node truncated graph"))
-        add(ConformanceCase(
-            f"capacity_{slug}",
-            (("capacity", _with_algorithm(CAPACITY_GRID, algorithm)),),
-            note="offered-load sweep over the shared partition pool"))
-        add(ConformanceCase(
-            f"mixed_traffic_{slug}",
-            (("mixed_traffic", _with_algorithm(MIXED_TRAFFIC_GRID,
-                                               algorithm)),),
-            note="heterogeneous mix + delay noise, oracle-checked"))
-        add(ConformanceCase(
-            f"transactional_{slug}",
-            (("transactional", _with_algorithm(TRANSACTIONAL_GRID,
-                                               algorithm)),),
-            note="transactional CA workload: locks, aborts, deadlock "
-                 "recovery, no-lost-update oracle"))
-        add(ConformanceCase(
-            f"production_cell_{slug}",
-            (("production_cell", _with_algorithm(PRODUCTION_CELL_GRID,
-                                                 algorithm)),),
-            note="production cell under seeded open-loop traffic and "
-                 "fault schedules"))
+        for scenario, grid, note in per_algorithm:
+            add(ConformanceCase(
+                f"{scenario}_{slug}",
+                ((scenario, _with_algorithm(grid, algorithm)),), note=note))
 
     #: Figure 12 runs ours and Campbell-Randell inside each row, so it is a
     #: single case rather than one per algorithm.
@@ -164,6 +151,16 @@ def _build_cases() -> Dict[str, ConformanceCase]:
         (("figure12_tmmax", tuple(REGISTRY.get("figure12_tmmax").grid)),
          ("figure12_tres", tuple(REGISTRY.get("figure12_tres").grid))),
         note="ours vs Campbell-Randell comparison, both halves"))
+
+    #: The remote-counter application's all-local rows under all three
+    #: algorithms in one case: the real backend runs the same node builder
+    #: across processes, where only the oracles (not a digest) can gate it.
+    add(ConformanceCase(
+        "remote_counter",
+        (("remote_counter", tuple(
+            point for algorithm in ALGORITHMS.values()
+            for point in _with_algorithm(REMOTE_COUNTER_GRID, algorithm))),),
+        note="counter behind an RPC object host, ours + both baselines"))
 
     #: A 100-plan explorer sweep: each row's ``digest`` field is already a
     #: hash over the canonical kernel/network/coordinator traces of its 25

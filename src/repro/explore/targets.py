@@ -16,16 +16,20 @@ Two targets ship by default:
   simultaneously (the Figure 12 shape), the classic workload for the
   resolution algorithm itself and the natural one for differential
   comparison against the baseline algorithms.
+
+The scaffold both targets are assembled from lives here too;
+:mod:`repro.bench.scenarios` builds the paper's applications from the same
+pieces, and a fault-space sweep never has to load the bench package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.action import CAActionDefinition, RoleDefinition
 from ..core.exception_graph import generate_full_graph
-from ..core.exceptions import internal
+from ..core.exceptions import ExceptionDescriptor, internal
 from ..core.handlers import HandlerMap, HandlerResult
 from ..net.faults import FaultPlan
 from ..net.latency import ConstantLatency
@@ -33,22 +37,128 @@ from ..runtime.config import RuntimeConfig
 from ..runtime.system import DistributedCASystem
 from ..simkernel.kernel import Kernel
 
-#: Signature of a target builder.
-Builder = Callable[[FaultPlan, Optional[int], str], DistributedCASystem]
-
-
 @dataclass(frozen=True)
 class ExplorationTarget:
     """A named, explorable scenario."""
 
     name: str
-    builder: Builder
+    #: ``build(faults, tie_seed=None, algorithm="ours")`` -> spawned system.
+    build: Callable[..., DistributedCASystem]
     threads: Tuple[str, ...]
     description: str = ""
 
-    def build(self, faults: FaultPlan, tie_seed: Optional[int] = None,
-              algorithm: str = "ours") -> DistributedCASystem:
-        return self.builder(faults, tie_seed, algorithm)
+
+# ----------------------------------------------------------------------
+# The scaffold the targets (and repro.bench's applications) are built from
+# ----------------------------------------------------------------------
+#: Amount of "normal computation" virtual time each role performs before the
+#: exception scenario unfolds; a fixed constant shared by both experiments so
+#: the measured totals are dominated by the swept parameters, as in the paper.
+NORMAL_COMPUTATION_TIME = 1.0
+
+#: Duration of the resolving-exception handlers (the paper's Δ).
+HANDLER_TIME = 0.2
+
+
+def delay_handler(duration: float):
+    """A resolving handler that takes ``duration`` and succeeds."""
+    def handler(ctx):
+        yield ctx.delay(duration)
+        return HandlerResult.success()
+    return handler
+
+
+def action_program(action: str, role: str, iterations: Optional[int] = None):
+    """A thread program performing ``action`` as ``role``.
+
+    Once, returning the report (``iterations=None``), or ``iterations``
+    times in a loop, returning the list of reports.
+    """
+    def program(ctx):
+        if iterations is None:
+            return (yield from ctx.perform_action(action, role))
+        reports = []
+        for _ in range(iterations):
+            report = yield from ctx.perform_action(action, role)
+            reports.append(report)
+        return reports
+    return program
+
+
+def install_action(system: DistributedCASystem,
+                   definition: CAActionDefinition, binding: Dict[str, str],
+                   iterations: Optional[int] = 1,
+                   local: Optional[str] = None) -> None:
+    """Define and bind a top-level action and spawn its threads' programs.
+
+    Programs are spawned in ``binding`` order; a real-backend node builds
+    the whole system but spawns only its ``local`` thread's program.
+    """
+    system.define_action(definition)
+    system.bind(definition.name, binding)
+    for role, thread in binding.items():
+        if local is None or local == thread:
+            system.spawn(thread,
+                         action_program(definition.name, role, iterations))
+
+
+def add_flat_raise(system: DistributedCASystem, action: str,
+                   threads: Sequence[str], roles: Sequence[str],
+                   primitives: Sequence[ExceptionDescriptor],
+                   raise_delays: Sequence[float], idle_delay: float = 0.0,
+                   handler_time: Optional[float] = HANDLER_TIME,
+                   max_level: Optional[int] = None,
+                   iterations: Optional[int] = 1) -> None:
+    """Add one flat raise-storm action (the Experiment 2 shape) to ``system``.
+
+    ``threads[i]`` plays ``roles[i]``.  The first ``len(raise_delays)``
+    roles compute for ``raise_delays[i]`` and then raise ``primitives[i]``;
+    the remaining roles compute for ``idle_delay`` and finish normally.
+    The exception graph is the full graph over ``primitives`` (truncated at
+    ``max_level``), and every role handles the resolved exception for
+    ``handler_time`` (``None``: an instantaneous, non-generator handler).
+    """
+    system.add_threads(threads)
+    graph = generate_full_graph(primitives, max_level=max_level,
+                                action_name=action)
+    if handler_time is None:
+        def handler(ctx):
+            return HandlerResult.success()
+    else:
+        handler = delay_handler(handler_time)
+
+    def raising_role(delay, exception):
+        def body(ctx):
+            yield ctx.delay(delay)
+            ctx.raise_exception(exception)
+        return body
+
+    def idle_role(ctx):
+        yield ctx.delay(idle_delay)
+
+    bodies = [raising_role(delay, exception)
+              for delay, exception in zip(raise_delays, primitives)]
+    bodies += [idle_role] * (len(roles) - len(bodies))
+    definition = CAActionDefinition(
+        action,
+        [RoleDefinition(role, body, HandlerMap(default_handler=handler))
+         for role, body in zip(roles, bodies)],
+        internal_exceptions=list(primitives), graph=graph)
+    install_action(system, definition, dict(zip(roles, threads)), iterations)
+
+
+def staggered_raises(count: int) -> List[float]:
+    """Raise times one millisecond apart: "nearly at the same time"."""
+    return [NORMAL_COMPUTATION_TIME + 0.001 * index for index in range(count)]
+
+
+def _traced_system(faults: FaultPlan, tie_seed: Optional[int],
+                   algorithm: str, **charges: float) -> DistributedCASystem:
+    """A 0.1-latency system under ``faults`` that keeps its full trace."""
+    return DistributedCASystem(RuntimeConfig(algorithm=algorithm, **charges),
+                               latency=ConstantLatency(0.1), faults=faults,
+                               kernel=Kernel(tie_seed=tie_seed),
+                               keep_trace=True)
 
 
 # ----------------------------------------------------------------------
@@ -71,27 +181,17 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
     The abortion handler signals ``abort_residue``, and all three threads
     recover through the ``abort_residue&outer_fault`` cover.
     """
-    config = RuntimeConfig(algorithm=algorithm, abort_time=3.0,
-                           resolution_time=0.0)
-    system = DistributedCASystem(config, latency=ConstantLatency(0.1),
-                                 faults=faults,
-                                 kernel=Kernel(tie_seed=tie_seed),
-                                 keep_trace=True)
+    system = _traced_system(faults, tie_seed, algorithm, abort_time=3.0)
     system.add_threads(["T1", "T2", "T3"])
 
     outer_graph = generate_full_graph([OUTER_FAULT, ABORT_RESIDUE],
                                       action_name="Outer")
     inner_graph = generate_full_graph([INNER_FAULT], action_name="Inner")
 
-    def outer_handler(ctx):
-        yield ctx.delay(0.2)
-        return HandlerResult.success()
-
-    def slow_inner_handler(ctx):
-        # Keeps the nested participants inside the (abort-interruptible)
-        # handling phase when the outer exception arrives.
-        yield ctx.delay(10.0)
-        return HandlerResult.success()
+    outer_handler = delay_handler(0.2)
+    # Keeps the nested participants inside the (abort-interruptible)
+    # handling phase when the outer exception arrives.
+    slow_inner_handler = delay_handler(10.0)
 
     def signal_residue(ctx):
         return HandlerResult.signal(ABORT_RESIDUE)
@@ -133,65 +233,29 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
                         HandlerMap(default_handler=outer_handler))],
         internal_exceptions=[OUTER_FAULT, ABORT_RESIDUE], graph=outer_graph)
 
-    system.define_action(outer)
     system.define_action(inner)
-    system.bind("Outer", {"a1": "T1", "a2": "T2", "a3": "T3"})
     system.bind("Inner", {"b2": "T2", "b3": "T3"})
-
-    for thread, role in (("T1", "a1"), ("T2", "a2"), ("T3", "a3")):
-        system.spawn(thread, _single_action_program("Outer", role))
+    install_action(system, outer, {"a1": "T1", "a2": "T2", "a3": "T3"},
+                   iterations=None)
     return system
 
 
 # ----------------------------------------------------------------------
 # concurrent_raises: the Figure 12 shape
 # ----------------------------------------------------------------------
-CONCURRENT_FAULTS = tuple(internal(f"fault_{i}") for i in (1, 2, 3))
-
-
 def build_concurrent_raises(faults: FaultPlan, tie_seed: Optional[int] = None,
                             algorithm: str = "ours") -> DistributedCASystem:
-    """Three threads raise different exceptions nearly simultaneously."""
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=0.1)
-    system = DistributedCASystem(config, latency=ConstantLatency(0.1),
-                                 faults=faults,
-                                 kernel=Kernel(tie_seed=tie_seed),
-                                 keep_trace=True)
-    threads = ["T1", "T2", "T3"]
-    system.add_threads(threads)
+    """Three threads raise different exceptions nearly simultaneously.
 
-    graph = generate_full_graph(list(CONCURRENT_FAULTS),
-                                action_name="Concurrent")
-
-    def resolving_handler(ctx):
-        yield ctx.delay(0.2)
-        return HandlerResult.success()
-
-    def make_raising_role(index):
-        def body(ctx):
-            yield ctx.delay(1.0 + 0.001 * index)
-            ctx.raise_exception(CONCURRENT_FAULTS[index])
-        return body
-
-    roles = [RoleDefinition(f"r{i + 1}", make_raising_role(i),
-                            HandlerMap(default_handler=resolving_handler))
-             for i in range(3)]
-    action = CAActionDefinition("Concurrent", roles,
-                                internal_exceptions=list(CONCURRENT_FAULTS),
-                                graph=graph)
-    system.define_action(action)
-    system.bind("Concurrent", {f"r{i + 1}": threads[i] for i in range(3)})
-
-    for i, thread in enumerate(threads):
-        system.spawn(thread, _single_action_program("Concurrent", f"r{i + 1}"))
+    The paper's Experiment 2 application (one pass, full network trace)
+    built by the same flat-raise scaffold as the Figure 12 scenario.
+    """
+    system = _traced_system(faults, tie_seed, algorithm, resolution_time=0.1)
+    add_flat_raise(system, "Concurrent", threads=["T1", "T2", "T3"],
+                   roles=["r1", "r2", "r3"],
+                   primitives=[internal(f"fault_{i}") for i in (1, 2, 3)],
+                   raise_delays=staggered_raises(3), iterations=None)
     return system
-
-
-def _single_action_program(action: str, role: str):
-    def program(ctx):
-        report = yield from ctx.perform_action(action, role)
-        return report
-    return program
 
 
 #: The default target registry.

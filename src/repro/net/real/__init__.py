@@ -9,10 +9,11 @@ time, and crash injection by killing a child process.
 
 Entry points:
 
-* :class:`~repro.net.real.backend.RealBackend` — boot a registered real
-  scenario across processes, bridge ``repro.obs`` events back, merge
-  monitor records, and evaluate the invariant oracles at the hub;
-* :func:`~repro.net.real.scenarios.run_sim` — the same scenario spec on
+* :class:`~repro.net.real.backend.RealBackend` — boot a real-capable
+  scenario of :data:`repro.bench.engine.REGISTRY` across processes,
+  bridge ``repro.obs`` events back, merge monitor records, and evaluate
+  the invariant oracles at the hub;
+* :func:`~repro.net.real.scenarios.run_sim` — the same node builder on
   the deterministic sim kernel in one process, returning the same result
   shape (this is what the backend-parity tests compare against).
 """
@@ -20,7 +21,7 @@ Entry points:
 from __future__ import annotations
 
 from .backend import RealBackend, RealBackendError, RealRunResult
-from .scenarios import REAL_SCENARIOS, RealScenarioSpec, run_real, run_sim
+from .scenarios import run_real, run_sim
 
 __all__ = ["RealBackend", "RealBackendError", "RealRunResult",
-           "REAL_SCENARIOS", "RealScenarioSpec", "run_real", "run_sim"]
+           "run_real", "run_sim"]

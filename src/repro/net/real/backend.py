@@ -25,7 +25,6 @@ from ...core.oracles import OracleViolation
 from ..network import MessageStatistics
 from .host import run_node
 from .hub import Hub
-from .scenarios import REAL_SCENARIOS, RealScenarioSpec, spec_params
 
 
 class RealBackendError(RuntimeError):
@@ -55,49 +54,36 @@ class RealRunResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def outcome_counts(self) -> Dict[Tuple[str, str], int]:
-        return dict(self.outcomes)
-
 
 # ----------------------------------------------------------------------
 # Record merging and oracle evaluation (hub side)
 # ----------------------------------------------------------------------
+#: Record fields that are lists (concatenated across nodes) and fields
+#: that map a key to a list (concatenated per key).
+_LIST_FIELDS = ("quiescence", "counters", "finished_txns", "obs_events")
+_KEYED_LIST_FIELDS = ("resolutions", "locks_held", "locks_waiting")
+
+
 def merge_records(records: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-node records into one system-wide view for the oracles."""
-    resolutions: Dict[Any, List[Any]] = defaultdict(list)
+    merged: Dict[str, Any] = {field: [] for field in _LIST_FIELDS}
+    merged.update({field: defaultdict(list) for field in _KEYED_LIST_FIELDS})
     outcomes: Dict[Any, int] = defaultdict(int)
-    quiescence: List[Any] = []
-    counters: List[Dict[str, Any]] = []
-    locks_held: Dict[str, List[Any]] = defaultdict(list)
-    locks_waiting: Dict[str, List[Any]] = defaultdict(list)
-    finished: List[str] = []
-    events: List[Dict[str, Any]] = []
     stats = MessageStatistics()
     for _, record in sorted(records.items()):
-        for key, entries in record.get("resolutions", {}).items():
-            resolutions[key].extend(entries)
+        for field in _LIST_FIELDS:
+            merged[field].extend(record.get(field, ()))
+        for field in _KEYED_LIST_FIELDS:
+            for key, entries in record.get(field, {}).items():
+                merged[field][key].extend(entries)
         for key, count in record.get("outcomes", {}).items():
             outcomes[key] += count
-        quiescence.extend(record.get("quiescence", ()))
-        counters.extend(record.get("counters", ()))
-        for name, holders in record.get("locks_held", {}).items():
-            locks_held[name].extend(holders)
-        for name, waiters in record.get("locks_waiting", {}).items():
-            locks_waiting[name].extend(waiters)
-        finished.extend(record.get("finished_txns", ()))
-        events.extend(record.get("obs_events", ()))
         stats.merge(record.get("stats", {}))
-    return {
-        "resolutions": dict(resolutions),
-        "outcomes": dict(outcomes),
-        "quiescence": quiescence,
-        "counters": counters,
-        "locks_held": dict(locks_held),
-        "locks_waiting": dict(locks_waiting),
-        "finished_txns": finished,
-        "obs_events": events,
-        "stats": stats.snapshot(),
-    }
+    for field in _KEYED_LIST_FIELDS:
+        merged[field] = dict(merged[field])
+    merged["outcomes"] = dict(outcomes)
+    merged["stats"] = stats.snapshot()
+    return merged
 
 
 def evaluate_merged(merged: Dict[str, Any],
@@ -130,19 +116,16 @@ def outcome_counts(merged: Dict[str, Any]) -> Dict[Tuple[str, str], int]:
     return dict(counts)
 
 
-def assemble_result(spec: RealScenarioSpec, backend: str,
+def assemble_result(scenario: str, backend: str,
                     records: Dict[str, Dict[str, Any]],
                     crashed: List[str], wall_time: float,
-                    params: Optional[Dict[str, Any]] = None,
-                    require_liveness: Optional[bool] = None) -> RealRunResult:
-    if require_liveness is None:
-        # A run with injected crashes is allowed to strand participations
-        # (the paper's liveness guarantees assume delivery).
-        require_liveness = spec.require_liveness and not crashed
+                    params: Optional[Dict[str, Any]] = None) -> RealRunResult:
     merged = merge_records(records)
     return RealRunResult(
-        scenario=spec.name, backend=backend, params=dict(params or {}),
-        violations=evaluate_merged(merged, require_liveness),
+        scenario=scenario, backend=backend, params=dict(params or {}),
+        # A run with injected crashes is allowed to strand participations
+        # (the paper's liveness guarantees assume delivery).
+        violations=evaluate_merged(merged, require_liveness=not crashed),
         outcomes=outcome_counts(merged), stats=merged["stats"],
         records=records, crashed=sorted(crashed), wall_time=wall_time)
 
@@ -151,7 +134,7 @@ def assemble_result(spec: RealScenarioSpec, backend: str,
 # The process-spawning runner
 # ----------------------------------------------------------------------
 class RealBackend:
-    """Run registered real scenarios across one OS process per node."""
+    """Run real-capable registered scenarios, one OS process per node."""
 
     def __init__(self, time_scale: float = 0.05, wall_timeout: float = 120.0,
                  settle: float = 0.5, stall: float = 5.0) -> None:
@@ -168,13 +151,20 @@ class RealBackend:
     def run(self, scenario: str,
             kill: Optional[Tuple[str, float]] = None,
             **overrides: Any) -> RealRunResult:
-        """Run ``scenario``; ``kill=(node, wall_delay)`` injects a crash."""
-        spec = REAL_SCENARIOS[scenario]
-        params = spec_params(spec, overrides)
+        """Run ``scenario``; ``kill=(node, wall_delay)`` injects a crash.
+
+        ``overrides`` is one grid point of the registered scenario; it is
+        validated and defaulted before any process is spawned.
+        """
+        from ...bench.engine import REGISTRY
+
+        spec = REGISTRY.get(scenario)
+        spec.require_nodes()
+        params = spec.bind_point(overrides)
         return asyncio.run(self._run(spec, params, kill))
 
     # ------------------------------------------------------------------
-    async def _run(self, spec: RealScenarioSpec, params: Dict[str, Any],
+    async def _run(self, spec, params: Dict[str, Any],
                    kill: Optional[Tuple[str, float]]) -> RealRunResult:
         loop = asyncio.get_running_loop()
         started_at = time.monotonic()
@@ -215,7 +205,7 @@ class RealBackend:
             raise RealBackendError(
                 f"no node of {spec.name!r} returned a final record "
                 f"(dead={sorted(hub.dead)})")
-        return assemble_result(spec, "real", hub.finals, sorted(hub.dead),
+        return assemble_result(spec.name, "real", hub.finals, sorted(hub.dead),
                                time.monotonic() - started_at, params=params)
 
     # ------------------------------------------------------------------

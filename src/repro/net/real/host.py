@@ -1,7 +1,7 @@
 """Child-process entry point of the real backend.
 
-Each node process builds its view of the scenario (see
-:mod:`repro.net.real.scenarios`), connects to the parent hub, and runs
+Each node process builds its view of the scenario (its registered node
+builder, see :mod:`repro.bench.engine`), connects to the parent hub, and runs
 the *deterministic sim kernel* paced against the wall clock: an event
 scheduled at virtual time ``t`` executes no earlier than
 ``start + t * time_scale`` seconds of real time.  Between kernel steps
@@ -19,7 +19,7 @@ from __future__ import annotations
 import select
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable
 
 from .framing import FrameDecoder, encode_frame
 
@@ -67,9 +67,29 @@ class _HubLink:
         return list(self.decoder.feed(data))
 
 
-def _programs_finished(system) -> bool:
-    programs = getattr(system, "_programs", [])
-    return all(process.triggered for process in programs)
+class NodeInbox:
+    """The one place frames from the hub are interpreted.
+
+    Every frame the link yields goes through :meth:`handle`, whatever
+    phase the node is in: a ``msg`` that shares a ``recv`` buffer with
+    ``start`` (a faster sibling already sent it) is injected, not lost.
+    """
+
+    def __init__(self, network) -> None:
+        self.network = network
+        self.started = False
+        self.finalizing = False
+
+    def handle(self, frames: Iterable[Dict[str, Any]]) -> None:
+        for frame in frames:
+            kind = frame.get("kind")
+            if kind == "msg":
+                self.network.inject(frame["src"], frame["dst"],
+                                    frame["payload"], frame["deliver_vt"])
+            elif kind == "start":
+                self.started = True
+            elif kind == "finalize":
+                self.finalizing = True
 
 
 def run_node(host: str, port: int, scenario: str, node: str,
@@ -77,68 +97,45 @@ def run_node(host: str, port: int, scenario: str, node: str,
     """Run one node of ``scenario`` against the hub at ``host:port``.
 
     This is the ``multiprocessing`` (spawn) target: everything it needs
-    arrives as picklable arguments and the scenario registry is resolved
-    by name inside the child.
+    arrives as picklable arguments and the scenario is resolved by name
+    in :data:`repro.bench.engine.REGISTRY` inside the child.
     """
-    from .scenarios import REAL_SCENARIOS, collect_record, spec_params
+    from ...bench.engine import REGISTRY
+    from .scenarios import collect_record
 
     link = _HubLink(host, port)
-    spec = REAL_SCENARIOS[scenario]
-    built = spec.build(spec_params(spec, params), node,
-                       lambda src, dst, payload, send_vt, deliver_vt:
-                       link.send({"kind": "msg", "src": src, "dst": dst,
-                                  "payload": payload, "send_vt": send_vt,
-                                  "deliver_vt": deliver_vt}))
-    system = built.system
-    kernel = system.kernel
-    network = system.network
+    built = REGISTRY.get(scenario).build_node(
+        params, node,
+        lambda src, dst, payload, send_vt, deliver_vt:
+        link.send({"kind": "msg", "src": src, "dst": dst,
+                   "payload": payload, "send_vt": send_vt,
+                   "deliver_vt": deliver_vt}))
+    kernel = built.system.kernel
+    programs = built.system._programs
+    inbox = NodeInbox(built.system.network)
 
     link.send({"kind": "hello", "node": node})
 
     # Hold the kernel until every node is connected, so no early message
     # races another child's registration at the hub.
-    started = False
-    while not started and not link.closed:
-        for frame in link.poll(_POLL):
-            if frame.get("kind") == "start":
-                started = True
+    while not inbox.started and not link.closed:
+        inbox.handle(link.poll(_POLL))
 
     start_wall = time.monotonic()
     done_sent = False
-    finalizing = False
-    while started and not finalizing and not link.closed:
-        for frame in link.poll(0):
-            kind = frame.get("kind")
-            if kind == "msg":
-                network.inject(frame["src"], frame["dst"],
-                               frame["payload"], frame["deliver_vt"])
-            elif kind == "finalize":
-                finalizing = True
-        if finalizing:
-            break
-        if not done_sent and _programs_finished(system):
+    while inbox.started and not inbox.finalizing and not link.closed:
+        if not done_sent and all(program.triggered for program in programs):
             link.send({"kind": "done", "node": node})
             done_sent = True
         next_vt = kernel.peek()
-        if next_vt == float("inf"):
-            # Nothing scheduled locally: wait for the wire.
-            for frame in link.poll(_POLL):
-                if frame.get("kind") == "msg":
-                    network.inject(frame["src"], frame["dst"],
-                                   frame["payload"], frame["deliver_vt"])
-                elif frame.get("kind") == "finalize":
-                    finalizing = True
-            continue
-        wait = start_wall + next_vt * time_scale - time.monotonic()
-        if wait > 0:
-            for frame in link.poll(min(wait, _POLL)):
-                if frame.get("kind") == "msg":
-                    network.inject(frame["src"], frame["dst"],
-                                   frame["payload"], frame["deliver_vt"])
-                elif frame.get("kind") == "finalize":
-                    finalizing = True
-            continue
-        kernel.step()
+        # Nothing scheduled locally: wait for the wire.  Otherwise pace
+        # the next event against the wall clock, pumping the socket while
+        # it is early and once more (without blocking) when it is due.
+        wait = (_POLL if next_vt == float("inf")
+                else start_wall + next_vt * time_scale - time.monotonic())
+        inbox.handle(link.poll(min(max(wait, 0.0), _POLL)))
+        if wait <= 0 and not inbox.finalizing:
+            kernel.step()
 
     # Finalize: drain the local schedule unpaced, then ship the record.
     steps = 0

@@ -8,9 +8,6 @@ from repro.bench import (
     Scenario,
     ScenarioRegistry,
     run_scenario,
-    sweep_figure12_tres,
-    sweep_figure12_tmmax,
-    sweep_figure9,
 )
 from repro.bench.engine import figure9_point, figure9_grid
 from repro.bench.scenarios import run_experiment1, run_experiment2
@@ -128,7 +125,8 @@ class TestGridValidation:
 class TestLegacyEquivalence:
     def test_figure9_rows_match_hand_rolled_loop(self):
         values = [0.2, 0.6]
-        rows = sweep_figure9("t_msg", values=values, iterations=2)
+        rows = run_scenario("figure9", points=figure9_grid(
+            "t_msg", values=values, iterations=2))
         expected = []
         for value in values:
             result = run_experiment1(t_msg=value, t_abort=0.1,
@@ -142,7 +140,8 @@ class TestLegacyEquivalence:
         assert rows == expected
 
     def test_figure12_rows_match_hand_rolled_loop(self):
-        rows = sweep_figure12_tres(values=[0.3, 0.7])
+        rows = run_scenario("figure12_tres",
+                            points=[{"t_res": 0.3}, {"t_res": 0.7}])
         expected = []
         for t_res in [0.3, 0.7]:
             ours = run_experiment2(1.0, t_res, algorithm="ours")
@@ -160,7 +159,9 @@ class TestLegacyEquivalence:
 
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
-            sweep_figure9("t_nonsense")
+            figure9_grid("t_nonsense")
+        with pytest.raises(ValueError):
+            figure9_point("t_nonsense", 0.2)
 
     def test_figure9_grid_covers_all_defaults(self):
         assert len(figure9_grid("t_msg")) == 14
@@ -180,8 +181,10 @@ class TestParallelExecution:
         assert parallel == sequential
 
     def test_figure12_parallel_equals_sequential(self):
-        sequential = sweep_figure12_tmmax(values=[1.0, 1.4])
-        parallel = sweep_figure12_tmmax(values=[1.0, 1.4], parallel=True)
+        points = [{"t_msg": 1.0}, {"t_msg": 1.4}]
+        sequential = run_scenario("figure12_tmmax", points=points)
+        parallel = run_scenario("figure12_tmmax", points=points,
+                                parallel=True)
         assert parallel == sequential
 
     def test_large_n_parallel_equals_sequential(self):
@@ -272,24 +275,18 @@ class TestChurn:
         assert row["participations_recovered"] == 2 * 3
 
 
-class TestTableFacades:
-    def test_churn_table_applies_iterations_to_the_default_grid(self):
-        from repro.bench import churn_table
-        rows = churn_table(iterations=1)
-        assert [row["actions_attempted"] for row in rows] == [1, 2, 4, 8, 16]
-
-    def test_large_n_table_applies_algorithm_to_the_default_grid(self):
-        from repro.bench import large_n_table
-        ours = large_n_table(thread_counts=[4], algorithm="ours")[0]
-        cr = large_n_table(thread_counts=[4],
-                           algorithm="campbell-randell")[0]
+class TestAlgorithmOverride:
+    def test_large_n_points_carry_the_algorithm(self):
+        ours, cr = run_scenario("large_n", points=[
+            {"n_threads": 4, "algorithm": "ours"},
+            {"n_threads": 4, "algorithm": "campbell-randell"}])
         assert ours["resolution_messages"] != cr["resolution_messages"]
 
 
 class TestWideGraph:
     def test_storm_recovers_every_participation(self):
-        from repro.bench import wide_graph_table
-        row = wide_graph_table(thread_counts=[4], iterations=1)[0]
+        row = run_scenario("wide_graph", points=[{"n_threads": 4,
+                                                  "iterations": 1}])[0]
         assert row["recovered"] == 4
         assert row["resolution_calls"] == 1
         assert row["graph_nodes"] > 700   # the wide truncated graph
@@ -297,16 +294,15 @@ class TestWideGraph:
     def test_rows_embed_json_serializable_snapshots(self):
         import json
 
-        from repro.bench import wide_graph_table
-        row = wide_graph_table(thread_counts=[4], iterations=1)[0]
+        row = run_scenario("wide_graph", points=[{"n_threads": 4,
+                                                  "iterations": 1}])[0]
         encoded = json.dumps(row)
         assert "->" in encoded            # the string-encoded link keys
 
     def test_graph_microbench_reports_compiled_timings(self):
-        from repro.bench import graph_microbench_table
-        row = graph_microbench_table(points=[{"n_primitives": 8,
-                                              "max_level": 2,
-                                              "naive_calls": 1}])[0]
+        row = run_scenario("graph_microbench",
+                           points=[{"n_primitives": 8, "max_level": 2,
+                                    "naive_calls": 1}])[0]
         assert row["nodes"] == 1 + 8 + 28 + 56
         assert row["resolve_seconds"] < 1.0
         assert row["speedup_vs_naive"] > 1

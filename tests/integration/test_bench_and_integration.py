@@ -10,14 +10,11 @@ from repro.analysis import (
 from repro.bench import (
     build_experiment1,
     build_experiment2,
-    lemma1_check,
-    message_complexity_table,
+    figure9_grid,
     run_complexity_scenario,
     run_experiment1,
     run_experiment2,
-    sweep_figure9,
-    sweep_figure12_tmmax,
-    sweep_figure12_tres,
+    run_scenario,
 )
 from repro.bench.reporting import (
     format_table,
@@ -64,19 +61,24 @@ class TestExperiment1:
         assert run_experiment1(0.2, 0.1, 1.3, iterations=2).total_time > base
 
     def test_sweep_rows_have_expected_columns(self):
-        rows = sweep_figure9("t_msg", values=[0.2, 0.4], iterations=2)
+        rows = run_scenario("figure9", points=figure9_grid(
+            "t_msg", values=[0.2, 0.4], iterations=2))
         assert len(rows) == 2
         assert {"t_msg", "total_time", "time_per_iteration",
                 "protocol_messages"} <= set(rows[0])
 
     def test_sweep_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
-            sweep_figure9("t_nonsense")
+            figure9_grid("t_nonsense")
 
-    def test_lemma1_check_reports_bound_and_measurement(self):
-        result = lemma1_check()
-        assert result["measured_total"] > 0
-        assert result["bound"] > 0
+    def test_one_point_reports_measurement_next_to_the_lemma1_bound(self):
+        [row] = run_scenario("figure9", points=figure9_grid(
+            "t_msg", values=[0.2], iterations=1))
+        bound = lemma1_completion_bound(TimingParameters(
+            t_msg_max=0.2, t_resolution=0.3, t_abort=0.1,
+            t_handler_max=0.5, max_nesting=1))
+        assert row["total_time"] > 0
+        assert bound > 0
 
 
 # ----------------------------------------------------------------------
@@ -96,13 +98,16 @@ class TestExperiment2:
             messages_all_exceptions(3)
 
     def test_cr_is_slower_for_all_grid_points(self):
-        rows = sweep_figure12_tmmax(values=[1.0, 1.8])
+        rows = run_scenario("figure12_tmmax",
+                            points=[{"t_msg": 1.0}, {"t_msg": 1.8}])
         assert all(row["time_cr"] > row["time_ours"] for row in rows)
-        rows = sweep_figure12_tres(values=[0.3, 1.1])
+        rows = run_scenario("figure12_tres",
+                            points=[{"t_res": 0.3}, {"t_res": 1.1}])
         assert all(row["time_cr"] > row["time_ours"] for row in rows)
 
     def test_tres_slope_gap_mirrors_resolution_call_counts(self):
-        rows = sweep_figure12_tres(values=[0.3, 0.7, 1.1, 1.5])
+        rows = run_scenario("figure12_tres", points=[
+            {"t_res": value} for value in (0.3, 0.7, 1.1, 1.5)])
         ours = linear_fit(*series(rows, "t_res", "time_ours"))["slope"]
         cr = linear_fit(*series(rows, "t_res", "time_cr"))["slope"]
         assert cr > ours
@@ -126,10 +131,11 @@ class TestComplexityHarness:
             run_complexity_scenario(3, 4)
 
     def test_table_covers_requested_thread_counts(self):
-        rows = message_complexity_table(thread_counts=(2, 3))
+        rows = run_scenario("large_n",
+                            points=[{"n_threads": n} for n in (2, 3)])
         assert [row["n_threads"] for row in rows] == [2, 3]
         for row in rows:
-            assert row["measured_single"] == row["paper_single"]
+            assert row["resolution_messages"] == row["paper_single"]
 
     def test_signalling_messages_counted_separately(self):
         outcome = run_complexity_scenario(3, 1)

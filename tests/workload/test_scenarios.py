@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import capacity_table, mixed_traffic_table, run_scenario
+from repro.bench import run_scenario
 from repro.workload.scenarios import (
     run_capacity_point,
     run_mixed_traffic,
@@ -167,10 +167,12 @@ class TestEngineIntegration:
         assert parallel == sequential
         assert all(row["violations"] == [] for row in sequential)
 
-    def test_tables_facade(self):
-        capacity = capacity_table(offered_loads=[1.0], n_instances=60)
+    def test_small_instance_counts_pass_through_the_points(self):
+        capacity = run_scenario("capacity", points=[
+            {"offered_load": 1.0, "n_instances": 60}])
         assert len(capacity) == 1 and capacity[0]["offered_load"] == 1.0
-        mixed = mixed_traffic_table(seeds=[2026], n_instances=60)
+        mixed = run_scenario("mixed_traffic", points=[
+            {"seed": 2026, "n_instances": 60}])
         assert len(mixed) == 1 and mixed[0]["violations"] == []
 
 
@@ -182,9 +184,15 @@ class TestWorkloadBaseline:
             str(path),
             capacity_points=[{"offered_load": 1.0, "n_instances": 60},
                              {"offered_load": 8.0, "n_instances": 60}],
-            mixed_points=[{"seed": 2026, "n_instances": 60}])
+            mixed_points=[{"seed": 2026, "n_instances": 60}],
+            transactional_points=[{"offered_load": 1.0, "n_instances": 40}],
+            cell_points=[{"seed": 2026, "n_cycles": 2}])
         on_disk = json.loads(path.read_text())
         assert on_disk == document
+        # Every section honours the points it was given.
+        assert [len(on_disk[section]) for section in
+                ("capacity", "mixed_traffic", "transactional",
+                 "production_cell")] == [2, 1, 1, 1]
         assert on_disk["schema"] == 1
         assert on_disk["oracle_violations"] == 0
         assert {"knee_offered_load", "saturated_loads"} <= \
