@@ -12,8 +12,11 @@ The paper enumerates the message cost of the new algorithm exactly:
 For the baselines the paper gives ``O(n_max N³)`` (Campbell–Randell) and
 ``n_max · 3N(N−1)`` (Romanovsky-96).  These benches measure the counts on
 the real runtime over the simulated network and compare them with the
-formulas.
+formulas.  One bench also times the simulator itself: the cost model is
+messages, so wall time per message must not grow with N.
 """
+
+import time
 
 import pytest
 
@@ -62,6 +65,44 @@ def test_new_algorithm_matches_enumeration(benchmark, report):
                                        "theorem2_bound"]))
 
     benchmark.pedantic(run_complexity_scenario, args=(4, 4), rounds=3,
+                       iterations=1)
+
+
+def _seconds_per_message(n_threads, repeats=5):
+    """Best-of-``repeats`` wall time per protocol message of one large_n point."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        row, = _large_n((n_threads,))
+        elapsed = time.perf_counter() - started
+        assert row["resolution_messages"] == \
+            messages_single_exception(n_threads), \
+            f"single-exception count mismatch for N={n_threads}"
+        best = min(best, elapsed / row["resolution_messages"])
+    return best
+
+
+@pytest.mark.benchmark(group="complexity")
+def test_cost_per_message_does_not_grow_with_n(benchmark, report):
+    """N² messages must cost N² work: µs per message at N=128 ≈ at N=32.
+
+    Handling one message used to rebuild participant-sized sets and the
+    whole LEi list, so the simulator did O(N³) work for the paper's O(N²)
+    messages (1.56x per message between N=32 and N=128).
+    """
+    _seconds_per_message(32, repeats=1)                    # warm caches
+    per_message = {n: _seconds_per_message(n) for n in (32, 128)}
+    growth = per_message[128] / per_message[32]
+
+    report("Wall time per protocol message (single exception)",
+           "\n".join(f"  N = {n:3d}: {messages_single_exception(n):5d} "
+                     f"messages, {seconds * 1e6:.1f} us/message"
+                     for n, seconds in per_message.items())
+           + f"\n  N=128 / N=32: x{growth:.2f}")
+    assert growth <= 1.3, \
+        f"per-message cost grew x{growth:.2f} between N=32 and N=128"
+
+    benchmark.pedantic(run_complexity_scenario, args=(32, 1), rounds=3,
                        iterations=1)
 
 

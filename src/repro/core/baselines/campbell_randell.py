@@ -205,8 +205,8 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
             return []
         if self.state not in (ThreadState.EXCEPTIONAL, ThreadState.SUSPENDED):
             return []
-        reported = self.le.threads_reported(action, context.instance)
-        if reported != set(context.participants):
+        if not self.le.all_reported(action, context.instance,
+                                    context.participant_set):
             return []
         raised = self.le.exceptions_for(action, context.instance)
         if not raised:
@@ -238,7 +238,7 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
             return []
         announced = dict(self._announced.get(action, {}))
         announced[self.thread_id] = self._own_announced[action]
-        if set(announced) != set(context.participants):
+        if announced.keys() != context.participant_set:
             return []
         # Agreement value: the cover of every announced resolution (they
         # normally coincide; the cover makes disagreement safe).
@@ -264,7 +264,7 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
             return []
         if action not in self._own_confirmed:
             return []
-        if self._confirms.get(action, set()) != set(context.participants):
+        if self._confirms.get(action) != context.participant_set:
             return []
         final = self._own_confirmed[action]
         self.le.clear()

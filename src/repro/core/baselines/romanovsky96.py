@@ -99,8 +99,8 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
             return []
         if self.state not in (ThreadState.EXCEPTIONAL, ThreadState.SUSPENDED):
             return []
-        reported = self.le.threads_reported(action, context.instance)
-        if reported != set(context.participants):
+        if not self.le.all_reported(action, context.instance,
+                                    context.participant_set):
             return []
         raised = self.le.exceptions_for(action, context.instance)
         if not raised:
@@ -132,7 +132,7 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
             return []
         agreements = dict(self._agreements.get(action, {}))
         agreements[self.thread_id] = self._own_agreement[action]
-        if set(agreements) != set(context.participants):
+        if agreements.keys() != context.participant_set:
             return []
         final = context.resolve(set(agreements.values()))
         self._own_confirmed[action] = final
@@ -156,7 +156,7 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
             return []
         if action not in self._own_confirmed:
             return []
-        if self._confirms.get(action, set()) != set(context.participants):
+        if self._confirms.get(action) != context.participant_set:
             return []
         final = self._own_confirmed[action]
         self.le.clear()

@@ -126,20 +126,25 @@ class EffectInterpreter:
     partition runtime, a test probe, a future real transport).
 
     Subclasses implement one ``on_<effect>`` method per effect type they
-    support (see :func:`handler_name` for the naming rule).  A handler may
-    be a plain method or a generator; generators are delegated to, so a
-    handler can wait on simulation events (this is how :class:`ChargeTime`
-    becomes a timeout).  Effects without a matching handler are routed to
-    :meth:`on_unknown`.
+    support (see :func:`handler_name` for the naming rule).  A handler
+    returns ``None`` when its work is done, or a generator when it has to
+    wait on simulation events (this is how :class:`ChargeTime` becomes a
+    timeout); a generator function is the usual way to write the latter.
+    Effects without a matching handler are routed to :meth:`on_unknown`.
+
+    Almost no batch ever waits, so :meth:`interpret` runs a batch as plain
+    calls and only hands back a generator from the point where a handler
+    actually returned one; :meth:`execute` is the same loop behind a
+    generator for callers that always ``yield from``.
 
     Some effects must not take hold until the whole batch has been
     interpreted — interrupting the running thread mid-batch would race the
     remaining effects.  Handlers can defer such work onto :attr:`batch`;
-    :meth:`begin_batch`/:meth:`finish_batch` bracket every :meth:`execute`
-    call, and a batch abandoned by an exception is discarded unfinished.
+    :meth:`begin_batch`/:meth:`finish_batch` bracket every batch, and a
+    batch abandoned by an exception is discarded unfinished.
 
-    Each ``execute`` call owns its batch: several ``execute`` generators may
-    be suspended concurrently (e.g. a thread and its dispatcher both waiting
+    Each batch is owned by the call that began it: several batches may be
+    suspended concurrently (e.g. a thread and its dispatcher both waiting
     on a :class:`ChargeTime` timeout) and recursive calls nest freely.
     :attr:`batch` is therefore only valid during the *synchronous* part of
     a handler — a generator handler must not touch it after its first
@@ -164,35 +169,64 @@ class EffectInterpreter:
         return self._active_batch
 
     # -- dispatch -------------------------------------------------------
+    def interpret(self, effects: Sequence[Effect]) -> Optional[Iterator[Any]]:
+        """Interpret ``effects`` in order, synchronously as far as possible.
+
+        Returns ``None`` when the whole batch ran (and finished) without
+        waiting.  Otherwise returns a generator the caller must drive with
+        ``yield from``: it waits out the handler that suspended, then
+        interprets the rest of the batch.
+        """
+        return self._interpret(effects, 0, self.begin_batch())
+
     def execute(self, effects: Sequence[Effect]) -> Iterator[Any]:
         """Interpret ``effects`` in order (generator; may yield events)."""
-        batch = self.begin_batch()
-        for effect in effects:
-            handler = self._handler_for(type(effect))
+        waiting = self.interpret(effects)
+        if waiting is not None:
+            yield from waiting
+
+    def _interpret(self, effects: Sequence[Effect], index: int,
+                   batch: Any) -> Optional[Iterator[Any]]:
+        handlers = self._handlers
+        count = len(effects)
+        while index < count:
+            effect = effects[index]
+            index += 1
+            try:
+                handler = handlers[type(effect)]
+            except KeyError:
+                handler = self._bind_handler(type(effect))
             if handler is None:
                 self.on_unknown(effect)
                 continue
             # Re-point the active batch before every dispatch: another
-            # execute() generator (or a recursive one) may have run while
-            # this generator was suspended at a handler's yield.
+            # batch (suspended, or nested in a handler) may have run since
+            # the previous effect of this one.
             self._active_batch = batch
             result = handler(effect)
-            if inspect.isgenerator(result):
-                yield from result
+            if result is not None and inspect.isgenerator(result):
+                return self._resume(result, effects, index, batch)
         self.finish_batch(batch)
+        return None
+
+    def _resume(self, waiting: Iterator[Any], effects: Sequence[Effect],
+                index: int, batch: Any) -> Iterator[Any]:
+        """Wait out one suspended handler, then interpret from ``index`` on."""
+        yield from waiting
+        rest = self._interpret(effects, index, batch)
+        if rest is not None:
+            yield from rest
 
     def on_unknown(self, effect: Effect) -> None:
         """Called for effects without an ``on_<effect>`` handler."""
         raise NotImplementedError(
             f"{type(self).__name__} does not handle {type(effect).__name__}")
 
-    def _handler_for(self, effect_type: Type[Effect]):
-        try:
-            return self._handlers[effect_type]
-        except KeyError:
-            handler = getattr(self, handler_name(effect_type), None)
-            self._handlers[effect_type] = handler
-            return handler
+    def _bind_handler(self, effect_type: Type[Effect]):
+        """Look up (once per effect type) the ``on_<effect>`` method."""
+        handler = getattr(self, handler_name(effect_type), None)
+        self._handlers[effect_type] = handler
+        return handler
 
 
 def sends(effects: Sequence[Effect]) -> List[SendTo]:

@@ -245,6 +245,15 @@ class ExceptionGraph:
         if self._reachable(child, parent):
             raise ExceptionGraphError(
                 f"adding cover {parent} -> {child} would create a cycle")
+        self._link(parent, child)
+
+    def _link(self, parent: ExceptionDescriptor,
+              child: ExceptionDescriptor) -> None:
+        """Insert the edge parent -> child between two existing nodes.
+
+        :meth:`add_cover` minus its reachability scan, for callers that
+        know the edge cannot close a cycle.
+        """
         self._children[parent].add(child)
         self._parents[child].add(parent)
         # A node with an explicit parent other than universal no longer needs
@@ -529,9 +538,12 @@ def generate_full_graph(primitives: Sequence[ExceptionDescriptor],
             graph.add_exception(node)
             by_subset[subset_key] = node
             # Cover every node representing a subset one element smaller.
+            # ``node`` is new and has no parent but the universal exception,
+            # so no child can reach it: the per-edge cycle scan of add_cover
+            # (a descendants() walk per edge) is skipped, and validate()
+            # below still checks acyclicity once.
             for smaller in itertools.combinations(subset, size - 1):
-                child = by_subset[frozenset(smaller)]
-                graph.add_cover(node, child)
+                graph._link(node, by_subset[frozenset(smaller)])
 
     # Everything not covered by some other node hangs below universal; that
     # is already ensured by add_exception's default parenting, but the top

@@ -59,6 +59,9 @@ class ExceptionDescriptor:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("exception name must be non-empty")
+        # Descriptors key every graph map, cover set and handler table, so
+        # the hash is taken once instead of per lookup.
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExceptionDescriptor):
@@ -66,7 +69,13 @@ class ExceptionDescriptor:
         return self.name == other.name and self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash((self.name, self.kind))
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__ rather than copying __dict__: string
+        # hashes are salted per interpreter, so a pickled ``_hash`` would be
+        # wrong in a pool worker or a real-backend child process.
+        return (type(self), (self.name, self.kind, self.description))
 
     @property
     def is_special(self) -> bool:

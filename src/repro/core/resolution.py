@@ -33,7 +33,8 @@ X = exceptional, S = suspended):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Any, Dict, List, Optional, Set
 
 from . import effects as fx
 from .exceptions import ExceptionDescriptor, RaisedRecord
@@ -83,8 +84,13 @@ class CoordinatorBase:
         self.pending_abort_target: Optional[str] = None
         #: Resolving exception currently being handled, per action.
         self.handling: Dict[str, ExceptionDescriptor] = {}
-        #: Trace of state transitions for debugging and tests.
-        self.trace: List[str] = []
+        #: Trace of state transitions for debugging, tests and canonical
+        #: replay traces.  Unbounded here; a runtime that serves arbitrarily
+        #: many instances bounds it with :meth:`bound_trace`.
+        self.trace: Any = []
+        #: Transitions ever traced (exceeds ``len(trace)`` once a bounded
+        #: trace has evicted entries).
+        self.transitions = 0
         #: Count of local invocations of the resolution procedure.
         self.resolution_calls = 0
 
@@ -264,7 +270,12 @@ class CoordinatorBase:
                                 f"for {message.instance}")]
         return None
 
+    def bound_trace(self, capacity: int) -> None:
+        """Keep only the most recent ``capacity`` transitions from now on."""
+        self.trace = deque(self.trace, maxlen=capacity)
+
     def _trace(self, text: str) -> None:
+        self.transitions += 1
         self.trace.append(f"{self.thread_id}: {text}")
 
     def _record(self, action: str, thread: str,
@@ -326,24 +337,27 @@ class ResolutionCoordinator(CoordinatorBase):
 
     def _receive_exception_or_suspended(self, message) -> List[fx.Effect]:
         target_action = message.action
-        context = self.active_context()
+        context = self.sa.top()
+        # One stack walk and one classification per message: a finished
+        # instance reads "stale" whatever context it is compared against.
+        target_context = self.sa.find(target_action)
+        staleness = self._message_staleness(message, target_context)
 
-        if self._message_staleness(message) == "stale":
+        if staleness == "stale":
             # The instance this message belongs to has already ended here;
             # retaining it would leak it (or poison a later instance).
             self._trace(f"drop stale message for {message.instance}")
             return [fx.LogEvent(f"{self.thread_id} dropped stale message "
                              f"for {message.instance}")]
 
-        if context is None or not self.sa.contains(target_action):
+        if target_context is None:
             # "retain the Exception or Suspended message till Ti enters A*"
             self.retained.append(message)
             self._trace(f"retain message for {target_action}")
             return [fx.LogEvent(f"{self.thread_id} retained message for "
                              f"{target_action}")]
 
-        target_context = self.sa.find(target_action)
-        if self._message_staleness(message, target_context) == "other":
+        if staleness == "other":
             # Stamped for a different occurrence of this action name that
             # has not ended here (e.g. the sender already re-entered it):
             # park it for that instance.
@@ -539,8 +553,8 @@ class ResolutionCoordinator(CoordinatorBase):
         # under overlapping instances of one action name (the workload
         # driver's shared partition pool) a late report of a previous
         # instance must never complete the current instance's census.
-        reported = self.le.threads_reported(action, context.instance)
-        if reported != set(context.participants):
+        if not self.le.all_reported(action, context.instance,
+                                    context.participant_set):
             return []
         exceptional = self.le.exceptional_threads(action, context.instance)
         # "Largest identifier" is the paper's numeric ordering: with ids

@@ -78,6 +78,8 @@ class SignalCoordinator:
         self.decided: Optional[ExceptionDescriptor] = None
         #: listSignal_i — proposals received this round, keyed by thread.
         self.proposals: Dict[str, ExceptionDescriptor] = {}
+        #: Round-2 proposals that arrived while this thread was in round 1.
+        self._early: Dict[str, ExceptionDescriptor] = {}
         self._own_proposal: Optional[ExceptionDescriptor] = None
         self.messages_sent = 0
         self.trace: List[str] = []
@@ -128,8 +130,7 @@ class SignalCoordinator:
             if message.round_number < self.round_number:
                 return [LogEvent(f"{self.thread_id} ignored stale proposal")]
             # Early round-2 message: remember it for when we enter round 2.
-            self.proposals.setdefault("_early:" + message.thread,
-                                      message.exception)
+            self._early.setdefault(message.thread, message.exception)
             return []
         self.proposals[message.thread] = message.exception
         self.trace.append(f"recv {message.exception.name} from {message.thread}")
@@ -160,8 +161,7 @@ class SignalCoordinator:
     @property
     def complete(self) -> bool:
         """True once every participant's proposal for this round is known."""
-        known = {thread for thread in self.proposals if not thread.startswith("_early:")}
-        return known == set(self.context.participants)
+        return self.proposals.keys() == self.context.participant_set
 
     def _maybe_decide(self) -> List[Effect]:
         if self.decided is not None or not self.complete:
@@ -191,9 +191,6 @@ class SignalCoordinator:
         self.undo_round_entered = True
         self.round_number = 2
         self._own_proposal = None
-        early = {key.split(":", 1)[1]: value
-                 for key, value in self.proposals.items()
-                 if key.startswith("_early:")}
-        self.proposals = dict(early)
+        self.proposals, self._early = self._early, {}
         self.trace.append("enter undo round")
         return [PerformUndo(self.context.action)]

@@ -13,7 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from itertools import chain
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from .exception_graph import CompiledGraphIndex, ExceptionGraph
 from .exceptions import ExceptionDescriptor, RaisedRecord
@@ -92,6 +94,10 @@ class ActionContext:
     #: it can be told apart from messages of earlier/later instances of
     #: the same action name.
     instance: str = ""
+    #: ``participants`` as a set, built once per context: the resolution and
+    #: signalling guards compare their census against it on every message.
+    participant_set: FrozenSet[str] = field(default=frozenset(), init=False,
+                                            repr=False, compare=False)
     #: Single-entry memo for :meth:`others`: a context is overwhelmingly
     #: queried by the one thread that owns it.  compare=False keeps
     #: context equality independent of query history.
@@ -104,7 +110,8 @@ class ActionContext:
         if not self.participants:
             raise ValueError(f"action {self.action!r} has no participants")
         ordered = tuple(sorted(self.participants, key=thread_order_key))
-        object.__setattr__(self, "participants", ordered)
+        self.participants = ordered
+        self.participant_set = frozenset(ordered)
 
     def others(self, me: str) -> Tuple[str, ...]:
         """All participants except ``me``."""
@@ -209,10 +216,20 @@ class LocalExceptionList:
 
     Only entries for the currently relevant action are kept (the algorithm
     removes other entries when an abortion switches the active context).
+
+    Every protocol message updates LEi and re-evaluates the resolution
+    guard, so the "list" is kept as an index: records are keyed by
+    ``(action, thread)`` — per action, in insertion order — and each action
+    carries a count of its records per instance stamp.  Adding a record and
+    asking how many threads have reported (:meth:`reported_count`) are both
+    O(1) in the number of participants.
     """
 
     def __init__(self) -> None:
-        self._records: List[RaisedRecord] = []
+        #: action -> (thread -> that thread's latest record,
+        #:            instance stamp ("" = unstamped) -> number of records).
+        self._actions: Dict[str, Tuple[Dict[str, RaisedRecord],
+                                       Dict[str, int]]] = {}
 
     def add(self, record: RaisedRecord) -> None:
         """Append a record, replacing any previous record for the same thread.
@@ -221,35 +238,72 @@ class LocalExceptionList:
         (or vice versa) must be represented by its most recent status,
         otherwise the resolver could double-count it.
         """
-        self._records = [r for r in self._records
-                         if not (r.action == record.action
-                                 and r.thread == record.thread)]
-        self._records.append(record)
+        entry = self._actions.get(record.action)
+        if entry is None:
+            self._actions[record.action] = ({record.thread: record},
+                                            {record.instance: 1})
+            return
+        records, stamps = entry
+        # Pop before inserting: the replacement goes to the end of the order.
+        previous = records.pop(record.thread, None)
+        if previous is not None:
+            stamps[previous.instance] -= 1
+        records[record.thread] = record
+        stamps[record.instance] = stamps.get(record.instance, 0) + 1
 
     def remove_other_actions(self, action: str) -> None:
         """Drop every record that does not belong to ``action``."""
-        self._records = [r for r in self._records if r.action == action]
+        entry = self._actions.get(action)
+        self._actions = {} if entry is None else {action: entry}
 
     def keep_only(self, record: RaisedRecord) -> None:
         """Algorithm step: "remove all elements except <A*, Tj, Ej> in LEi"."""
-        self._records = [record]
+        self._actions = {}
+        self.add(record)
 
     def clear(self) -> None:
         """Empty the list (after a Commit or when handling completes)."""
-        self._records = []
+        self._actions = {}
+
+    def reported_count(self, action: str,
+                       instance: Optional[str] = None) -> int:
+        """``len(threads_reported(action, instance))``, from the counters."""
+        entry = self._actions.get(action)
+        if entry is None:
+            return 0
+        records, stamps = entry
+        if not instance:
+            return len(records)
+        return stamps.get("", 0) + stamps.get(instance, 0)
+
+    def all_reported(self, action: str, instance: Optional[str],
+                     participants: FrozenSet[str]) -> bool:
+        """``threads_reported(action, instance) == participants``.
+
+        The census test of every algorithm's resolution guard, evaluated
+        after each protocol message: the counters reject an incomplete
+        census in O(1), so the set comparison runs about once per round.
+        """
+        return (self.reported_count(action, instance) == len(participants)
+                and self.threads_reported(action, instance) == participants)
 
     def records_for(self, action: str,
                     instance: Optional[str] = None) -> List[RaisedRecord]:
-        """All records belonging to ``action``.
+        """All records belonging to ``action``, in insertion order.
 
         When ``instance`` is given (and non-empty), records stamped for a
         *different* instance of the same action name are excluded;
         unstamped records match any instance, which keeps the filter
         backward compatible with coordinators that never stamp.
         """
-        return [r for r in self._records
-                if r.action == action
-                and (not instance or not r.instance or r.instance == instance)]
+        entry = self._actions.get(action)
+        if entry is None:
+            return []
+        records = entry[0]
+        if self.reported_count(action, instance) == len(records):
+            return list(records.values())
+        return [r for r in records.values()
+                if not r.instance or r.instance == instance]
 
     def threads_reported(self, action: str,
                          instance: Optional[str] = None) -> Set[str]:
@@ -270,10 +324,12 @@ class LocalExceptionList:
                 if r.exception is not None}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(records) for records, _ in self._actions.values())
 
-    def __iter__(self):
-        return iter(self._records)
+    def __iter__(self) -> Iterator[RaisedRecord]:
+        """Every record, grouped by action, in insertion order within each."""
+        return chain.from_iterable(
+            records.values() for records, _ in self._actions.values())
 
     def __repr__(self) -> str:
-        return f"<LE {self._records}>"
+        return f"<LE {list(self)}>"

@@ -5,7 +5,7 @@ about it, built only from per-run data (notably *not* from
 ``Envelope.sequence``, which is a process-global counter):
 
 * every kernel step: ``(virtual time, priority, event id, event type)`` —
-  recorded through the kernel's tracer hook;
+  recorded through a kernel step-tracer hook;
 * every envelope in send order: timing, link, payload, fate;
 * every coordinator state transition (the per-thread ``trace`` lists);
 * the final message-statistics snapshot.
@@ -27,9 +27,11 @@ from ..runtime.system import DistributedCASystem
 
 
 class TraceRecorder:
-    """Records kernel steps through :attr:`Kernel.tracer`.
+    """Records kernel steps through a :meth:`Kernel.add_tracer` hook.
 
     Attach before the run starts; the recorder only keeps cheap tuples.
+    Registered *alongside* whatever hook is already installed — an ambient
+    ``obs.capture`` observing kernel steps keeps seeing them.
     """
 
     def __init__(self, system: DistributedCASystem,
@@ -38,7 +40,7 @@ class TraceRecorder:
         self.steps: List[Tuple[float, int, int, str]] = []
         self.truncated = False
         self._max_steps = max_steps
-        system.kernel.tracer = self._on_step
+        system.kernel.add_tracer(self._on_step)
 
     def _on_step(self, when: float, priority: int, eid: int, event) -> None:
         if len(self.steps) >= self._max_steps:
@@ -85,7 +87,13 @@ def canonical_trace(system: DistributedCASystem,
                     for i, envelope in enumerate(network.trace))
     sections.append("== coordinators ==")
     for name in sorted(system.partitions):
-        sections.extend(system.partitions[name].coordinator.trace)
+        coordinator = system.partitions[name].coordinator
+        if coordinator.transitions > len(coordinator.trace):
+            # Same refusal, same remedy as for the envelope ring above.
+            raise RuntimeError(
+                f"canonical_trace needs {name}'s full coordinator trace: "
+                "construct the system with keep_trace=True")
+        sections.extend(coordinator.trace)
     sections.append("== statistics ==")
     sections.append(json.dumps(system.network.stats.snapshot(),
                                sort_keys=True))

@@ -300,7 +300,9 @@ class Network(Transport):
             stats.delivered += 1
             if obs is not None:
                 obs.message_delivered(env)
-            target.deliver(env)
+            # Node.deliver, minus the liveness check made just above.
+            target.received.append(env)
+            target.inbox.deliver(env)
 
         Timeout(kernel, deliver_at - now).callbacks.append(_deliver)
         return envelope

@@ -85,11 +85,11 @@ class Dispatcher:
     def dispatch_sync(self, payload, corrupted: bool = False):
         """Route one received payload without generator overhead.
 
-        Barrier announcements and application messages — the bulk of all
-        traffic — are handled synchronously and return ``None``; the
-        protocol paths return a generator the caller must drive (their
-        effects can consume virtual time).  Splitting the two spares the
-        dispatcher a generator allocation per routed message.
+        Returns ``None`` when the payload was fully handled, which is
+        nearly always; a protocol message whose effects have to wait
+        (:meth:`EffectInterpreter.interpret` suspended on a resolution
+        charge or an undo round) returns the generator the caller must
+        drive to finish them.
 
         A corrupted signalling message is not trusted: per Section 3.4 "the
         corrupted message … can be simply treated as a failure exception",
@@ -122,7 +122,7 @@ class Dispatcher:
             effects = partition.coordinator.receive(payload)
             if not effects:
                 return None
-            return partition.execute_effects(effects)
+            return partition.interpreter.interpret(effects)
         # RPC traffic for an endpoint co-located on this node (external
         # atomic objects, transport-backend services).  The endpoint is
         # constructed with ``drain=False`` so it does not compete with
@@ -278,13 +278,13 @@ class Dispatcher:
                     partition.system.probe(
                         "signal_stale_dropped", thread=partition.name,
                         action=message.action, instance=message.instance)
-                return
+                return None
             self._touch_scope(key)
             self._pending_signals[key].append(message)
             if partition.system.probes:
                 partition.system.probe(
                     "signal_parked", thread=partition.name,
                     action=message.action, instance=message.instance)
-            return
+            return None
         effects = frame.signal_coordinator.receive(message)
-        yield from partition.execute_effects(effects)
+        return partition.interpreter.interpret(effects) if effects else None

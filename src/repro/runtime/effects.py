@@ -51,15 +51,21 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
     # ------------------------------------------------------------------
     def on_send_to(self, effect: fx.SendTo) -> None:
         partition = self.partition
+        send = partition.system.network.send
+        source = partition.name
+        message = effect.message
         for recipient in effect.recipients:
-            partition.system.network.send(partition.name, recipient,
-                                          effect.message)
+            send(source, recipient, message)
 
     def on_charge_time(self, effect: fx.ChargeTime):
         partition = self.partition
         duration = partition.config.charge_duration(effect.kind, effect.count)
         if duration > 0:
-            yield partition.kernel.timeout(duration)
+            return self._sleep(duration)
+        return None
+
+    def _sleep(self, duration: float):
+        yield self.partition.kernel.timeout(duration)
 
     def on_inform_objects(self, effect: fx.InformObjects) -> None:
         frame = self.partition.find_frame(effect.action)
@@ -118,12 +124,13 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
     def on_perform_undo(self, effect: PerformUndo):
         frame = self.partition.find_frame(effect.action)
         if frame is None:
-            return
+            return None
         status = frame.transaction.abort()
         successful = status is TransactionStatus.ABORTED
         if frame.signal_coordinator is not None:
-            effects = frame.signal_coordinator.undo_completed(successful)
-            yield from self.execute(effects)
+            return self.interpret(
+                frame.signal_coordinator.undo_completed(successful))
+        return None
 
     def on_log_event(self, effect: fx.LogEvent) -> None:
         self.partition.log.append(effect.text)

@@ -129,7 +129,9 @@ class ActionLifecycle:
         try:
             effects = partition.coordinator.enter_action(context)
             if effects:
-                yield from partition.execute_effects(effects)
+                waiting = partition.interpreter.interpret(effects)
+                if waiting is not None:
+                    yield from waiting
 
             # --- the action body, inlined ------------------------------
             # (formerly a separate _run_action_body generator; inlining
@@ -156,7 +158,9 @@ class ActionLifecycle:
                         else:
                             result = body(role_context)
                 except RaisedException as raised:
-                    yield from self._local_raise(frame, raised.descriptor)
+                    waiting = self._local_raise(frame, raised.descriptor)
+                    if waiting is not None:
+                        yield from waiting
                 except AbortedByEnclosing:
                     frame.exception_mode = True
                 except Interrupt:
@@ -286,6 +290,11 @@ class ActionLifecycle:
 
     def _local_raise(self, frame: ActionFrame,
                      exception: ExceptionDescriptor):
+        """Feed a locally raised exception to the coordinator.
+
+        Not a generator: returns what :meth:`EffectInterpreter.interpret`
+        returns (``None``, or the generator that finishes the effects).
+        """
         partition = self.partition
         frame.exception_mode = True
         partition.system.metrics.record_raise(partition.name, frame.action,
@@ -297,8 +306,7 @@ class ActionLifecycle:
                                    instance=frame.instance_key,
                                    exception=exception)
         effects = partition.coordinator.raise_exception(exception)
-        if effects:
-            yield from partition.execute_effects(effects)
+        return partition.interpreter.interpret(effects)
 
     def _await_resolution(self, frame: ActionFrame) -> Any:
         partition = self.partition
@@ -401,7 +409,9 @@ class ActionLifecycle:
             # Only the exception of the outermost aborted action's handler is
             # allowed to be raised in the containing action.
             effects = partition.coordinator.abortion_completed(resume, signalled)
-            yield from partition.execute_effects(effects)
+            waiting = partition.interpreter.interpret(effects)
+            if waiting is not None:
+                yield from waiting
         partition.status = "idle"
         return ActionReport(frame.action, frame.role, partition.name,
                             ActionStatus.ABORTED_BY_ENCLOSING,
@@ -420,12 +430,15 @@ class ActionLifecycle:
         # under the action name).
         pending = partition.dispatcher.take_pending_signals(
             frame.instance_key, frame.action)
+        interpret = partition.interpreter.interpret
         try:
-            effects = frame.signal_coordinator.propose(proposal)
-            yield from partition.execute_effects(effects)
+            waiting = interpret(frame.signal_coordinator.propose(proposal))
+            if waiting is not None:
+                yield from waiting
             for message in pending:
-                effects = frame.signal_coordinator.receive(message)
-                yield from partition.execute_effects(effects)
+                waiting = interpret(frame.signal_coordinator.receive(message))
+                if waiting is not None:
+                    yield from waiting
             if frame.signal_coordinator.decided is None:
                 decided = yield frame.signal_event
             else:

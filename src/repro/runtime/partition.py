@@ -59,6 +59,10 @@ class Partition:
             name, buffer_capacity=system.config.buffer_capacity)
         self.node.services["partition"] = self
         self.coordinator: CoordinatorBase = system.config.make_coordinator(name)
+        if not system.network.keep_trace:
+            # Same policy, same ring size as the network's envelope trace:
+            # a debugging aid must not grow a long capacity run's memory.
+            self.coordinator.bound_trace(system.network.TRACE_CAPACITY)
 
         #: Shared per-thread state, mutated by all three subsystems.
         self.status = "idle"
@@ -96,10 +100,6 @@ class Partition:
     # ------------------------------------------------------------------
     # Delegation to the subsystems
     # ------------------------------------------------------------------
-    def execute_effects(self, effects):
-        """Interpret coordinator effects (generator, used via ``yield from``)."""
-        return self.interpreter.execute(effects)
-
     def execute_action(self, action: str, role: str,
                        instance: Optional[str] = None):
         """Perform a top-level action (generator, used via ``yield from``).

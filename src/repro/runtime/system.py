@@ -44,8 +44,9 @@ class DistributedCASystem:
     kernel:
         Optional pre-existing simulation kernel (a fresh one by default).
     keep_trace:
-        Retain every envelope in :attr:`Network.trace` (needed for
-        canonical replay traces); the default is a bounded ring.
+        Retain every envelope in :attr:`Network.trace` and every
+        transition in each coordinator's ``trace`` (needed for canonical
+        replay traces); the default is a bounded ring for both.
     network:
         Optional pre-built network (a transport backend's subclass); when
         given, ``latency``/``faults``/``keep_trace`` are ignored and the

@@ -52,10 +52,14 @@ class StoreGet(Event):
         self._value = PENDING
         self._ok = None
         items = store.items
-        if items and not store._get_queue and not store._put_queue:
-            # Fast path: an item is buffered and nobody is ahead of us —
-            # identical outcome to _trigger() serving this get.
-            self.succeed(items.popleft())
+        if not store._get_queue and not store._put_queue:
+            # Fast paths, identical in outcome to _trigger(): with nobody
+            # ahead of us, a buffered item is ours, and with nothing
+            # buffered there is nothing to match yet.
+            if items:
+                self.succeed(items.popleft())
+            else:
+                store._get_queue.append(self)
             return
         store._get_queue.append(self)
         store._trigger()
@@ -164,6 +168,20 @@ class CyclicBuffer(Mailbox):
         self.overwritten: List[Any] = []
 
     def deliver(self, item: Any) -> None:
-        if len(self.items) >= self.capacity:
-            self.overwritten.append(self.items.popleft())
-        super().deliver(item)
+        """One step per message: hand over, or account for overflow and buffer.
+
+        The network calls this once per delivered envelope, so the whole
+        decision lives here instead of in a ``super()`` chain; the outcome
+        is :meth:`Mailbox.deliver`'s, with the oldest entry overwritten
+        first when the buffer is full.
+        """
+        items = self.items
+        if not items:
+            if self._get_queue and not self._put_queue:
+                self._get_queue.popleft().succeed(item)
+                return
+        elif len(items) >= self.capacity:
+            self.overwritten.append(items.popleft())
+        items.append(item)
+        if self._get_queue or self._put_queue:
+            self._trigger()

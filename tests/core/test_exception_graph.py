@@ -168,6 +168,57 @@ class TestGeneration:
         assert stats["max_level"] == 3
 
 
+def full_graph_through_public_api(primitives, max_level=None):
+    """``generate_full_graph`` spelt with ``add_exception``/``add_cover`` only.
+
+    The reference for the generator's unchecked edge insertion: every edge
+    here pays ``add_cover``'s cycle scan.
+    """
+    n = len(primitives)
+    highest = n - 1 if max_level is None else min(max_level, n - 1)
+    graph = ExceptionGraph("generated")
+    for primitive in primitives:
+        graph.add_exception(primitive)
+    by_subset = {frozenset([p]): p for p in primitives}
+    for level in range(1, highest + 1):
+        for subset in itertools.combinations(primitives, level + 1):
+            names = sorted(e.name for e in subset)
+            node = internal("&".join(names),
+                            f"resolves concurrent {', '.join(names)}")
+            graph.add_exception(node)
+            by_subset[frozenset(subset)] = node
+            for smaller in itertools.combinations(subset, level):
+                graph.add_cover(node, by_subset[frozenset(smaller)])
+    for node in graph.exceptions:
+        if node != graph.universal and graph.in_degree(node) == 0:
+            graph.add_cover(graph.universal, node)
+    graph.validate()
+    return graph
+
+
+class TestGenerationMatchesPublicConstruction:
+    @pytest.mark.parametrize("max_level", [None, 1, 2])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_graph_index_and_resolutions(self, n, max_level):
+        primitives = [internal(f"p{i}") for i in range(n)]
+        generated = generate_full_graph(primitives, max_level)
+        reference = full_graph_through_public_api(primitives, max_level)
+
+        assert generated.exceptions == reference.exceptions   # order too
+        for node in reference.exceptions:
+            assert generated.children(node) == reference.children(node)
+            assert generated.parents(node) == reference.parents(node)
+            assert generated.level(node) == reference.level(node)
+            assert node.description == next(
+                e for e in generated.exceptions if e == node).description
+        assert generated.compiled().cover_masks == \
+            reference.compiled().cover_masks
+        assert generated.compiled().levels == reference.compiled().levels
+        for size in range(1, n + 1):
+            for raised in itertools.combinations(primitives, size):
+                assert generated.resolve(raised) == reference.resolve(raised)
+
+
 class TestPruning:
     def test_impossible_combination_removed(self):
         graph = small_graph()

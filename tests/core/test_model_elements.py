@@ -1,7 +1,13 @@
 """Tests for the model's building blocks: descriptors, handlers, state, actions."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro.core
 from repro.core import (
     ABORTION,
     ActionContext,
@@ -47,6 +53,27 @@ class TestDescriptors:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ExceptionDescriptor("")
+
+    def test_cached_hash_is_not_carried_across_interpreters(self):
+        # String hashes are salted per process: a descriptor pickled by a
+        # pool worker must be re-hashed here, not arrive with the worker's
+        # cached value (it would then miss every dict it is a key of).
+        source = ("import pickle, sys; sys.path.insert(0, sys.argv[1]); "
+                  "from repro.core import internal; "
+                  "sys.stdout.write(pickle.dumps(internal('fault', 'doc'))"
+                  ".hex())")
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.core.__file__))))
+        for seed in ("1", "2"):      # at most one can equal this process's
+            dumped = subprocess.run(
+                [sys.executable, "-c", source, src], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            arrived = pickle.loads(bytes.fromhex(dumped))
+            assert arrived == internal("fault")
+            assert arrived.description == "doc"
+            assert hash(arrived) == hash(internal("fault"))
+            assert {internal("fault"): "found"}[arrived] == "found"
 
     def test_special_exceptions_have_expected_kinds(self):
         assert UNDO.kind is ExceptionKind.UNDO

@@ -1,10 +1,12 @@
 """Deterministic replay: same (seed, plan) → byte-identical runs."""
 
+from repro import obs
 from repro.bench.engine import run_scenario
 from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
 from repro.explore.trace import TraceRecorder, canonical_trace, trace_digest
 from repro.net.faults import FaultDirective
+from repro.obs.events import KERNEL_STEP
 
 RACE_PLAN = ExplorationPlan(directives=(
     FaultDirective("delay_type", source="T2", destination="T3",
@@ -41,6 +43,17 @@ class TestByteIdenticalReplay:
     def test_run_case_digest_matches_across_calls(self):
         assert run_case("nested_abort", RACE_PLAN).digest == \
             run_case("nested_abort", RACE_PLAN).digest
+
+    def test_recorder_shares_the_kernel_tracer_with_a_full_capture(self):
+        # The recorder used to assign ``kernel.tracer`` outright, displacing
+        # the capture's kernel-step hook installed at system construction.
+        uncaptured = run_case("nested_abort", RACE_PLAN)
+        with obs.capture(obs.ObsConfig.full()) as captured:
+            observed = run_case("nested_abort", RACE_PLAN)
+        steps = [event for event in captured.events()
+                 if event["kind"] == KERNEL_STEP]
+        assert len(steps) > 0
+        assert observed.digest == uncaptured.digest
 
     def test_trace_covers_kernel_network_and_coordinators(self):
         trace_text, _ = _run_once(RACE_PLAN)

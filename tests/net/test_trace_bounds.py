@@ -1,4 +1,4 @@
-"""Regression: the network's envelope trace must not grow without bound.
+"""Regression: the run traces must not grow without bound.
 
 The trace used to be an unbounded list appended to on every send, which
 made long capacity sweeps grow linearly in memory for a debugging aid
@@ -6,6 +6,10 @@ nobody was reading.  It is now a bounded ring by default; consumers that
 genuinely need every envelope (canonical replay traces) opt in with
 ``keep_trace=True`` and the digest path refuses to run on an overflowed
 ring rather than producing a silently wrong digest.
+
+Each coordinator's transition trace had the same defect (349 B retained
+per served instance) and follows the same policy, keyed off the system's
+``keep_trace``.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import pytest
 
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.runtime.system import DistributedCASystem
 from repro.simkernel.kernel import Kernel
 
 
@@ -88,3 +93,41 @@ class TestOptInRetention:
         system.partitions = {}
         text = canonical_trace(system)
         assert text.count("deliver=") == 10
+
+
+def build_coordinator(transitions, **kwargs):
+    system = DistributedCASystem(**kwargs)
+    coordinator = system.add_thread("T1").coordinator
+    for i in range(transitions):
+        coordinator._trace(f"transition {i}")
+    return system, coordinator
+
+
+class TestCoordinatorTrace:
+    def test_default_is_a_ring_of_the_network_capacity(self):
+        total = Network.TRACE_CAPACITY * 3
+        _system, coordinator = build_coordinator(total)
+        assert len(coordinator.trace) == Network.TRACE_CAPACITY
+        assert coordinator.transitions == total
+        assert coordinator.trace[-1] == f"T1: transition {total - 1}"
+
+    def test_keep_trace_retains_every_transition(self):
+        total = Network.TRACE_CAPACITY + 100
+        system, coordinator = build_coordinator(total, keep_trace=True)
+        assert len(coordinator.trace) == total
+        from repro.explore.trace import canonical_trace
+        assert canonical_trace(system).count("T1: transition") == total
+
+    def test_canonical_trace_refuses_a_truncated_coordinator_trace(self):
+        from repro.explore.trace import canonical_trace
+
+        system, _coordinator = build_coordinator(Network.TRACE_CAPACITY + 1)
+        with pytest.raises(RuntimeError, match="keep_trace"):
+            canonical_trace(system)
+
+    def test_canonical_trace_accepts_a_full_ring_that_lost_nothing(self):
+        from repro.explore.trace import canonical_trace
+
+        system, _coordinator = build_coordinator(Network.TRACE_CAPACITY)
+        assert canonical_trace(system).count("T1: transition") == \
+            Network.TRACE_CAPACITY

@@ -108,6 +108,109 @@ class TestDispatch:
         assert interpreter.finished_batches == []
 
 
+class BatchLogger(fx.EffectInterpreter):
+    """Logs every handler call with the batch it saw (numbered by creation)."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+        self.batches = []
+        self.finished = []
+
+    def begin_batch(self):
+        self.batches.append([])
+        return self.batches[-1]
+
+    def _number(self, batch):
+        return next(i for i, b in enumerate(self.batches) if b is batch)
+
+    def finish_batch(self, batch):
+        self.finished.append((self._number(batch), list(batch)))
+
+    def on_log_event(self, effect):
+        self.calls.append(("log", effect.text, self._number(self.batch)))
+        self.batch.append(effect.text)
+
+    def on_charge_time(self, effect):          # a handler that waits
+        self.calls.append(("charge", effect.kind, self._number(self.batch)))
+        yield effect.kind
+
+    def on_interrupt_role(self, effect):       # a handler that nests a batch
+        self.calls.append(("nest", effect.action, self._number(self.batch)))
+        return self.interpret([fx.LogEvent("inner-1"),
+                               fx.ChargeTime(effect.action),
+                               fx.LogEvent("inner-2")])
+
+
+def drive_execute(interpreter, effects):
+    return list(interpreter.execute(effects))
+
+
+def drive_interpret(interpreter, effects):
+    waiting = interpreter.interpret(effects)
+    return [] if waiting is None else list(waiting)
+
+
+SYNCHRONOUS = [fx.LogEvent("a"), fx.LogEvent("b"), fx.LogEvent("c")]
+WAITS_MID_BATCH = [fx.LogEvent("a"), fx.ChargeTime("resolution"),
+                   fx.LogEvent("b")]
+NESTED = [fx.LogEvent("a"), fx.InterruptRole("A", FAULT), fx.LogEvent("b")]
+
+
+class TestSynchronousEntryMatchesExecute:
+    """``interpret`` and ``execute`` are one loop: same handler order, same
+    batch seen by every handler, same finish order."""
+
+    @pytest.mark.parametrize("effects", [SYNCHRONOUS, WAITS_MID_BATCH, NESTED],
+                             ids=["synchronous", "waits-mid-batch", "nested"])
+    def test_same_calls_batches_and_yields(self, effects):
+        through_execute, through_interpret = BatchLogger(), BatchLogger()
+        yielded = drive_execute(through_execute, effects)
+        assert drive_interpret(through_interpret, effects) == yielded
+        assert through_interpret.calls == through_execute.calls
+        assert through_interpret.finished == through_execute.finished
+        assert through_execute.calls[0] == ("log", "a", 0)
+        assert through_execute.finished[-1][0] == 0      # outer batch last
+
+    def test_a_synchronous_batch_needs_no_generator(self):
+        interpreter = BatchLogger()
+        assert interpreter.interpret(SYNCHRONOUS) is None
+        assert interpreter.finished == [(0, ["a", "b", "c"])]
+
+    def test_a_waiting_batch_runs_up_to_the_wait_before_being_driven(self):
+        interpreter = BatchLogger()
+        waiting = interpreter.interpret(WAITS_MID_BATCH)
+        assert [call[:2] for call in interpreter.calls] == [("log", "a")]
+        assert list(waiting) == ["resolution"]
+        assert interpreter.finished == [(0, ["a", "b"])]
+
+    def test_nested_batch_finishes_before_the_outer_one_resumes(self):
+        interpreter = BatchLogger()
+        assert drive_interpret(interpreter, NESTED) == ["A"]
+        assert interpreter.calls == [
+            ("log", "a", 0), ("nest", "A", 0), ("log", "inner-1", 1),
+            ("charge", "A", 1), ("log", "inner-2", 1), ("log", "b", 0)]
+        assert interpreter.finished == [(1, ["inner-1", "inner-2"]),
+                                        (0, ["a", "b"])]
+
+    @pytest.mark.parametrize("start", [fx.EffectInterpreter.execute,
+                                       fx.EffectInterpreter.interpret],
+                             ids=["execute", "interpret"])
+    def test_two_suspended_batches_interleave_without_mixing(self, start):
+        interpreter = BatchLogger()
+        first = start(interpreter, [fx.LogEvent("1a"), fx.ChargeTime("x"),
+                                    fx.LogEvent("1b")])
+        second = start(interpreter, [fx.LogEvent("2a"), fx.ChargeTime("y"),
+                                     fx.LogEvent("2b")])
+        assert next(first) == "x"            # both suspended mid-batch
+        assert next(second) == "y"
+        assert list(first) == [] and list(second) == []
+        assert [call[1:] for call in interpreter.calls
+                if call[0] == "log"] == [("1a", 0), ("2a", 1),
+                                         ("1b", 0), ("2b", 1)]
+        assert interpreter.finished == [(0, ["1a", "1b"]), (1, ["2a", "2b"])]
+
+
 # ----------------------------------------------------------------------
 # The concrete partition interpreter
 # ----------------------------------------------------------------------
@@ -122,7 +225,7 @@ def partition(system):
 
 
 def run_effects(partition, effects):
-    partition.kernel.process(partition.execute_effects(effects))
+    partition.kernel.process(partition.interpreter.execute(effects))
     partition.kernel.run()
 
 
