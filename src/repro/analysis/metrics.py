@@ -1,17 +1,21 @@
 """Run-level metrics collected by the CA-action runtime.
 
 One :class:`RunMetrics` instance is attached to a
-:class:`~repro.runtime.system.DistributedCASystem`; the runtime feeds it the
-events that the paper's experiments measure (messages, resolutions,
-abortions, handler invocations, action outcomes) and the benchmarks read the
-aggregates from it.
+:class:`~repro.runtime.system.DistributedCASystem` and subscribed to its
+life-cycle seam (``system.emit`` → :meth:`RunMetrics.on_event`); it counts
+what the paper's experiments measure (raises, suspensions, resolutions,
+handler invocations, abortions, signals, action outcomes) and the
+benchmarks read the aggregates from it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
+
+from ..core.exceptions import NO_EXCEPTION
+from ..obs import events as kinds
 
 
 @dataclass(slots=True)
@@ -50,16 +54,28 @@ class ActionOutcome:
         )
 
 
+#: Life-cycle kind -> (scalar counter, per-exception-name map) it
+#: increments; ``None`` where the kind has no such counter.
+_COUNTED: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    kinds.ACTION_RAISED: ("exceptions_raised", "exceptions_by_name"),
+    kinds.ACTION_SUSPENDED: ("suspensions", None),
+    kinds.ACTION_RESOLVED: ("resolutions", "resolved_by_name"),
+    kinds.ACTION_HANDLING: ("handlers_invoked", None),
+    kinds.ACTION_ABORTING: ("abortions", None),
+    kinds.ACTION_SIGNALLED: (None, "signalled"),
+}
+
+
 class RunMetrics:
     """Aggregated counters for one simulated run.
 
     ``keep_details`` (default ``True``) controls whether the unbounded
-    per-event records — the human-readable ``events`` log and the
-    ``action_outcomes`` list — are retained.  A million-instance shard
-    of a :class:`~repro.workload.sharding.ShardedPool` sets it to
-    ``False``: every counter (including the per-name maps) still counts
-    exactly and still merges, only the per-event lists stay empty, so
-    memory stays flat no matter how many instances a shard serves.
+    per-participation ``action_outcomes`` list is retained.  A
+    million-instance shard of a
+    :class:`~repro.workload.sharding.ShardedPool` sets it to ``False``:
+    every counter (including the per-name maps) still counts exactly and
+    still merges, only the outcome list stays empty, so memory stays
+    flat no matter how many instances a shard serves.
     """
 
     def __init__(self) -> None:
@@ -74,52 +90,33 @@ class RunMetrics:
         self.suspensions: int = 0
         self.signalled: Dict[str, int] = defaultdict(int)
         self.action_outcomes: List[ActionOutcome] = []
-        self.events: List[str] = []
+        #: Entry times of the open participations (``keep_details`` only).
+        self._entered_at: Dict[Tuple[str, str, Optional[str]], float] = {}
 
     # ------------------------------------------------------------------
-    def record_raise(self, thread: str, action: str, exception: str,
-                     now: float) -> None:
-        self.exceptions_raised += 1
-        self.exceptions_by_name[exception] += 1
-        if self.keep_details:
-            self.events.append(
-                f"{now:.3f} {thread} raised {exception} in {action}")
-
-    def record_suspension(self, thread: str, action: str, now: float) -> None:
-        self.suspensions += 1
-        if self.keep_details:
-            self.events.append(f"{now:.3f} {thread} suspended in {action}")
-
-    def record_resolution(self, resolver: str, action: str, exception: str,
-                          now: float) -> None:
-        self.resolutions += 1
-        self.resolved_by_name[exception] += 1
-        if self.keep_details:
-            self.events.append(
-                f"{now:.3f} {resolver} resolved {exception} in {action}")
-
-    def record_handler(self, thread: str, action: str, exception: str,
-                       now: float) -> None:
-        self.handlers_invoked += 1
-        if self.keep_details:
-            self.events.append(
-                f"{now:.3f} {thread} handling {exception} in {action}")
-
-    def record_abortion(self, thread: str, action: str, now: float) -> None:
-        self.abortions += 1
-        if self.keep_details:
-            self.events.append(f"{now:.3f} {thread} aborted {action}")
-
-    def record_signal(self, thread: str, action: str, exception: str,
-                      now: float) -> None:
-        self.signalled[exception] += 1
-        if self.keep_details:
-            self.events.append(
-                f"{now:.3f} {thread} signalled {exception} from {action}")
-
-    def record_outcome(self, outcome: ActionOutcome) -> None:
-        if self.keep_details:
-            self.action_outcomes.append(outcome)
+    def on_event(self, kind: str, now: float, thread: str, action: str,
+                 instance: Optional[str], data: Dict[str, Any]) -> None:
+        """Life-cycle subscriber: count one ``system.emit`` notification."""
+        counted = _COUNTED.get(kind)
+        if counted is not None:
+            if kind == kinds.ACTION_RESOLVED and data["resolver"] != thread:
+                # Emitted per delivery; one resolution is the resolver's own.
+                return
+            counter, by_name = counted
+            if counter is not None:
+                setattr(self, counter, getattr(self, counter) + 1)
+            if by_name is not None:
+                getattr(self, by_name)[data["exception"].name] += 1
+        elif not self.keep_details:
+            return
+        elif kind == kinds.ACTION_ENTERED:
+            self._entered_at[(thread, action, instance)] = now
+        elif kind == kinds.ACTION_CONCLUDED:
+            signalled = data["signalled"]
+            self.action_outcomes.append(ActionOutcome(
+                action, data["status"].value,
+                signalled.name if signalled != NO_EXCEPTION else None,
+                self._entered_at.pop((thread, action, instance), now), now))
 
     # ------------------------------------------------------------------
     def outcomes_for(self, action: str) -> List[ActionOutcome]:
@@ -172,19 +169,8 @@ class RunMetrics:
         instance through :meth:`merge`, which is how per-shard metrics from
         parallel engine sweeps are aggregated into one run summary.
         """
-        return {
-            "exceptions_raised": self.exceptions_raised,
-            "exceptions_by_name": dict(self.exceptions_by_name),
-            "resolutions": self.resolutions,
-            "resolution_calls": self.resolution_calls,
-            "resolved_by_name": dict(self.resolved_by_name),
-            "handlers_invoked": self.handlers_invoked,
-            "abortions": self.abortions,
-            "suspensions": self.suspensions,
-            "signalled": dict(self.signalled),
-            "action_outcomes": [o.to_dict() for o in self.action_outcomes],
-            "events": list(self.events),
-        }
+        return {**self.counters(),
+                "action_outcomes": [o.to_dict() for o in self.action_outcomes]}
 
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Reset the metrics to the values captured in ``snapshot``."""
@@ -194,8 +180,8 @@ class RunMetrics:
     def merge(self, snapshot: Dict[str, object]) -> None:
         """Add the counters captured in ``snapshot`` onto this instance.
 
-        Outcome and event lists are concatenated (snapshot order after
-        existing entries), scalar counters and per-name maps are summed.
+        The outcome list is concatenated (snapshot order after existing
+        entries), scalar counters and per-name maps are summed.
         """
         for counter in ("exceptions_raised", "resolutions", "resolution_calls",
                         "handlers_invoked", "abortions", "suspensions"):
@@ -209,7 +195,6 @@ class RunMetrics:
             self.action_outcomes.append(
                 outcome if isinstance(outcome, ActionOutcome)
                 else ActionOutcome.from_dict(outcome))
-        self.events.extend(snapshot.get("events", ()))  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return (f"<RunMetrics raised={self.exceptions_raised} "

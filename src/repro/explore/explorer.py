@@ -56,18 +56,15 @@ class CaseResult:
 
 def _execute(target: ExplorationTarget, plan: ExplorationPlan,
              algorithm: str, record_trace: bool = True):
-    """One run; returns ``(system, monitor, recorder, observation, error)``."""
+    """One run; returns ``(system, monitor, recorder, error)``."""
     system = target.build(plan.make_fault_plan(), tie_seed=plan.tie_seed,
                           algorithm=algorithm)
     monitor = InvariantMonitor(system)
     recorder = TraceRecorder(system) if record_trace else None
     # Always-on flight recorder: a bounded ring (no unbounded event list,
     # no metrics) so every failing case ships its terminal event window.
-    # An ambient obs.capture() has already attached a (richer) observation
-    # in the system constructor; reuse it rather than displacing it.
-    observation = system.observation
-    if observation is None:
-        observation = obs.observe_system(system, obs.ObsConfig.flight_only())
+    # Under an ambient obs.capture() this is the capture's observation.
+    obs.observe_system(system, obs.ObsConfig.flight_only())
     error: Optional[str] = None
     try:
         # Run to queue exhaustion rather than ``run_to_completion``: a
@@ -76,7 +73,7 @@ def _execute(target: ExplorationTarget, plan: ExplorationPlan,
         system.run()
     except Exception as exc:  # noqa: BLE001 — anything the sim surfaces
         error = f"{type(exc).__name__}: {exc}"
-    return system, monitor, recorder, observation, error
+    return system, monitor, recorder, error
 
 
 def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
@@ -91,7 +88,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     are only required of delivery-preserving plans.
     """
     resolved_target = get_target(target)
-    system, monitor, recorder, observation, error = _execute(
+    system, monitor, recorder, error = _execute(
         resolved_target, plan, algorithm)
     require_liveness = plan.preserves_delivery and error is None
     violations = monitor.check(require_liveness=require_liveness)
@@ -106,9 +103,8 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     if plan.preserves_delivery and error is None:
         for baseline in baselines:
             # Only the resolved map is compared; skip the trace recorder.
-            _, base_monitor, _, _, base_error = _execute(resolved_target,
-                                                         plan, baseline,
-                                                         record_trace=False)
+            _, base_monitor, _, base_error = _execute(
+                resolved_target, plan, baseline, record_trace=False)
             if base_error is not None:
                 violations.append(OracleViolation(
                     oracles.DIFFERENTIAL_AGREEMENT,
@@ -123,7 +119,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     # violation or crash — so the failure carries its event timeline.
     flight = None
     if violations or error is not None:
-        flight = observation.flight_dump()
+        flight = system.observation.flight_dump()
     return CaseResult(index=index, plan=plan, digest=digest,
                       completed=completed, violations=violations,
                       stats=system.network.stats.snapshot(), error=error,

@@ -1,10 +1,10 @@
-"""Invariant monitoring: runtime probes feeding the oracle catalogue.
+"""Invariant monitoring: the life-cycle seam feeding the oracle catalogue.
 
-The :class:`InvariantMonitor` registers as a life-cycle probe on a
+The :class:`InvariantMonitor` subscribes to the life-cycle seam of a
 :class:`~repro.runtime.system.DistributedCASystem` (see
-``DistributedCASystem.add_probe``) and records every resolution delivery
-and every action conclusion.  After the run, :meth:`check` evaluates the
-oracle predicates of :mod:`repro.core.oracles`:
+``DistributedCASystem.subscribe``) and records every entry, every
+resolution delivery and every action conclusion.  After the run,
+:meth:`check` evaluates the oracle predicates of :mod:`repro.core.oracles`:
 
 * ``agreement`` and the duplicate-conclusion half of
   ``exactly_one_outcome`` are checked unconditionally — they are pure
@@ -26,11 +26,12 @@ from typing import Any, Dict, List, Tuple
 from ..core import oracles
 from ..core.oracles import OracleViolation, ThreadQuiescence
 from ..objects.transaction import TransactionStatus
+from ..obs import events as kinds
 from ..runtime.system import DistributedCASystem
 
 
 class InvariantMonitor:
-    """Collects probe records for one run and evaluates the oracles."""
+    """Collects life-cycle records for one run and evaluates the oracles."""
 
     def __init__(self, system: DistributedCASystem) -> None:
         self.system = system
@@ -46,24 +47,22 @@ class InvariantMonitor:
         #: Tracked transactional counters: (object name, key) -> initial
         #: committed value (see :meth:`track_counter`).
         self._counters: Dict[Tuple[str, str], Any] = {}
-        system.add_probe(self._on_probe)
+        system.subscribe(self._on_event)
 
     # ------------------------------------------------------------------
-    def _on_probe(self, event: str, **data) -> None:
-        if event == "resolved":
-            key = (data["action"], data["instance"])
+    def _on_event(self, kind: str, now: float, thread: str, action: str,
+                  instance: str, data: Dict[str, Any]) -> None:
+        if kind == kinds.ACTION_RESOLVED:
             name = data["exception"].name
-            self.resolutions[key].append((data["thread"], name))
-            self.resolved_map[f"{data['instance']}/{data['thread']}"] = name
-        elif event == "entered":
+            self.resolutions[(action, instance)].append((thread, name))
+            self.resolved_map[f"{instance}/{thread}"] = name
+        elif kind == kinds.ACTION_ENTERED:
             # Seed the outcome counter at zero so a participation that is
             # entered but never concluded is visible to the oracle as a
             # lost conclusion, not silently absent.
-            self.outcomes.setdefault(
-                (data["action"], data["instance"], data["thread"]), 0)
-        elif event == "concluded":
-            self.outcomes[(data["action"], data["instance"],
-                           data["thread"])] += 1
+            self.outcomes.setdefault((action, instance, thread), 0)
+        elif kind == kinds.ACTION_CONCLUDED:
+            self.outcomes[(action, instance, thread)] += 1
 
     # ------------------------------------------------------------------
     def quiescence(self) -> List[ThreadQuiescence]:

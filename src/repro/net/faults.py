@@ -146,7 +146,6 @@ class FaultPlan:
         self._crash_times: Dict[str, float] = {}
         self._restore_times: Dict[str, float] = {}
         self.stats = FaultStatistics()
-        self.log: List[str] = []
         #: The surgical directives this plan was built from, in application
         #: order (probabilistic parameters are serialized separately).
         self.directives: List[FaultDirective] = []
@@ -413,29 +412,24 @@ class FaultPlan:
         if self.is_crashed(envelope.source, now) or self.is_crashed(
                 envelope.destination, now):
             self.stats.blocked_by_crash += 1
-            self.log.append(f"blocked {envelope!r} (crashed endpoint)")
             return False, 0.0
 
         if count in self._drop_nth.get(link, ()):  # surgical drop
             self.stats.dropped += 1
-            self.log.append(f"dropped {envelope!r} (surgical #{count})")
             return False, 0.0
 
         if self.drop_probability and \
                 self._streams.random("drop") < self.drop_probability:
             self.stats.dropped += 1
-            self.log.append(f"dropped {envelope!r} (probabilistic)")
             return False, 0.0
 
         if count in self._corrupt_nth.get(link, ()):  # surgical corruption
             envelope.corrupted = True
             self.stats.corrupted += 1
-            self.log.append(f"corrupted {envelope!r} (surgical #{count})")
         elif self.corrupt_probability and \
                 self._streams.random("corrupt") < self.corrupt_probability:
             envelope.corrupted = True
             self.stats.corrupted += 1
-            self.log.append(f"corrupted {envelope!r} (probabilistic)")
 
         extra = self._extra_delay.get(link, 0.0)
         extra += self._type_delay.get(
@@ -444,7 +438,6 @@ class FaultPlan:
         extra += self._nth_delay.get(link, {}).get(count, 0.0)
         if extra:
             self.stats.delayed += 1
-            self.log.append(f"delayed {envelope!r} by {extra:g}")
         return True, extra
 
 

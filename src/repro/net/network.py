@@ -47,20 +47,12 @@ class MessageStatistics:
         self.by_type: Dict[str, int] = defaultdict(int)
         self.by_link: Dict[tuple, int] = defaultdict(int)
 
-    # NB: :meth:`Network.send` updates these counters inline (one method
-    # call per message was measurable); the record_* methods below are the
-    # reference implementation for external producers — keep the two in
-    # sync when changing the accounting.
     def record_sent(self, envelope: Envelope) -> None:
+        """Account one sent envelope (:meth:`Network.send` inlines this:
+        one method call per message was measurable on the sim path)."""
         self.sent += 1
         self.by_type[type(envelope.payload).__name__] += 1
         self.by_link[(envelope.source, envelope.destination)] += 1
-
-    def record_delivered(self, envelope: Envelope) -> None:
-        self.delivered += 1
-
-    def record_dropped(self, envelope: Envelope) -> None:
-        self.dropped += 1
 
     def count(self, *type_names: str) -> int:
         """Total number of sent messages whose payload type is in ``type_names``."""
@@ -301,7 +293,6 @@ class Network(Transport):
             if obs is not None:
                 obs.message_delivered(env)
             # Node.deliver, minus the liveness check made just above.
-            target.received.append(env)
             target.inbox.deliver(env)
 
         Timeout(kernel, deliver_at - now).callbacks.append(_deliver)

@@ -8,8 +8,7 @@ the shared simulation kernel.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from ..simkernel.channels import CyclicBuffer
 from ..simkernel.kernel import Kernel
@@ -43,10 +42,6 @@ class Node:
         #: executive stores itself here so application code co-located on
         #: the node can find it).
         self.services: Dict[str, Any] = {}
-        #: Delivery log (envelopes received), useful for debugging/tests.
-        #: Bounded for the same reason as ``Network.trace``: a debugging
-        #: aid must not grow a long capacity run's memory.
-        self.received: Deque[Envelope] = deque(maxlen=4096)
 
     # ------------------------------------------------------------------
     def attach(self, network: "Network") -> None:
@@ -68,7 +63,6 @@ class Node:
         """Called by the network to place a message in the inbox."""
         if not self.alive:
             return
-        self.received.append(envelope)
         self.inbox.deliver(envelope)
 
     def crash(self) -> None:

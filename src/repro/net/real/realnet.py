@@ -47,13 +47,11 @@ class RealNetwork(Network):
         # earlier than ``deliver_time`` on its own clock.
         now = self.kernel._now
         envelope = Envelope(source, destination, payload, now)
-        self.stats.sent += 1
-        self.stats.by_type[type(payload).__name__] += 1
-        self.stats.by_link[(source, destination)] += 1
+        self.stats.record_sent(envelope)
         self.trace.append(envelope)
         obs = self._obs
         if obs is not None:
-            obs.message_sent(envelope)
+            obs.message_forwarded(envelope)
         deliver_at = now + self.latency.sample(source, destination)
         envelope.deliver_time = deliver_at
         self._forward(source, destination, payload, now, deliver_at)

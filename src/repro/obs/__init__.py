@@ -2,7 +2,7 @@
 
 The observability layer for every execution backend.  Three collectors
 (see :class:`ObsConfig`): a **span tracer** assembling the runtime's
-life-cycle probes, network messages, admission decisions, and lock
+life-cycle events, network messages, admission decisions, and lock
 events into causally-linked per-``(action, instance)`` spans; a
 **metrics registry** of mergeable counters/gauges/histograms sampled
 into sim-time timelines; and a bounded **flight recorder** ring that
@@ -21,7 +21,8 @@ Two ways to turn it on:
 
 * **Direct** — :func:`observe_system` attaches one observation to an
   already-built system (the explorer does this for its always-on
-  flight recorder).
+  flight recorder).  A system carries one observation: on a system the
+  ambient capture already adopted, the call returns the capture's.
 
 When nothing is captured, the module is a strict no-op: systems carry
 ``observation = None``, every instrumentation site short-circuits on
@@ -78,9 +79,33 @@ def active() -> Optional["Capture"]:
 
 def observe_system(system: "DistributedCASystem",
                    config: Optional[ObsConfig] = None) -> SystemObservation:
-    """Attach a fresh observation to one system (direct enablement)."""
-    observation = SystemObservation(system, config)
-    _attach(system, observation)
+    """The system's one observation, attached now unless it already is.
+
+    An already-observed system keeps its observation (a second one would
+    take over the network and lock sinks while both stayed subscribed to
+    the life-cycle seam) — or this raises, if that observation lacks a
+    collector ``config`` asks for.
+    """
+    config = config or ObsConfig()
+    observation = system.observation
+    if observation is None:
+        observation = system.observation = SystemObservation(system, config)
+        system.subscribe(observation.on_event)
+        system.network._obs = observation
+        locks = getattr(system.transactions, "locks", None)
+        if locks is not None:
+            locks._obs = observation
+        if config.kernel_steps:
+            system.kernel.add_tracer(observation.kernel_step)
+        return observation
+    missing = [name for name in ("spans", "metrics", "flight_recorder",
+                                 "kernel_steps")
+               if getattr(config, name)
+               and not getattr(observation.config, name)]
+    if missing:
+        raise RuntimeError(
+            f"system is already observed without {', '.join(missing)}; "
+            "one system carries one observation")
     return observation
 
 
@@ -95,18 +120,6 @@ def maybe_observe(system: "DistributedCASystem"
     if capture_ is None:
         return None
     return capture_.adopt(system)
-
-
-def _attach(system: "DistributedCASystem",
-            observation: SystemObservation) -> None:
-    system.observation = observation
-    system.add_probe(observation.on_probe)
-    system.network._obs = observation
-    locks = getattr(system.transactions, "locks", None)
-    if locks is not None:
-        locks._obs = observation
-    if observation.config.kernel_steps:
-        system.kernel.add_tracer(observation.kernel_step)
 
 
 class Capture:
@@ -124,8 +137,7 @@ class Capture:
 
     def adopt(self, system: "DistributedCASystem") -> SystemObservation:
         """Observe one more system under this capture's config."""
-        observation = SystemObservation(system, self.config)
-        _attach(system, observation)
+        observation = observe_system(system, self.config)
         self.observations.append(observation)
         return observation
 

@@ -12,10 +12,11 @@ Kinds are dotted ``layer.verb`` strings grouped into four categories:
 ========== =====================================================
 category   kinds
 ========== =====================================================
-action     ``action.entered`` ``action.raised`` ``action.aborting``
-           ``action.resolved`` ``action.signalled``
-           ``action.concluded`` ``action.abortion_completed``
-           ``signal.parked`` ``signal.stale_dropped``
+action     ``action.entered`` ``action.raised`` ``action.suspended``
+           ``action.resolved`` ``action.handling`` ``action.aborting``
+           ``action.abortion_completed`` ``action.signalled``
+           ``action.concluded`` ``signal.parked``
+           ``signal.stale_dropped``
 message    ``message.sent`` ``message.delivered`` ``message.dropped``
 workload   ``job.submitted`` ``job.dispatched`` ``job.completed``
            ``job.dropped`` ``admission.queued`` ``admission.retry``
@@ -25,24 +26,27 @@ objects    ``lock.granted`` ``lock.waiting`` ``lock.deadlock``
 kernel     ``kernel.step`` (opt-in; one record per scheduler step)
 ========== =====================================================
 
-Life-cycle kinds are derived mechanically from the runtime's probe
-names (``system.probe("entered", ...)`` becomes ``action.entered``);
-unknown probe names pass through as ``probe.<name>`` so a future probe
-is recorded rather than lost.
+The action kinds are the runtime's own vocabulary: each protocol point
+of ``runtime/{lifecycle,effects,dispatcher}.py`` reports itself with one
+``DistributedCASystem.emit(kind, thread, action, instance, **data)``, and
+every subscriber of that seam (``RunMetrics``, ``InvariantMonitor``,
+``SystemObservation``) dispatches on the same constant.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-# --- action life-cycle (from ``DistributedCASystem.probes``) ----------
+# --- action life-cycle (from ``DistributedCASystem.emit``) ------------
 ACTION_ENTERED = "action.entered"
 ACTION_RAISED = "action.raised"
-ACTION_ABORTING = "action.aborting"
+ACTION_SUSPENDED = "action.suspended"
 ACTION_RESOLVED = "action.resolved"
+ACTION_HANDLING = "action.handling"
+ACTION_ABORTING = "action.aborting"
+ACTION_ABORTION_COMPLETED = "action.abortion_completed"
 ACTION_SIGNALLED = "action.signalled"
 ACTION_CONCLUDED = "action.concluded"
-ACTION_ABORTION_COMPLETED = "action.abortion_completed"
 SIGNAL_PARKED = "signal.parked"
 SIGNAL_STALE_DROPPED = "signal.stale_dropped"
 
@@ -70,27 +74,13 @@ LOCK_RELEASED = "lock.released"
 # --- scheduler (opt-in, high volume) ----------------------------------
 KERNEL_STEP = "kernel.step"
 
-#: Runtime probe name → event kind.  Probes not listed here are still
-#: recorded, as ``probe.<name>``.
-PROBE_KINDS: Dict[str, str] = {
-    "entered": ACTION_ENTERED,
-    "raised": ACTION_RAISED,
-    "aborting": ACTION_ABORTING,
-    "resolved": ACTION_RESOLVED,
-    "signalled": ACTION_SIGNALLED,
-    "concluded": ACTION_CONCLUDED,
-    "abortion_completed": ACTION_ABORTION_COMPLETED,
-    "signal_parked": SIGNAL_PARKED,
-    "signal_stale_dropped": SIGNAL_STALE_DROPPED,
-}
-
 #: Kind → category, used by the Chrome exporter to pick track and
 #: phase, and by :func:`repro.obs.export.summarize` to group counts.
 CATEGORIES: Dict[str, str] = {}
-for _kind in (ACTION_ENTERED, ACTION_RAISED, ACTION_ABORTING,
-              ACTION_RESOLVED, ACTION_SIGNALLED, ACTION_CONCLUDED,
-              ACTION_ABORTION_COMPLETED, SIGNAL_PARKED,
-              SIGNAL_STALE_DROPPED):
+for _kind in (ACTION_ENTERED, ACTION_RAISED, ACTION_SUSPENDED,
+              ACTION_RESOLVED, ACTION_HANDLING, ACTION_ABORTING,
+              ACTION_ABORTION_COMPLETED, ACTION_SIGNALLED, ACTION_CONCLUDED,
+              SIGNAL_PARKED, SIGNAL_STALE_DROPPED):
     CATEGORIES[_kind] = "action"
 for _kind in (MESSAGE_SENT, MESSAGE_DELIVERED, MESSAGE_DROPPED,
               RPC_FAILURE):
@@ -105,5 +95,5 @@ del _kind
 
 
 def category(kind: str) -> str:
-    """The category of an event kind (``"probe"`` for pass-throughs)."""
-    return CATEGORIES.get(kind, "probe")
+    """The category of an event kind (``"other"`` outside the taxonomy)."""
+    return CATEGORIES.get(kind, "other")

@@ -198,7 +198,7 @@ def chrome_trace(events: List[Dict[str, Any]],
         elif cat == "objects":
             trace.append(_instant(kind, event["t"], track(OBJECTS_TRACK),
                                   args))
-        else:  # workload + unknown probes
+        else:  # workload + kinds outside the taxonomy
             trace.append(_instant(kind, event["t"], track(WORKLOAD_TRACK),
                                   args))
 

@@ -2,13 +2,16 @@
 
 One :class:`SystemObservation` is attached to one
 :class:`~repro.runtime.system.DistributedCASystem` (and its network,
-lock manager, and any workload driver built on top).  The
-instrumentation sites themselves stay trivial — each holds an ``_obs``
-attribute that is ``None`` when observability is off, so the disabled
-cost is a single attribute-is-None check and **no event dict is ever
-allocated**.  When attached, every site calls one method here; this
-class normalizes the payload into a plain event record and fans it out
-to the enabled collectors (event list, metrics registry, flight ring).
+lock manager, and any workload driver built on top).  Action life-cycle
+events arrive through the system's one seam (:meth:`on_event` is
+subscribed to ``system.emit`` beside ``RunMetrics``, so obs sees exactly
+the protocol points the run metrics count).  The per-message / per-lock /
+per-job sites hold an ``_obs`` attribute (or read ``system.observation``)
+that is ``None`` when observability is off, so the disabled cost is a
+single attribute-is-None check and **no event dict is ever allocated**.
+Every sink normalizes its payload into a plain event record and hands it
+to :meth:`_record`, which fans it out to the enabled collectors (event
+list, flight ring, metrics registry).
 
 Nothing in this module schedules kernel events, draws randomness, or
 mutates run results: observation is strictly read-only with respect to
@@ -23,7 +26,6 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from . import events as kinds
 from .config import ObsConfig
-from .events import PROBE_KINDS
 from .metrics import MetricsRegistry
 from .recorder import FlightRecorder
 
@@ -31,9 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.system import DistributedCASystem
     from ..workload.driver import WorkloadDriver
 
+#: Life-cycle kind -> the registry counter it increments (the other
+#: life-cycle kinds are recorded and sampled but not counted).
+_ACTION_COUNTERS: Dict[str, str] = {
+    kinds.ACTION_ENTERED: "actions_entered_total",
+    kinds.ACTION_RAISED: "actions_raised_total",
+    kinds.ACTION_ABORTING: "abortions_total",
+    kinds.ACTION_SIGNALLED: "signals_total",
+    kinds.ACTION_CONCLUDED: "actions_concluded_total",
+}
+
 
 def _plain(value: Any) -> Any:
-    """JSON-friendly form of a probe payload value.
+    """JSON-friendly form of a life-cycle payload value.
 
     ``ActionStatus`` enums become their string value, exception
     descriptors their name; anything else non-primitive falls back to
@@ -88,42 +100,43 @@ class SystemObservation:
         if self.flight is not None:
             self.flight.append(event)
 
-    # ------------------------------------------------------------------
-    # Life-cycle probes (runtime/{lifecycle,dispatcher,effects}.py)
-    # ------------------------------------------------------------------
-    def on_probe(self, name: str, **data: Any) -> None:
-        """Adapter registered on ``system.probes``."""
-        kind = PROBE_KINDS.get(name, None)
-        if kind is None:
-            kind = "probe." + name
-        now = self._kernel.now
-        event: Dict[str, Any] = {"t": now, "kind": kind}
-        for key, value in data.items():
-            event[key] = _plain(value)
+    def _record(self, event: Dict[str, Any], counter: Optional[str],
+                labels: Optional[Dict[str, str]] = None
+                ) -> Optional[MetricsRegistry]:
+        """The tail of every sink: store, count, sample the timelines.
+
+        Returns the metrics registry (``None`` when that collector is
+        off) for the sinks that also feed a histogram.
+        """
         self._emit(event)
         metrics = self.metrics
+        if metrics is not None:
+            if counter is not None:
+                metrics.counter(counter, labels).inc()
+            metrics.timeline.maybe_sample(event["t"])
+        return metrics
+
+    # ------------------------------------------------------------------
+    # Action life-cycle (subscribed to ``DistributedCASystem.emit``)
+    # ------------------------------------------------------------------
+    def on_event(self, kind: str, now: float, thread: str, action: str,
+                 instance: Optional[str], data: Dict[str, Any]) -> None:
+        event: Dict[str, Any] = {"t": now, "kind": kind, "thread": thread,
+                                 "action": action, "instance": instance}
+        for key, value in data.items():
+            event[key] = _plain(value)
+        concluded = kind == kinds.ACTION_CONCLUDED
+        metrics = self._record(
+            event, _ACTION_COUNTERS.get(kind),
+            {"status": event["status"]} if concluded else None)
         if metrics is None:
             return
         if kind == kinds.ACTION_ENTERED:
-            metrics.counter("actions_entered_total").inc()
-            key = (data.get("action"), data.get("instance"),
-                   data.get("thread"))
-            self._open_starts[key] = now
-        elif kind == kinds.ACTION_CONCLUDED:
-            metrics.counter("actions_concluded_total",
-                            {"status": event.get("status", "unknown")}).inc()
-            key = (data.get("action"), data.get("instance"),
-                   data.get("thread"))
-            start = self._open_starts.pop(key, None)
+            self._open_starts[(action, instance, thread)] = now
+        elif concluded:
+            start = self._open_starts.pop((action, instance, thread), None)
             if start is not None:
                 metrics.histogram("span_duration").record(now - start)
-        elif kind == kinds.ACTION_RAISED:
-            metrics.counter("actions_raised_total").inc()
-        elif kind == kinds.ACTION_ABORTING:
-            metrics.counter("abortions_total").inc()
-        elif kind == kinds.ACTION_SIGNALLED:
-            metrics.counter("signals_total").inc()
-        metrics.timeline.maybe_sample(now)
 
     # ------------------------------------------------------------------
     # Messaging (net/network.py)
@@ -131,15 +144,14 @@ class SystemObservation:
     def message_sent(self, envelope: Any) -> None:
         self._message_seq += 1
         seq = self._message_seq
-        self._envelope_seq[id(envelope)] = seq
+        # Keyed by the envelope's own number: ``id()`` values are recycled.
+        self._envelope_seq[envelope.sequence] = seq
         src, dst = envelope.source, envelope.destination
-        self._emit({"t": self._kernel.now, "kind": kinds.MESSAGE_SENT,
-                    "src": src, "dst": dst,
-                    "type": type(envelope.payload).__name__, "seq": seq})
         metrics = self.metrics
+        labels = None
         if metrics is not None:
             link = f"{src}->{dst}"
-            metrics.counter("messages_sent_total", {"link": link}).inc()
+            labels = {"link": link}
             if link not in self._tracked_links:
                 self._tracked_links.add(link)
                 by_link = self.system.network.stats.by_link
@@ -147,38 +159,36 @@ class SystemObservation:
                 metrics.timeline.track(
                     f"messages_sent[{link}]",
                     lambda key=key: by_link.get(key, 0))
-            metrics.timeline.maybe_sample(self._kernel.now)
+        self._record({"t": self._kernel.now, "kind": kinds.MESSAGE_SENT,
+                      "src": src, "dst": dst,
+                      "type": type(envelope.payload).__name__, "seq": seq},
+                     "messages_sent_total", labels)
+
+    def message_forwarded(self, envelope: Any) -> None:
+        """A send that leaves the process: no local delivery will pop it."""
+        self.message_sent(envelope)
+        del self._envelope_seq[envelope.sequence]
 
     def message_delivered(self, envelope: Any) -> None:
-        seq = self._envelope_seq.pop(id(envelope), 0)
-        self._emit({"t": self._kernel.now, "kind": kinds.MESSAGE_DELIVERED,
-                    "src": envelope.source, "dst": envelope.destination,
-                    "type": type(envelope.payload).__name__, "seq": seq})
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("messages_delivered_total").inc()
-            metrics.timeline.maybe_sample(self._kernel.now)
+        self._record({"t": self._kernel.now, "kind": kinds.MESSAGE_DELIVERED,
+                      "src": envelope.source, "dst": envelope.destination,
+                      "type": type(envelope.payload).__name__,
+                      "seq": self._envelope_seq.pop(envelope.sequence, 0)},
+                     "messages_delivered_total")
+
+    def message_dropped(self, envelope: Any, reason: str) -> None:
+        self._record({"t": self._kernel.now, "kind": kinds.MESSAGE_DROPPED,
+                      "src": envelope.source, "dst": envelope.destination,
+                      "type": type(envelope.payload).__name__,
+                      "seq": self._envelope_seq.pop(envelope.sequence, 0),
+                      "reason": reason},
+                     "messages_dropped_total", {"reason": reason})
 
     def rpc_failure(self, node: str, procedure: str, error: str) -> None:
         """A one-way RPC handler raised (there is no reply to carry it)."""
-        self._emit({"t": self._kernel.now, "kind": kinds.RPC_FAILURE,
-                    "node": node, "procedure": procedure, "error": error})
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("rpc_failures_total",
-                            {"procedure": procedure}).inc()
-
-    def message_dropped(self, envelope: Any, reason: str) -> None:
-        seq = self._envelope_seq.pop(id(envelope), 0)
-        self._emit({"t": self._kernel.now, "kind": kinds.MESSAGE_DROPPED,
-                    "src": envelope.source, "dst": envelope.destination,
-                    "type": type(envelope.payload).__name__, "seq": seq,
-                    "reason": reason})
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("messages_dropped_total",
-                            {"reason": reason}).inc()
-            metrics.timeline.maybe_sample(self._kernel.now)
+        self._record({"t": self._kernel.now, "kind": kinds.RPC_FAILURE,
+                      "node": node, "procedure": procedure, "error": error},
+                     "rpc_failures_total", {"procedure": procedure})
 
     # ------------------------------------------------------------------
     # Workload admission + jobs (workload/driver.py)
@@ -192,41 +202,15 @@ class SystemObservation:
         metrics.timeline.track("in_flight", lambda: admission.in_flight)
         metrics.timeline.track("queue_depth", lambda: len(admission.queue))
 
-    def _job_event(self, kind: str, job: Any, **extra: Any) -> None:
+    def job_event(self, kind: str, job: Any, **extra: Any) -> None:
+        """One ``job.*`` / ``admission.*`` event of the workload driver."""
         event: Dict[str, Any] = {"t": self._kernel.now, "kind": kind,
                                  "instance": job.instance,
                                  "action": job.action}
         event.update(extra)
-        self._emit(event)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter(kind.replace(".", "_") + "_total").inc()
-            metrics.timeline.maybe_sample(self._kernel.now)
-
-    def job_submitted(self, job: Any) -> None:
-        self._job_event(kinds.JOB_SUBMITTED, job)
-
-    def job_dispatched(self, job: Any, in_flight: int) -> None:
-        self._job_event(kinds.JOB_DISPATCHED, job, in_flight=in_flight)
-
-    def job_completed(self, job: Any, status: str, latency: float) -> None:
-        self._job_event(kinds.JOB_COMPLETED, job, status=status,
-                        latency=latency)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.histogram("job_latency").record(latency)
-
-    def job_dropped(self, job: Any) -> None:
-        self._job_event(kinds.JOB_DROPPED, job)
-
-    def admission_queued(self, job: Any, depth: int) -> None:
-        self._job_event(kinds.ADMISSION_QUEUED, job, queue_depth=depth)
-
-    def admission_retry(self, job: Any) -> None:
-        self._job_event(kinds.ADMISSION_RETRY, job, attempts=job.attempts)
-
-    def admission_dropped(self, job: Any) -> None:
-        self._job_event(kinds.ADMISSION_DROPPED, job)
+        metrics = self._record(event, kind.replace(".", "_") + "_total")
+        if metrics is not None and kind == kinds.JOB_COMPLETED:
+            metrics.histogram("job_latency").record(extra["latency"])
 
     # ------------------------------------------------------------------
     # Shared objects (objects/locks.py)
@@ -240,11 +224,7 @@ class SystemObservation:
         if mode is not None:
             event["mode"] = mode
         event.update(extra)
-        self._emit(event)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter(kind.replace(".", "_") + "_total").inc()
-            metrics.timeline.maybe_sample(self._kernel.now)
+        self._record(event, kind.replace(".", "_") + "_total")
 
     # ------------------------------------------------------------------
     # Scheduler steps (simkernel/kernel.py, opt-in)

@@ -19,16 +19,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from . import events as kinds
 
-#: Life-cycle kinds recorded as markers inside an open span.
-MARKER_KINDS = frozenset({
-    kinds.ACTION_RAISED,
-    kinds.ACTION_ABORTING,
-    kinds.ACTION_RESOLVED,
-    kinds.ACTION_SIGNALLED,
-    kinds.ACTION_ABORTION_COMPLETED,
-    kinds.SIGNAL_PARKED,
-    kinds.SIGNAL_STALE_DROPPED,
-})
+#: Life-cycle kinds recorded as markers inside an open span: every
+#: action kind but the two that open and close it.
+MARKER_KINDS = frozenset(
+    kind for kind, category in kinds.CATEGORIES.items()
+    if category == "action") - {kinds.ACTION_ENTERED, kinds.ACTION_CONCLUDED}
 
 SpanKey = Tuple[str, Optional[str], str]
 

@@ -25,6 +25,7 @@ from ..core.messages import (
     ProtocolMessage,
     ToBeSignalledMessage,
 )
+from ..obs import events as kinds
 from ..simkernel.channels import Mailbox
 from ..simkernel.events import Event
 
@@ -272,19 +273,14 @@ class Dispatcher:
                     message.instance in partition.coordinator.finished_instances:
                 # The instance already ended here; parking the proposal
                 # would keep it (and its key) forever.
-                partition.log.append(
-                    f"dropped stale toBeSignalled for {message.instance}")
-                if partition.system.probes:
-                    partition.system.probe(
-                        "signal_stale_dropped", thread=partition.name,
-                        action=message.action, instance=message.instance)
+                partition.system.emit(kinds.SIGNAL_STALE_DROPPED,
+                                      partition.name, message.action,
+                                      message.instance)
                 return None
             self._touch_scope(key)
             self._pending_signals[key].append(message)
-            if partition.system.probes:
-                partition.system.probe(
-                    "signal_parked", thread=partition.name,
-                    action=message.action, instance=message.instance)
+            partition.system.emit(kinds.SIGNAL_PARKED, partition.name,
+                                  message.action, message.instance)
             return None
         effects = frame.signal_coordinator.receive(message)
         return partition.interpreter.interpret(effects) if effects else None

@@ -20,6 +20,7 @@ from ..core import effects as fx
 from ..core.exceptions import ActionAborted, ExceptionDescriptor
 from ..core.signalling import PerformUndo, SignalOutcome
 from ..objects.transaction import TransactionStatus
+from ..obs import events as kinds
 from .frames import PendingAbort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,19 +96,14 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
             return
         frame.exception_mode = True
         frame.resolved = effect.exception
-        # Probed per *delivery*, not per conclusion, so a duplicated or
+        # Emitted per *delivery*, not per conclusion, so a duplicated or
         # divergent Commit shows up in the agreement oracle even when the
-        # life-cycle only consumes one resolution.
-        if partition.system.probes:
-            partition.system.probe("resolved", thread=partition.name,
-                                   action=frame.action,
-                                   instance=frame.instance_key,
-                                   exception=effect.exception,
-                                   resolver=effect.resolver)
-        if effect.resolver == partition.name:
-            partition.system.metrics.record_resolution(
-                partition.name, effect.action, effect.exception.name,
-                partition.kernel.now)
+        # life-cycle only consumes one resolution (the run metrics count
+        # the resolver's own delivery only).
+        partition.system.emit(kinds.ACTION_RESOLVED, partition.name,
+                              frame.action, frame.instance_key,
+                              exception=effect.exception,
+                              resolver=effect.resolver)
         if frame.resolution_event is not None and \
                 not frame.resolution_event.triggered:
             frame.resolution_event.succeed(effect.exception)
@@ -148,8 +144,9 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
         frame = partition.find_frame(action)
         if frame is not None:
             frame.exception_mode = True
-        partition.system.metrics.record_suspension(partition.name, action,
-                                                   partition.kernel.now)
+        partition.system.emit(
+            kinds.ACTION_SUSPENDED, partition.name, action,
+            frame.instance_key if frame is not None else None)
         process = partition.thread_process
         if process is None or not process.is_alive:
             return

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple, TYPE_CHECKING
 
-from ..analysis.metrics import ActionOutcome
 from ..core.action import CAActionDefinition
 from ..core.exceptions import (
     ExceptionDescriptor,
@@ -28,6 +27,7 @@ from ..core.messages import EnterActionMessage, ExitReadyMessage
 from ..core.signalling import SignalCoordinator
 from ..core.state import ActionContext, min_thread
 from ..objects.transaction import TransactionStatus
+from ..obs import events as kinds
 from ..simkernel.events import Interrupt
 from .context import RoleContext
 from .frames import AbortedByEnclosing, ActionFrame
@@ -123,9 +123,7 @@ class ActionLifecycle:
             resolution_event=partition.kernel.event(),
         )
         partition.frames.push(frame)
-        if system.probes:
-            system.probe("entered", thread=partition.name, action=action,
-                         instance=instance_key)
+        system.emit(kinds.ACTION_ENTERED, partition.name, action, instance_key)
         try:
             effects = partition.coordinator.enter_action(context)
             if effects:
@@ -216,11 +214,9 @@ class ActionLifecycle:
         finally:
             partition.frames.remove(frame)
         report.finished_at = partition.kernel.now
-        system.metrics.record_outcome(self._to_outcome(report))
-        if system.probes:
-            system.probe("concluded", thread=partition.name, action=action,
-                         instance=instance_key, status=report.status,
-                         resolved=report.resolved, signalled=report.signalled)
+        system.emit(kinds.ACTION_CONCLUDED, partition.name, action,
+                    instance_key, status=report.status,
+                    resolved=report.resolved, signalled=report.signalled)
         return report
 
     # ------------------------------------------------------------------
@@ -297,14 +293,9 @@ class ActionLifecycle:
         """
         partition = self.partition
         frame.exception_mode = True
-        partition.system.metrics.record_raise(partition.name, frame.action,
-                                              exception.name,
-                                              partition.kernel.now)
-        if partition.system.probes:
-            partition.system.probe("raised", thread=partition.name,
-                                   action=frame.action,
-                                   instance=frame.instance_key,
-                                   exception=exception)
+        partition.system.emit(kinds.ACTION_RAISED, partition.name,
+                              frame.action, frame.instance_key,
+                              exception=exception)
         effects = partition.coordinator.raise_exception(exception)
         return partition.interpreter.interpret(effects)
 
@@ -336,9 +327,9 @@ class ActionLifecycle:
                      role_context, resolved: ExceptionDescriptor):
         partition = self.partition
         partition.status = "handling"
-        partition.system.metrics.record_handler(partition.name, frame.action,
-                                                resolved.name,
-                                                partition.kernel.now)
+        partition.system.emit(kinds.ACTION_HANDLING, partition.name,
+                              frame.action, frame.instance_key,
+                              exception=resolved)
         handler = role_definition.handlers.lookup(resolved)
         try:
             if handler is None:
@@ -370,12 +361,8 @@ class ActionLifecycle:
         partition = self.partition
         assert partition.pending_abort is not None
         partition.status = "aborting"
-        partition.system.metrics.record_abortion(partition.name, frame.action,
-                                                 partition.kernel.now)
-        if partition.system.probes:
-            partition.system.probe("aborting", thread=partition.name,
-                                   action=frame.action,
-                                   instance=frame.instance_key)
+        partition.system.emit(kinds.ACTION_ABORTING, partition.name,
+                              frame.action, frame.instance_key)
         if partition.config.abort_time > 0:
             yield partition.kernel.timeout(partition.config.abort_time)
 
@@ -400,12 +387,9 @@ class ActionLifecycle:
         if is_outermost:
             resume = partition.pending_abort.resume_action
             partition.pending_abort = None
-            if partition.system.probes:
-                partition.system.probe(
-                    "abortion_completed",
-                    thread=partition.name, action=frame.action,
-                    instance=frame.instance_key,
-                    resume_action=resume, signalled=signalled)
+            partition.system.emit(
+                kinds.ACTION_ABORTION_COMPLETED, partition.name, frame.action,
+                frame.instance_key, resume_action=resume, signalled=signalled)
             # Only the exception of the outermost aborted action's handler is
             # allowed to be raised in the containing action.
             effects = partition.coordinator.abortion_completed(resume, signalled)
@@ -475,14 +459,9 @@ class ActionLifecycle:
             self._commit_if_designated(frame)
             status = ActionStatus.SIGNALLED
         if decided != NO_EXCEPTION:
-            partition.system.metrics.record_signal(partition.name, frame.action,
-                                                   decided.name,
-                                                   partition.kernel.now)
-            if partition.system.probes:
-                partition.system.probe("signalled", thread=partition.name,
-                                       action=frame.action,
-                                       instance=frame.instance_key,
-                                       exception=decided)
+            partition.system.emit(kinds.ACTION_SIGNALLED, partition.name,
+                                  frame.action, frame.instance_key,
+                                  exception=decided)
         partition.coordinator.leave_action(frame.action,
                                            success=(decided == NO_EXCEPTION))
         return ActionReport(frame.action, frame.role, partition.name, status,
@@ -502,13 +481,3 @@ class ActionLifecycle:
     def _ensure_rolled_back(self, frame: ActionFrame) -> None:
         if frame.transaction.status is TransactionStatus.ACTIVE:
             frame.transaction.abort()
-
-    def _to_outcome(self, report: ActionReport):
-        return ActionOutcome(
-            action=report.action,
-            outcome=report.status.value,
-            signalled=(report.signalled.name
-                       if report.signalled != NO_EXCEPTION else None),
-            started_at=report.started_at,
-            finished_at=report.finished_at,
-        )

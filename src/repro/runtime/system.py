@@ -7,6 +7,13 @@ typical use (see ``examples/quickstart.py``) is:
 2. register atomic objects, action definitions and role→thread bindings;
 3. spawn one program per thread;
 4. ``run()`` and inspect the returned reports / collected metrics.
+
+The system owns the runtime's one **life-cycle event seam**: every
+protocol point a participant passes is reported by exactly one
+:meth:`DistributedCASystem.emit` call naming an action/signal kind of
+:mod:`repro.obs.events`.  ``system.metrics`` is subscribed from
+construction; the explorer's ``InvariantMonitor`` and an attached
+``repro.obs`` observation join through :meth:`~DistributedCASystem.subscribe`.
 """
 
 from __future__ import annotations
@@ -100,10 +107,9 @@ class DistributedCASystem:
         #: cache never outlives the binding it was derived from.
         self._resolved_bindings: Dict[str, Dict[str, tuple]] = {}
         self._programs: List = []
-        #: Observers of life-cycle events, called as ``probe(event, **data)``.
-        #: The fault-space explorer's InvariantMonitor registers here; the
-        #: list is empty (and the notifications free) in normal runs.
-        self.probes: List[Callable[..., None]] = []
+        #: Subscribers of the life-cycle seam (see :meth:`emit`), each
+        #: called as ``(kind, now, thread, action, instance, data)``.
+        self.subscribers: List[Callable[..., None]] = [self.metrics.on_event]
         #: The attached :class:`~repro.obs.observation.SystemObservation`,
         #: or ``None`` (the default — observability off).  Set either by an
         #: ambient ``obs.capture()`` scope via the adoption call below, or
@@ -118,16 +124,23 @@ class DistributedCASystem:
         obs.maybe_observe(self)
 
     # ------------------------------------------------------------------
-    # Life-cycle probes (used by the fault-space explorer)
+    # The life-cycle event seam
     # ------------------------------------------------------------------
-    def add_probe(self, callback: Callable[..., None]) -> None:
-        """Register a life-cycle observer (see :attr:`probes`)."""
-        self.probes.append(callback)
+    def subscribe(self, callback: Callable[..., None]) -> None:
+        """Register a life-cycle subscriber (see :attr:`subscribers`)."""
+        self.subscribers.append(callback)
 
-    def probe(self, event: str, **data) -> None:
-        """Notify every registered observer of one life-cycle event."""
-        for callback in self.probes:
-            callback(event, **data)
+    def emit(self, kind: str, thread: str, action: str,
+             instance: Optional[str], **data) -> None:
+        """Report one protocol point of ``thread`` in ``action``/``instance``.
+
+        ``kind`` is an action/signal constant of :mod:`repro.obs.events`;
+        ``data`` carries its fields as live objects (exception descriptors,
+        status enums) for each subscriber to render as it needs.
+        """
+        now = self.kernel._now
+        for subscriber in self.subscribers:
+            subscriber(kind, now, thread, action, instance, data)
 
     # ------------------------------------------------------------------
     # Static structure

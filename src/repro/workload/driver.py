@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.histograms import LatencyHistogram
 from ..core.state import thread_order_key
+from ..obs import events as kinds
 from ..runtime.system import DistributedCASystem, SystemConfigurationError
 from ..simkernel.channels import Mailbox
 from ..simkernel.events import Event
@@ -141,11 +142,11 @@ class WorkloadDriver:
         self.seed = int(seed)
         self.release_instances = release_instances
         self.mix = ActionMix()
-        #: The system's observation sink (``repro.obs``), or ``None`` when
-        #: observability is off — every emission below is behind one check.
-        self._obs = system.observation
-        if self._obs is not None:
-            self._obs.register_driver(self)
+        # Emissions read ``system.observation`` (``None`` = observability
+        # off) when they happen, so attach order does not matter to them;
+        # only the timeline gauges need an observation attached by now.
+        if system.observation is not None:
+            system.observation.register_driver(self)
 
         pool_names = list(pool) if pool is not None \
             else sorted(system.partitions, key=thread_order_key)
@@ -230,30 +231,32 @@ class WorkloadDriver:
         self.jobs.append(job)
         self._by_instance[job.instance] = job
         self._outstanding += 1
-        if self._obs is not None:
-            self._obs.job_submitted(job)
+        if self.system.observation is not None:
+            self.system.observation.job_event(kinds.JOB_SUBMITTED, job)
         self._offer(job)
         return job
 
     def _offer(self, job: Job) -> None:
         decision = self.admission.offer(
             job, placeable=len(self._free) >= job.width)
-        obs = self._obs
+        obs = self.system.observation
         if decision == DISPATCH:
             self._dispatch(job)
         elif decision == RETRY:
             if obs is not None:
-                obs.admission_retry(job)
+                obs.job_event(kinds.ADMISSION_RETRY, job,
+                              attempts=job.attempts)
             retry = self.kernel.timeout(self.admission.retry_delay)
             retry.callbacks.append(lambda _event, j=job: self._offer(j))
         elif decision == DROP:
             if obs is not None:
-                obs.admission_dropped(job)
+                obs.job_event(kinds.ADMISSION_DROPPED, job)
             self._finalize_drop(job)
         else:
             assert decision == QUEUE  # parked inside the controller
             if obs is not None:
-                obs.admission_queued(job, len(self.admission.queue))
+                obs.job_event(kinds.ADMISSION_QUEUED, job,
+                              queue_depth=len(self.admission.queue))
 
     def _dispatch(self, job: Job) -> None:
         workers = self._free[:job.width]
@@ -265,8 +268,9 @@ class WorkloadDriver:
         job.pending_roles = job.width
         self._note_concurrency(+1)
         self.admission.job_dispatched(job)
-        if self._obs is not None:
-            self._obs.job_dispatched(job, self.admission.in_flight)
+        if self.system.observation is not None:
+            self.system.observation.job_event(
+                kinds.JOB_DISPATCHED, job, in_flight=self.admission.in_flight)
         for role, worker in binding.items():
             self._inboxes[worker].deliver((job, role))
 
@@ -319,8 +323,10 @@ class WorkloadDriver:
         for worker in job.workers:
             insort(self._free, worker, key=thread_order_key)
         self.admission.job_finished(job)
-        if self._obs is not None:
-            self._obs.job_completed(job, "completed", job.latency or 0.0)
+        if self.system.observation is not None:
+            self.system.observation.job_event(
+                kinds.JOB_COMPLETED, job, status="completed",
+                latency=job.latency or 0.0)
         if self.release_instances:
             self.system.release_instance(job.instance)
         # The instance lookup is only needed between dispatch and the last
@@ -334,8 +340,8 @@ class WorkloadDriver:
     def _finalize_drop(self, job: Job) -> None:
         job.outcome = "dropped"
         job.completed_at = self.kernel.now
-        if self._obs is not None:
-            self._obs.job_dropped(job)
+        if self.system.observation is not None:
+            self.system.observation.job_event(kinds.JOB_DROPPED, job)
         del self._by_instance[job.instance]
         job.completion.succeed(job)
         self._job_settled()

@@ -19,6 +19,8 @@ from repro.analysis import (
     signalling_messages_worst_case,
     theorem2_worst_case_messages,
 )
+from repro.obs import events as kinds
+from tests.conftest import feed, feed_outcome
 
 
 class TestFormulas:
@@ -103,25 +105,54 @@ class TestLemma1:
 class TestRunMetrics:
     def test_counters_accumulate(self):
         metrics = RunMetrics()
-        metrics.record_raise("T1", "A", "fault", 1.0)
-        metrics.record_suspension("T2", "A", 1.1)
-        metrics.record_resolution("T3", "A", "fault", 1.5)
-        metrics.record_handler("T1", "A", "fault", 1.6)
-        metrics.record_abortion("T2", "B", 1.7)
-        metrics.record_signal("T1", "A", "eps", 2.0)
+        feed(metrics.on_event, kinds.ACTION_RAISED, "T1", "A", 1.0, "fault")
+        feed(metrics.on_event, kinds.ACTION_SUSPENDED, "T2", "A", 1.1)
+        feed(metrics.on_event, kinds.ACTION_RESOLVED, "T3", "A", 1.5, "fault")
+        feed(metrics.on_event, kinds.ACTION_HANDLING, "T1", "A", 1.6, "fault")
+        feed(metrics.on_event, kinds.ACTION_ABORTING, "T2", "B", 1.7)
+        feed(metrics.on_event, kinds.ACTION_SIGNALLED, "T1", "A", 2.0, "eps")
         assert metrics.exceptions_raised == 1
+        assert metrics.exceptions_by_name == {"fault": 1}
         assert metrics.suspensions == 1
         assert metrics.resolutions == 1
+        assert metrics.resolved_by_name == {"fault": 1}
         assert metrics.handlers_invoked == 1
         assert metrics.abortions == 1
         assert metrics.signalled == {"eps": 1}
-        assert len(metrics.events) == 6
+
+    def test_a_resolution_counts_once_however_many_threads_it_reaches(self):
+        # ``action.resolved`` is emitted per delivery; only the resolver's
+        # own delivery is a resolution.
+        metrics = RunMetrics()
+        for thread in ("T1", "T2", "T3"):
+            feed(metrics.on_event, kinds.ACTION_RESOLVED, thread, "A", 1.5,
+                 "fault", resolver="T3")
+        assert metrics.resolutions == 1
+        assert metrics.resolved_by_name == {"fault": 1}
+
+    def test_kinds_without_a_counter_are_ignored(self):
+        metrics = RunMetrics()
+        feed(metrics.on_event, kinds.SIGNAL_PARKED, "T1", "A", 1.0)
+        feed(metrics.on_event, kinds.ACTION_ABORTION_COMPLETED, "T1", "A",
+             1.0, resume_action="Outer", signalled=None)
+        assert metrics.snapshot() == RunMetrics().snapshot()
+
+    def test_keep_details_off_counts_but_keeps_no_outcomes(self):
+        metrics = RunMetrics()
+        metrics.keep_details = False
+        feed(metrics.on_event, kinds.ACTION_RAISED, "T1", "A", 1.0, "fault")
+        feed_outcome(metrics.on_event, "A", "recovered", None, 0.0, 2.0)
+        assert metrics.exceptions_raised == 1
+        assert metrics.action_outcomes == []
+        assert not metrics._entered_at
 
     def test_outcomes_and_summary(self):
         metrics = RunMetrics()
-        metrics.record_outcome(ActionOutcome("A", "success", None, 0.0, 2.0))
-        metrics.record_outcome(ActionOutcome("A", "recovered", None, 2.0, 5.0))
-        metrics.record_outcome(ActionOutcome("B", "failed", "failure", 0.0, 1.0))
+        feed_outcome(metrics.on_event, "A", "success", None, 0.0, 2.0)
+        feed_outcome(metrics.on_event, "A", "recovered", None, 2.0, 5.0)
+        feed_outcome(metrics.on_event, "B", "failed", "failure", 0.0, 1.0)
+        assert metrics.action_outcomes[2] == ActionOutcome(
+            "B", "failed", "failure", 0.0, 1.0)
         assert len(metrics.outcomes_for("A")) == 2
         assert metrics.outcomes_for("A")[1].duration == 3.0
         summary = metrics.summary()
@@ -183,12 +214,12 @@ class TestRunMetricsSummaryEdgeCases:
     def test_summary_with_mixed_outcome_kinds(self):
         metrics = RunMetrics()
         for outcome in ("success", "recovered", "undone", "failed",
-                        "signalled", "aborted_by_enclosing", "success"):
-            metrics.record_outcome(ActionOutcome("A", outcome))
+                        "signalled", "aborted", "success"):
+            feed_outcome(metrics.on_event, "A", outcome)
         summary = metrics.summary()
         assert summary["outcomes"] == {
             "success": 2, "recovered": 1, "undone": 1, "failed": 1,
-            "signalled": 1, "aborted_by_enclosing": 1,
+            "signalled": 1, "aborted": 1,
         }
 
     def test_outcomes_for_unknown_action_is_empty(self):
@@ -201,13 +232,13 @@ class TestRunMetricsSnapshot:
     @staticmethod
     def populated():
         metrics = RunMetrics()
-        metrics.record_raise("T1", "A", "fault", 1.0)
-        metrics.record_resolution("T2", "A", "fault", 1.5)
-        metrics.record_handler("T1", "A", "fault", 1.6)
-        metrics.record_abortion("T2", "B", 1.7)
-        metrics.record_suspension("T3", "A", 1.8)
-        metrics.record_signal("T1", "A", "eps", 2.0)
-        metrics.record_outcome(ActionOutcome("A", "recovered", None, 0.0, 2.5))
+        feed(metrics.on_event, kinds.ACTION_RAISED, "T1", "A", 1.0, "fault")
+        feed(metrics.on_event, kinds.ACTION_RESOLVED, "T2", "A", 1.5, "fault")
+        feed(metrics.on_event, kinds.ACTION_HANDLING, "T1", "A", 1.6, "fault")
+        feed(metrics.on_event, kinds.ACTION_ABORTING, "T2", "B", 1.7)
+        feed(metrics.on_event, kinds.ACTION_SUSPENDED, "T3", "A", 1.8)
+        feed(metrics.on_event, kinds.ACTION_SIGNALLED, "T1", "A", 2.0, "eps")
+        feed_outcome(metrics.on_event, "A", "recovered", None, 0.0, 2.5)
         return metrics
 
     def test_snapshot_is_json_serializable(self):
@@ -230,7 +261,7 @@ class TestRunMetricsSnapshot:
     def test_merge_aggregates_per_shard_metrics(self):
         shard_a = self.populated()
         shard_b = self.populated()
-        shard_b.record_raise("T9", "C", "other", 9.0)
+        feed(shard_b.on_event, kinds.ACTION_RAISED, "T9", "C", 9.0, "other")
         union = RunMetrics()
         union.merge(shard_a.snapshot())
         union.merge(shard_b.snapshot())
@@ -240,7 +271,6 @@ class TestRunMetricsSnapshot:
         assert union.abortions == 2
         assert union.signalled == {"eps": 2}
         assert len(union.action_outcomes) == 2
-        assert len(union.events) == len(shard_a.events) + len(shard_b.events)
 
     def test_merge_accepts_live_outcome_objects(self):
         metrics = RunMetrics()

@@ -13,9 +13,8 @@ tests of exactly that contract, for every mergeable telemetry type:
   equals ``a + (b + c)``.
 
 Integer counters must match exactly; floating-point sums only to
-``pytest.approx`` (addition order differs between groupings); event and
-outcome lists as multisets (concatenation order differs between fold
-orders).
+``pytest.approx`` (addition order differs between groupings); outcome
+lists as multisets (concatenation order differs between fold orders).
 """
 
 import random
@@ -25,7 +24,9 @@ import pytest
 from repro.analysis.histograms import LatencyHistogram
 from repro.analysis.metrics import ActionOutcome, RunMetrics
 from repro.net.network import MessageStatistics
+from repro.obs import events as kinds
 from repro.workload.admission import AdmissionStats
+from tests.conftest import feed, feed_outcome
 
 SEEDS = (7, 2026, 90125)
 SHARD_COUNTS = (1, 2, 3, 5)
@@ -108,44 +109,40 @@ EXCEPTIONS = ("EDiskFull", "ETimeout", "EBadInput")
 ACTIONS = ("Serve", "Transfer")
 
 
+#: The counted life-cycle kinds, and whether each carries an exception.
+COUNTED_KINDS = ((kinds.ACTION_RAISED, True), (kinds.ACTION_SUSPENDED, False),
+                 (kinds.ACTION_RESOLVED, True), (kinds.ACTION_HANDLING, True),
+                 (kinds.ACTION_ABORTING, False), (kinds.ACTION_SIGNALLED, True))
+
+
 def random_metrics_events(rng, n_events):
-    """A list of (method-name, args) records to replay into RunMetrics."""
+    """A list of ``feed`` argument tuples to replay into RunMetrics."""
     events = []
     for index in range(n_events):
-        kind = rng.randrange(6)
+        kind, has_exception = COUNTED_KINDS[rng.randrange(6)]
         exception = rng.choice(EXCEPTIONS)
         action = rng.choice(ACTIONS)
         thread = f"W{rng.randrange(8):03d}"
         now = round(rng.uniform(0.0, 100.0), 3)
-        if kind == 0:
-            events.append(("record_raise", (thread, action, exception, now)))
-        elif kind == 1:
-            events.append(("record_suspension", (thread, action, now)))
-        elif kind == 2:
-            events.append(("record_resolution",
-                           (thread, action, exception, now)))
-        elif kind == 3:
-            events.append(("record_handler", (thread, action, exception, now)))
-        elif kind == 4:
-            events.append(("record_abortion", (thread, action, now)))
-        else:
-            events.append(("record_signal", (thread, action, exception, now)))
+        events.append((kind, thread, action, now,
+                       exception if has_exception else None))
     return events
 
 
 def metrics_of(events, outcomes=()):
     metrics = RunMetrics()
-    for method, args in events:
-        getattr(metrics, method)(*args)
+    for event in events:
+        feed(metrics.on_event, *event)
     for outcome in outcomes:
-        metrics.record_outcome(outcome)
+        feed_outcome(metrics.on_event, outcome.action, outcome.outcome,
+                     outcome.signalled, outcome.started_at,
+                     outcome.finished_at)
     return metrics
 
 
 def canonical(metrics):
     """Snapshot with order-insensitive lists (merge concatenates)."""
     snapshot = metrics.snapshot()
-    snapshot["events"] = sorted(snapshot["events"])
     snapshot["action_outcomes"] = sorted(
         snapshot["action_outcomes"],
         key=lambda o: sorted(o.items(), key=lambda kv: (kv[0], repr(kv[1]))))

@@ -18,8 +18,11 @@ from repro.core import (
 from repro.core.effects import HandleResolved, SendTo
 from repro.core.exception_graph import generate_full_graph
 from repro.core.resolution import CoordinatorBase, ResolutionCoordinator
+from repro.core.exceptions import NO_EXCEPTION
 from repro.net import ConstantLatency
+from repro.obs import events as kinds
 from repro.runtime import DistributedCASystem, RuntimeConfig
+from repro.runtime.report import ActionStatus
 from repro.simkernel import Kernel
 
 
@@ -120,3 +123,27 @@ def run_single_action(system: DistributedCASystem,
     for role, thread in binding.items():
         system.spawn(thread, make_program(role))
     return system.run_to_completion()
+
+
+# ----------------------------------------------------------------------
+# Feeding a life-cycle subscriber directly (what ``system.emit`` does)
+# ----------------------------------------------------------------------
+def feed(subscriber, kind: str, thread: str, action: str, now: float,
+         exception: Optional[str] = None, instance: str = "i",
+         **data) -> None:
+    """Deliver one life-cycle notification to ``subscriber``."""
+    if exception is not None:
+        data["exception"] = internal(exception)
+    if kind == kinds.ACTION_RESOLVED:
+        data.setdefault("resolver", thread)
+    subscriber(kind, now, thread, action, instance, data)
+
+
+def feed_outcome(subscriber, action: str, status: str,
+                 signalled: Optional[str] = None, started_at: float = 0.0,
+                 finished_at: float = 0.0, thread: str = "T1") -> None:
+    """One participation: ``entered`` at its start, ``concluded`` at its end."""
+    feed(subscriber, kinds.ACTION_ENTERED, thread, action, started_at)
+    feed(subscriber, kinds.ACTION_CONCLUDED, thread, action, finished_at,
+         status=ActionStatus(status), resolved=None,
+         signalled=internal(signalled) if signalled else NO_EXCEPTION)

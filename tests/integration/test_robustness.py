@@ -122,8 +122,8 @@ class TestDeterminism:
             run_single_action(system, action, binding)
             return (system.now,
                     system.network.stats.sent,
-                    tuple(sorted(system.metrics.resolved_by_name.items())),
-                    tuple(system.metrics.events))
+                    system.metrics.counters(),
+                    system.metrics.action_outcomes)
 
         assert run_once() == run_once()
 

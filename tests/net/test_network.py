@@ -204,7 +204,7 @@ class TestFaults:
         kernel, network, a, b = make_network(faults=faults)
         a.send("B", "data")
         kernel.run()
-        assert b.received[0].corrupted
+        assert network.trace[0].corrupted
         assert faults.stats.corrupted == 1
 
     def test_probabilistic_drop_all(self):

@@ -264,15 +264,12 @@ class TestPartitionInterpreter:
         # must be recorded only after the trailing ChargeTime let virtual
         # time pass — i.e. at t=0.5, not at t=0.
         seen = []
-        original = system.metrics.record_suspension
-        system.metrics.record_suspension = \
-            lambda thread, action, now: seen.append(now)
-        try:
-            run_effects(partition, [fx.InterruptRole("A", FAULT),
-                                    fx.ChargeTime("resolution")])
-        finally:
-            system.metrics.record_suspension = original
-        assert seen == [pytest.approx(0.5)]
+        system.subscribe(
+            lambda kind, now, thread, action, instance, data:
+            seen.append((kind, now)))
+        run_effects(partition, [fx.InterruptRole("A", FAULT),
+                                fx.ChargeTime("resolution")])
+        assert seen == [("action.suspended", pytest.approx(0.5))]
 
     def test_handle_resolved_for_unknown_frame_is_logged(self, partition):
         run_effects(partition,
