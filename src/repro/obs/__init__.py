@@ -1,12 +1,14 @@
 """``repro.obs`` — spans, metrics timelines, and flight recording.
 
-The observability layer for every execution backend.  Three collectors
-(see :class:`ObsConfig`): a **span tracer** assembling the runtime's
-life-cycle events, network messages, admission decisions, and lock
+The observability layer for every execution backend.  Each observed
+system keeps one record log — a tuple per life-cycle event, network
+message, admission decision and lock transition — and three collectors
+read it (see :class:`ObsConfig`): a **span tracer** assembling the
 events into causally-linked per-``(action, instance)`` spans; a
-**metrics registry** of mergeable counters/gauges/histograms sampled
-into sim-time timelines; and a bounded **flight recorder** ring that
-gives every failure its last-N-events timeline.
+**metrics registry** of mergeable counters/gauges/histograms and
+sim-time timelines; and a **flight recorder** that gives every failure
+its last-N-events timeline.  Recording costs one tuple append per event;
+event dicts, spans, metrics and dumps are built when read.
 
 Two ways to turn it on:
 
@@ -43,8 +45,8 @@ from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
 from .config import ObsConfig
 from .export import (chrome_trace, diff_summaries, read_jsonl,
-                     summarize_events, validate_chrome, write_flight_dump,
-                     write_jsonl)
+                     summarize_events, systems_chrome_trace, validate_chrome,
+                     write_flight_dump, write_jsonl)
 from .metrics import MetricsRegistry
 from .observation import SystemObservation
 from .recorder import FlightRecorder
@@ -151,42 +153,43 @@ class Capture:
         """
         merged: List[Dict[str, Any]] = []
         for observation in self.observations:
-            if observation.events:
-                merged.extend(observation.events)
+            merged.extend(observation.events or ())
         return merged
 
     def spans(self) -> List[Span]:
         """Completed and open spans across every adopted system."""
         spans: List[Span] = []
         for observation in self.observations:
-            if observation.events:
-                completed, still_open = build_spans(observation.events)
-                spans.extend(completed)
-                spans.extend(still_open)
+            completed, still_open = build_spans(observation.events or ())
+            spans.extend(completed)
+            spans.extend(still_open)
         return spans
+
+    def _merged_metrics(self) -> MetricsRegistry:
+        merged = MetricsRegistry(self.config.timeline_interval)
+        for observation in self.observations:
+            registry = observation.metrics
+            if registry is not None:
+                merged.merge(registry.snapshot())
+        return merged
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """All adopted registries merged into one snapshot."""
-        merged = MetricsRegistry(self.config.timeline_interval)
-        for observation in self.observations:
-            if observation.metrics is not None:
-                merged.merge(observation.metrics.snapshot())
-        return merged.snapshot()
+        return self._merged_metrics().snapshot()
 
     def prometheus_text(self) -> str:
         """Prometheus text exposition of the merged registries."""
-        merged = MetricsRegistry(self.config.timeline_interval)
-        for observation in self.observations:
-            if observation.metrics is not None:
-                merged.merge(observation.metrics.snapshot())
-        return merged.prometheus_text()
+        return self._merged_metrics().prometheus_text()
 
     def chrome_trace(self) -> Dict[str, Any]:
-        """The merged event stream as a Chrome ``trace_event`` doc."""
-        timeline = None
-        if self.observations and self.config.metrics:
-            timeline = self.metrics_snapshot().get("timeline")
-        return chrome_trace(self.events(), timeline=timeline)
+        """Every adopted system as one Chrome ``trace_event`` doc.
+
+        Each system is its own process with its own flow ids and its own
+        metrics timelines (see :func:`~repro.obs.export.systems_chrome_trace`).
+        """
+        return systems_chrome_trace([
+            (observation.events or [], observation.timeline_snapshot())
+            for observation in self.observations])
 
     def flight_dumps(self) -> List[Dict[str, Any]]:
         """Every adopted system's flight dump, adoption order."""

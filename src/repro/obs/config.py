@@ -11,16 +11,19 @@ from .recorder import DEFAULT_CAPACITY
 class ObsConfig:
     """What a :class:`~repro.obs.observation.SystemObservation` collects.
 
-    The three collectors are independent:
+    Every collector reads one record log (one tuple per event); the
+    flags say what can be read back:
 
-    * ``spans`` — keep the full event stream in memory for span
-      assembly and JSONL / Chrome export (unbounded: one dict per
-      event, so size with the run);
-    * ``metrics`` — maintain the counter/gauge/histogram registry and
-      the passively sampled timelines;
-    * ``flight_recorder`` — keep the bounded last-N-events ring for
-      crash dumps (the cheapest collector: fixed memory, O(1) per
-      event).
+    * ``spans`` — the full event stream, for span assembly and JSONL /
+      Chrome export;
+    * ``metrics`` — the counter/histogram registry and the passively
+      sampled timelines, folded from the log when read;
+    * ``flight_recorder`` — the last ``flight_capacity`` events, for
+      crash dumps.
+
+    With ``spans`` or ``metrics`` on, the whole log is kept (it grows
+    with the run).  With only the flight recorder on, the log is a
+    bounded ring: fixed memory, O(1) per event — the cheapest profile.
 
     ``kernel_steps`` additionally hooks the scheduler's step tracer —
     one record per executed event, high volume — and is off by default.

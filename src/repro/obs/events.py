@@ -1,11 +1,12 @@
 """The observability event taxonomy.
 
 Every instrumentation point in the kernel, network, runtime, and
-workload layers emits one **event record**: a plain dict with two
-mandatory keys — ``"t"`` (virtual time) and ``"kind"`` (one of the
-constants below) — plus kind-specific fields.  Plain dicts keep the hot
-path allocation-cheap, make JSONL export trivial, and survive pickling
-unchanged.
+workload layers reports one **event**.  Read back, an event is a plain
+dict with two mandatory keys — ``"t"`` (virtual time) and ``"kind"``
+(one of the constants below) — plus kind-specific fields: the form that
+JSONL export writes and that survives pickling unchanged.  While a run
+records, an event is only a tuple appended to the observation's log
+(:mod:`repro.obs.observation`); its dict is built when somebody reads.
 
 Kinds are dotted ``layer.verb`` strings grouped into four categories:
 

@@ -10,7 +10,9 @@ Two on-disk formats:
   load directly: completed spans become ``"X"`` complete events on one
   track per partition, life-cycle markers become ``"i"`` instants,
   message send/deliver pairs become ``"s"``/``"f"`` flow arrows, and
-  metrics timelines become ``"C"`` counter tracks.
+  metrics timelines become ``"C"`` counter tracks.  Several systems'
+  streams share one trace as separate processes
+  (:func:`systems_chrome_trace`).
 
 Everything here is offline post-processing over recorded events;
 nothing runs during a simulation.
@@ -19,7 +21,7 @@ nothing runs during a simulation.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import events as kinds
 from .events import category
@@ -28,7 +30,8 @@ from .spans import Span, build_spans, span_outcomes
 #: Timestamp scale: virtual seconds → trace microseconds.
 MICROSECONDS = 1e6
 
-#: The one synthetic process every track lives under.
+#: The synthetic process a single system's tracks live under (a trace
+#: of several systems gives each its own, numbered from here).
 PID = 1
 
 #: Synthetic tracks for events that do not belong to a partition.
@@ -105,22 +108,26 @@ def load_trace(path: str) -> Tuple[str, Any]:
 # ---------------------------------------------------------------------------
 # Chrome trace_event
 # ---------------------------------------------------------------------------
-def _instant(name: str, t: float, tid: int,
-             args: Dict[str, Any]) -> Dict[str, Any]:
-    return {"name": name, "cat": category(name), "ph": "i", "s": "t",
-            "ts": t * MICROSECONDS, "pid": PID, "tid": tid, "args": args}
-
-
 def chrome_trace(events: List[Dict[str, Any]],
-                 timeline: Optional[Dict[str, Any]] = None
-                 ) -> Dict[str, Any]:
+                 timeline: Optional[Dict[str, Any]] = None,
+                 pid: int = PID, process: str = "repro",
+                 flow_base: int = 0) -> Dict[str, Any]:
     """Convert an event stream to the Chrome ``trace_event`` object form.
 
     ``timeline`` is an optional :class:`~repro.obs.metrics.Timeline`
     snapshot; its series are rendered as ``"C"`` counter tracks.
     High-volume ``kernel.step`` records are counted into the returned
-    doc's ``otherData`` but deliberately not rendered as slices.
+    doc's ``otherData`` but deliberately not rendered as slices.  Every
+    track lives under process ``pid`` (named ``process``), and message
+    flow ids are the events' ``seq`` numbers shifted by ``flow_base``.
     """
+
+    def instant(name: str, t: float, tid: int,
+                args: Dict[str, Any]) -> Dict[str, Any]:
+        return {"name": name, "cat": category(name), "ph": "i", "s": "t",
+                "ts": t * MICROSECONDS, "pid": pid, "tid": tid,
+                "args": args}
+
     completed, still_open = build_spans(events)
 
     # One track per partition (span thread), plus synthetic tracks for
@@ -145,7 +152,7 @@ def chrome_trace(events: List[Dict[str, Any]],
             "name": span.action, "cat": "action", "ph": "X",
             "ts": span.start * MICROSECONDS,
             "dur": (end - span.start) * MICROSECONDS,
-            "pid": PID, "tid": track(span.thread),
+            "pid": pid, "tid": track(span.thread),
             "args": {"instance": span.instance, "status": span.status,
                      "resolved": span.resolved,
                      "signalled": span.signalled,
@@ -154,8 +161,8 @@ def chrome_trace(events: List[Dict[str, Any]],
         for marker in span.markers:
             args = {key: value for key, value in marker.items()
                     if key not in ("t", "kind", "thread")}
-            trace.append(_instant(marker["kind"], marker["t"],
-                                  track(span.thread), args))
+            trace.append(instant(marker["kind"], marker["t"],
+                                 track(span.thread), args))
 
     for span in completed:
         emit_span(span)
@@ -178,29 +185,30 @@ def chrome_trace(events: List[Dict[str, Any]],
             flow_id = event.get("seq", flow_id + 1)
             trace.append({
                 "name": event.get("type", "message"), "cat": "message",
-                "ph": "s", "id": flow_id,
-                "ts": event["t"] * MICROSECONDS, "pid": PID,
+                "ph": "s", "id": flow_id + flow_base,
+                "ts": event["t"] * MICROSECONDS, "pid": pid,
                 "tid": track(event.get("src", WORKLOAD_TRACK)),
                 "args": args,
             })
         elif kind == kinds.MESSAGE_DELIVERED:
+            seq = event.get("seq", 0)
             trace.append({
                 "name": event.get("type", "message"), "cat": "message",
-                "ph": "f", "bp": "e", "id": event.get("seq", 0),
-                "ts": event["t"] * MICROSECONDS, "pid": PID,
+                "ph": "f", "bp": "e", "id": seq + flow_base if seq else 0,
+                "ts": event["t"] * MICROSECONDS, "pid": pid,
                 "tid": track(event.get("dst", WORKLOAD_TRACK)),
                 "args": args,
             })
         elif kind == kinds.MESSAGE_DROPPED:
-            trace.append(_instant(kind, event["t"],
-                                  track(event.get("dst", WORKLOAD_TRACK)),
-                                  args))
+            trace.append(instant(kind, event["t"],
+                                 track(event.get("dst", WORKLOAD_TRACK)),
+                                 args))
         elif cat == "objects":
-            trace.append(_instant(kind, event["t"], track(OBJECTS_TRACK),
-                                  args))
+            trace.append(instant(kind, event["t"], track(OBJECTS_TRACK),
+                                 args))
         else:  # workload + kinds outside the taxonomy
-            trace.append(_instant(kind, event["t"], track(WORKLOAD_TRACK),
-                                  args))
+            trace.append(instant(kind, event["t"], track(WORKLOAD_TRACK),
+                                 args))
 
     counters: List[Dict[str, Any]] = []
     if timeline:
@@ -208,16 +216,16 @@ def chrome_trace(events: List[Dict[str, Any]],
             for t, value in points:
                 counters.append({
                     "name": name, "cat": "metrics", "ph": "C",
-                    "ts": float(t) * MICROSECONDS, "pid": PID,
+                    "ts": float(t) * MICROSECONDS, "pid": pid,
                     "args": {"value": value},
                 })
 
     metadata: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "pid": PID, "ts": 0,
-        "args": {"name": "repro"},
+        "name": "process_name", "ph": "M", "pid": pid, "ts": 0,
+        "args": {"name": process},
     }]
     for name, tid in sorted(tracks.items(), key=lambda item: item[1]):
-        metadata.append({"name": "thread_name", "ph": "M", "pid": PID,
+        metadata.append({"name": "thread_name", "ph": "M", "pid": pid,
                          "tid": tid, "ts": 0, "args": {"name": name}})
 
     return {
@@ -230,6 +238,38 @@ def chrome_trace(events: List[Dict[str, Any]],
             "kernel_steps": kernel_steps,
         },
     }
+
+
+def systems_chrome_trace(systems: Sequence[Tuple[List[Dict[str, Any]],
+                                                 Optional[Dict[str, Any]]]]
+                         ) -> Dict[str, Any]:
+    """One Chrome trace of several systems' ``(events, timeline)`` pairs.
+
+    Systems run on independent virtual clocks, so nothing may join two of
+    them: each gets its own process (``pid`` 1, 2, … named ``repro
+    system N``) and its own range of flow ids.  A single system renders
+    exactly as :func:`chrome_trace`.
+    """
+    if not systems:
+        return chrome_trace([])
+    if len(systems) == 1:
+        return chrome_trace(*systems[0])
+    trace: List[Dict[str, Any]] = []
+    other = {"generator": "repro.obs", "spans_completed": 0,
+             "spans_open": 0, "kernel_steps": 0}
+    flow_base = 0
+    for pid, (events, timeline) in enumerate(systems, PID):
+        doc = chrome_trace(events, timeline, pid=pid,
+                           process=f"repro system {pid}",
+                           flow_base=flow_base)
+        trace.extend(doc["traceEvents"])
+        for key in ("spans_completed", "spans_open", "kernel_steps"):
+            other[key] += doc["otherData"][key]
+        flow_base += max((event.get("seq", 0) for event in events
+                          if event.get("kind") == kinds.MESSAGE_SENT),
+                         default=0)
+    return {"traceEvents": trace, "displayTimeUnit": "ms",
+            "otherData": other}
 
 
 #: Phases that require a ``dur`` field / an ``id`` field.

@@ -14,12 +14,9 @@ per-run registries from sharded or repeated runs aggregate exactly:
 * **histograms** merge bucket-wise via the ``LatencyHistogram`` algebra;
 * **timelines** align on their shared sampling grid and sum per tick.
 
-The :class:`Timeline` ticker is *passive*: it never schedules kernel
-events (which would shift event ids and break byte-level trace
-digests).  Instead every instrumented emission calls
-:meth:`Timeline.maybe_sample`, which catches up all grid points at or
-before the current virtual time.  The grid is ``sample * interval`` by
-integer multiplication, so there is no floating-point drift.
+An observation's registry is built when it is read, folded from the
+observation's record log (see :mod:`repro.obs.observation`); the same
+types hold merged and restored snapshots.
 
 Exports: :meth:`MetricsRegistry.snapshot` is plain JSON, and
 :meth:`MetricsRegistry.prometheus_text` renders the standard Prometheus
@@ -82,37 +79,19 @@ class Gauge:
 class Timeline:
     """Sim-time sampled series on a fixed grid, merge-aligned.
 
-    ``track(name, fn)`` registers a sampler; :meth:`maybe_sample`
-    appends one ``(t, fn())`` point per tracked series for every grid
-    point newly at or before ``now``.  Passive by construction — the
-    caller's own event flow drives sampling, so an idle stretch of
-    virtual time is back-filled when the next event arrives (each
-    sampler reads *current* state, which is exactly the state that held
-    throughout the idle stretch).
+    ``series`` maps a name to its ``(t, value)`` points, ``t`` on the
+    grid ``k * interval``; ``samples`` grid points have been taken.  The
+    sampling itself is the observation's (see
+    :meth:`repro.obs.observation.SystemObservation.timeline_snapshot`);
+    a timeline is what it produced, in the form that merges.
     """
 
     def __init__(self, interval: float = 1.0) -> None:
         if interval <= 0:
             raise ValueError("timeline interval must be positive")
         self.interval = float(interval)
-        self._trackers: Dict[str, Callable[[], float]] = {}
         self.series: Dict[str, List[Tuple[float, float]]] = {}
         self._samples = 0
-
-    def track(self, name: str, sampler: Callable[[], float]) -> None:
-        """Register (or replace) a sampler for ``name``."""
-        self._trackers[name] = sampler
-        self.series.setdefault(name, [])
-
-    def maybe_sample(self, now: float) -> None:
-        """Record every grid point newly reached by virtual time ``now``."""
-        if not self._trackers:
-            return
-        while self._samples * self.interval <= now:
-            t = self._samples * self.interval
-            for name, sampler in self._trackers.items():
-                self.series[name].append((t, float(sampler())))
-            self._samples += 1
 
     # -- merge algebra -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -96,12 +96,9 @@ class TestTimelineReporting:
     def make_rows(self):
         from repro.obs.metrics import Timeline
         timeline = Timeline(1.0)
-        clock = {"now": 0.0}
         # A linear ramp: value == 2t + 1 at every grid point.
-        timeline.track("in_flight", lambda: 2.0 * clock["now"] + 1.0)
-        for now in (0.0, 1.0, 2.0, 3.0):
-            clock["now"] = now
-            timeline.maybe_sample(now)
+        timeline.restore({"interval": 1.0, "samples": 4, "series": {
+            "in_flight": [[t, 2.0 * t + 1.0] for t in range(4)]}})
         return [{"t": t, "in_flight": value}
                 for t, value in timeline.series["in_flight"]]
 

@@ -80,16 +80,38 @@ class TestEnvelopeFlowIds:
         system.add_threads(["A", "B"])
         return system, network, forwarded
 
-    def test_forwarded_sends_retain_no_flow_entry(self):
+    @staticmethod
+    def flows(events):
+        """``(starts, finishes)``: the flow ids of the Chrome trace."""
+        doc = obs.chrome_trace(events)
+        return ([event["id"] for event in doc["traceEvents"]
+                 if event["ph"] == "s"],
+                [event["id"] for event in doc["traceEvents"]
+                 if event["ph"] == "f"])
+
+    @pytest.mark.parametrize("config", [obs.ObsConfig(),
+                                        obs.ObsConfig.flight_only()],
+                             ids=["full_log", "flight_ring"])
+    def test_forwarded_sends_retain_no_flow_entry(self, config):
         system, network, forwarded = self.real_network()
-        observation = obs.observe_system(system, obs.ObsConfig())
+        observation = obs.observe_system(system, config)
         for index in range(1000):
             network.send("A", "B", index)
+        for index in range(3):
+            network.inject("B", "A", index, deliver_vt=0.0)
+        system.run()
         assert len(forwarded) == network.stats.sent == 1000
         assert network.stats.by_link == {("A", "B"): 1000}
-        assert observation._envelope_seq == {}
-        assert [event["seq"] for event in observation.events] == \
-            list(range(1, 1001))
+        events = observation.flight_dump()["events"]
+        if config.spans:
+            assert events == observation.events[-len(events):]
+            events = observation.events
+        sent = [event["seq"] for event in events
+                if event["kind"] == "message.sent"]
+        assert sent == list(range(1001 - len(sent), 1001))
+        starts, finishes = self.flows(events)
+        assert starts == sent
+        assert finishes == [0, 0, 0]
 
     def test_injected_deliveries_never_borrow_a_sends_flow_id(self):
         # The bounded network trace lets go of the oldest forwarded
@@ -118,4 +140,5 @@ class TestEnvelopeFlowIds:
         delivered = [event["seq"] for event in observation.events
                      if event["kind"] == "message.delivered"]
         assert sent == delivered == [1, 2, 3, 4, 5]
-        assert observation._envelope_seq == {}
+        # Every flow arrow that starts also ends, exactly once.
+        assert self.flows(observation.events) == (sent, delivered)

@@ -39,6 +39,15 @@ class TestGauge:
         assert gauge.value == pytest.approx(2.5)
 
 
+def flat_timeline(interval: float, samples: int, **levels) -> Timeline:
+    """A timeline whose named series hold one level at every sample."""
+    timeline = Timeline(interval)
+    timeline.restore({"interval": interval, "samples": samples, "series": {
+        name: [[k * interval, level] for k in range(samples)]
+        for name, level in levels.items()}})
+    return timeline
+
+
 class TestTimeline:
     def test_rejects_non_positive_interval(self):
         with pytest.raises(ValueError, match="positive"):
@@ -46,49 +55,16 @@ class TestTimeline:
         with pytest.raises(ValueError, match="positive"):
             Timeline(-1.0)
 
-    def test_maybe_sample_catches_up_every_grid_point(self):
-        timeline = Timeline(1.0)
-        level = {"value": 0.0}
-        timeline.track("level", lambda: level["value"])
-        # An idle stretch is back-filled at the next emission: the
-        # sampler reads current state, which held throughout the idle.
-        level["value"] = 7.0
-        timeline.maybe_sample(2.5)
-        assert timeline.series["level"] == [(0.0, 7.0), (1.0, 7.0),
-                                            (2.0, 7.0)]
-        # Same time again: the grid already caught up, nothing new.
-        timeline.maybe_sample(2.5)
-        assert len(timeline.series["level"]) == 3
-        level["value"] = 1.0
-        timeline.maybe_sample(3.0)
-        assert timeline.series["level"][-1] == (3.0, 1.0)
-
-    def test_no_trackers_means_no_samples(self):
-        timeline = Timeline(1.0)
-        timeline.maybe_sample(100.0)
-        assert timeline.snapshot()["samples"] == 0
-        # The empty ticker never advanced, so a late tracker back-fills
-        # the whole grid from t=0 on its first emission.
-        timeline.track("late", lambda: 1.0)
-        timeline.maybe_sample(100.0)
-        assert len(timeline.series["late"]) == 101
-
     def test_snapshot_restore_round_trip(self):
-        timeline = Timeline(0.5)
-        timeline.track("depth", lambda: 3.0)
-        timeline.maybe_sample(1.6)
+        timeline = flat_timeline(0.5, 4, depth=3.0)
         snapshot = json.loads(json.dumps(timeline.snapshot()))
         restored = Timeline(0.5)
         restored.restore(snapshot)
         assert restored.snapshot() == timeline.snapshot()
 
     def test_merge_sums_tick_aligned(self):
-        left = Timeline(1.0)
-        left.track("depth", lambda: 2.0)
-        left.maybe_sample(1.0)            # (0, 2), (1, 2)
-        right = Timeline(1.0)
-        right.track("depth", lambda: 5.0)
-        right.maybe_sample(2.0)           # (0, 5), (1, 5), (2, 5)
+        left = flat_timeline(1.0, 2, depth=2.0)    # (0, 2), (1, 2)
+        right = flat_timeline(1.0, 3, depth=5.0)   # (0, 5), (1, 5), (2, 5)
         left.merge(right.snapshot())
         assert left.series["depth"] == [(0.0, 7.0), (1.0, 7.0), (2.0, 5.0)]
 
@@ -101,9 +77,7 @@ class TestTimeline:
             coarse.restore(fine.snapshot())
 
     def test_empty_run_snapshot_merges_as_noop(self):
-        timeline = Timeline(1.0)
-        timeline.track("depth", lambda: 2.0)
-        timeline.maybe_sample(1.0)
+        timeline = flat_timeline(1.0, 2, depth=2.0)
         before = timeline.snapshot()
         timeline.merge(Timeline(1.0).snapshot())
         assert timeline.snapshot() == before
@@ -118,8 +92,8 @@ class TestMetricsRegistry:
         registry.gauge("in_flight").set(4)
         registry.histogram("latency").record(0.25)
         registry.histogram("latency").record(3.0)
-        registry.timeline.track("in_flight", lambda: 4.0)
-        registry.timeline.maybe_sample(2.0)
+        registry.timeline.restore(
+            flat_timeline(1.0, 3, in_flight=4.0).snapshot())
         return registry
 
     def test_families_are_identity_per_label_set(self):
