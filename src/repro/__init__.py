@@ -6,7 +6,7 @@ A from-scratch Python reproduction of
     "Coordinated Exception Handling in Distributed Object Systems:
      from Model to System Implementation", ICDCS 1998.
 
-The package provides:
+Its subpackages:
 
 * :mod:`repro.core` — the CA-action exception model, exception graphs, the
   coordinated resolution algorithm, the exception-signalling algorithm and
@@ -23,10 +23,14 @@ The package provides:
 * :mod:`repro.workload` — traffic generation, admission control and
   capacity measurement over a shared partition pool;
 * :mod:`repro.bench` — experiment harness reproducing the paper's figures.
+
+The eight names in ``__all__`` (every subpackage above except
+:mod:`repro.productioncell` and :mod:`repro.bench`) are attributes of
+``repro`` itself, each imported on first access; import the others by
+their full name.  No subpackage is imported by ``import repro``.
 """
 
-from . import analysis, core, explore, net, objects, runtime, simkernel, \
-    workload
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
@@ -41,3 +45,6 @@ __all__ = [
     "workload",
     "__version__",
 ]
+
+__getattr__, __dir__, _ = attach(__name__, {
+    name: () for name in __all__ if name != "__version__"})

@@ -1,34 +1,21 @@
 """Analytic bounds (Lemma 1, Theorem 2, message-count formulas) and metrics."""
 
-from .bounds import (
-    TimingParameters,
-    campbell_randell_reference_messages,
-    campbell_randell_resolution_calls,
-    exception_graph_level_size,
-    lemma1_completion_bound,
-    messages_all_exceptions,
-    messages_single_exception,
-    romanovsky96_messages,
-    signalling_messages_simple,
-    signalling_messages_worst_case,
-    theorem2_worst_case_messages,
-)
-from .histograms import LatencyHistogram
-from .metrics import ActionOutcome, RunMetrics
+from .._lazy import attach
 
-__all__ = [
-    "ActionOutcome",
-    "LatencyHistogram",
-    "RunMetrics",
-    "TimingParameters",
-    "campbell_randell_reference_messages",
-    "campbell_randell_resolution_calls",
-    "exception_graph_level_size",
-    "lemma1_completion_bound",
-    "messages_all_exceptions",
-    "messages_single_exception",
-    "romanovsky96_messages",
-    "signalling_messages_simple",
-    "signalling_messages_worst_case",
-    "theorem2_worst_case_messages",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "bounds": [
+        "TimingParameters",
+        "campbell_randell_reference_messages",
+        "campbell_randell_resolution_calls",
+        "exception_graph_level_size",
+        "lemma1_completion_bound",
+        "messages_all_exceptions",
+        "messages_single_exception",
+        "romanovsky96_messages",
+        "signalling_messages_simple",
+        "signalling_messages_worst_case",
+        "theorem2_worst_case_messages",
+    ],
+    "histograms": ["LatencyHistogram"],
+    "metrics": ["ActionOutcome", "RunMetrics"],
+})

@@ -1,83 +1,27 @@
 """Experiment harness: scenario engine, application builders and reporting."""
 
-from .baseline import (
-    collect_resolution_baseline,
-    collect_workload_baseline,
-    write_resolution_baseline,
-    write_workload_baseline,
-)
-from .engine import (
-    CAPACITY_GRID,
-    CHURN_GRID,
-    FIGURE9_BASELINE,
-    FIGURE9_GRIDS,
-    GRAPH_MICROBENCH_GRID,
-    LARGE_N_GRID,
-    MIXED_TRAFFIC_GRID,
-    PRODUCTION_CELL_GRID,
-    REGISTRY,
-    Scenario,
-    ScenarioRegistry,
-    TRANSACTIONAL_GRID,
-    WIDE_GRAPH_GRID,
-    figure9_grid,
-    run_scenario,
-)
-from .reporting import (
-    format_table,
-    linear_fit,
-    paper_reference_figure12,
-    paper_reference_figure9,
-    series,
-)
-from .scenarios import (
-    EXPERIMENT1_ITERATIONS,
-    ExperimentResult,
-    build_churn,
-    build_experiment1,
-    build_experiment2,
-    build_wide_graph,
-    run_churn,
-    run_complexity_scenario,
-    run_experiment1,
-    run_experiment2,
-    run_graph_microbench,
-    run_wide_graph,
-)
+from .._lazy import attach
 
-__all__ = [
-    "build_churn",
-    "build_experiment1",
-    "build_experiment2",
-    "build_wide_graph",
-    "CAPACITY_GRID",
-    "CHURN_GRID",
-    "collect_resolution_baseline",
-    "collect_workload_baseline",
-    "EXPERIMENT1_ITERATIONS",
-    "ExperimentResult",
-    "figure9_grid",
-    "FIGURE9_BASELINE",
-    "FIGURE9_GRIDS",
-    "format_table",
-    "GRAPH_MICROBENCH_GRID",
-    "LARGE_N_GRID",
-    "linear_fit",
-    "MIXED_TRAFFIC_GRID",
-    "paper_reference_figure12",
-    "paper_reference_figure9",
-    "REGISTRY",
-    "run_churn",
-    "run_complexity_scenario",
-    "run_experiment1",
-    "run_experiment2",
-    "run_graph_microbench",
-    "run_scenario",
-    "run_wide_graph",
-    "Scenario",
-    "ScenarioRegistry",
-    "series",
-    "WIDE_GRAPH_GRID",
-    "write_resolution_baseline",
-    "write_workload_baseline",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "baseline": [
+        "collect_resolution_baseline", "collect_workload_baseline",
+        "write_resolution_baseline", "write_workload_baseline",
+    ],
+    "engine": [
+        "CAPACITY_GRID", "CHURN_GRID", "FIGURE9_BASELINE", "FIGURE9_GRIDS",
+        "GRAPH_MICROBENCH_GRID", "LARGE_N_GRID", "MIXED_TRAFFIC_GRID",
+        "PRODUCTION_CELL_GRID", "REGISTRY", "Scenario", "ScenarioRegistry",
+        "TRANSACTIONAL_GRID", "WIDE_GRAPH_GRID", "figure9_grid",
+        "run_scenario",
+    ],
+    "reporting": [
+        "format_table", "linear_fit", "paper_reference_figure12",
+        "paper_reference_figure9", "series",
+    ],
+    "scenarios": [
+        "EXPERIMENT1_ITERATIONS", "ExperimentResult", "build_churn",
+        "build_experiment1", "build_experiment2", "build_wide_graph",
+        "run_churn", "run_complexity_scenario", "run_experiment1",
+        "run_experiment2", "run_graph_microbench", "run_wide_graph",
+    ],
+})

@@ -42,11 +42,9 @@ import gc
 import json
 import logging
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .. import obs
 
@@ -64,14 +62,8 @@ from ..core.registry import (
     params_from_callable,
     validate_params,
 )
-from ..explore.corpus import run_plans_chunk
-from ..explore.explorer import explore_chunk
-from ..explore.generator import STORM_KINDS, FaultPlanGenerator
+from ..explore.generator import DEFAULT_KINDS, STORM_KINDS, FaultPlanGenerator
 from ..explore.targets import get_target
-from ..productioncell.workload import run_production_cell_point
-from ..workload.scenarios import run_capacity_point, run_mixed_traffic
-from ..workload.sharding import run_scale_point
-from ..workload.transactional import run_transactional_point
 from .scenarios import (
     EXPERIMENT1_ITERATIONS,
     BuiltNode,
@@ -393,6 +385,8 @@ def export_capture(cap: "obs.Capture", name: str, directory: str) -> List[str]:
 
 def _shippable(runner: Callable[..., Row]) -> bool:
     """True if ``runner`` can be pickled into a worker process."""
+    import pickle
+
     try:
         pickle.dumps(runner)
         return True
@@ -403,6 +397,9 @@ def _shippable(runner: Callable[..., Row]) -> bool:
 def _run_pool(scenario: Scenario, grid: Sequence[GridPoint],
               max_workers: Optional[int]) -> Optional[List[Row]]:
     """Run the grid on a process pool; ``None`` means "fall back"."""
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
     workers = max_workers or min(len(grid), 8)
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -614,10 +611,23 @@ EXPLORE_GRID = tuple(
     for start in range(0, EXPLORE_BUDGET, EXPLORE_CHUNK_SIZE))
 
 
-REGISTRY.register("explore", grid=EXPLORE_GRID,
-                  description="Fault-space exploration sweep: seeded fault "
-                              "plans + schedule perturbation, checked "
-                              "against the invariant oracles")(explore_chunk)
+@REGISTRY.register("explore", grid=EXPLORE_GRID,
+                   description="Fault-space exploration sweep: seeded fault "
+                               "plans + schedule perturbation, checked "
+                               "against the invariant oracles")
+def explore_point(target: str = "nested_abort", seed: int = 2026,
+                  start: int = 0, stop: int = 25,
+                  kinds: Sequence[str] = DEFAULT_KINDS,
+                  max_directives: int = 3,
+                  jitter_probability: float = 0.5,
+                  algorithm: str = "ours",
+                  baselines: Sequence[str] = ()) -> Row:
+    """One explorer chunk (see repro.explore.explorer.explore_chunk)."""
+    from ..explore.explorer import explore_chunk
+    return explore_chunk(target=target, seed=seed, start=start, stop=stop,
+                         kinds=kinds, max_directives=max_directives,
+                         jitter_probability=jitter_probability,
+                         algorithm=algorithm, baselines=baselines)
 
 
 #: The corpus-search chunk grid: explicit storm-vocabulary plans (crash /
@@ -641,11 +651,18 @@ def _explore_corpus_grid() -> Tuple[Dict[str, object], ...]:
                            EXPLORE_CORPUS_CHUNK))
 
 
-REGISTRY.register("explore_corpus", grid=_explore_corpus_grid(),
-                  description="Corpus-search execution chunks: explicit "
-                              "fault plans (full storm vocabulary), "
-                              "canonical trace digests per plan")(
-    run_plans_chunk)
+@REGISTRY.register("explore_corpus", grid=_explore_corpus_grid(),
+                   description="Corpus-search execution chunks: explicit "
+                               "fault plans (full storm vocabulary), "
+                               "canonical trace digests per plan")
+def explore_corpus_point(target: str = "nested_abort",
+                         plans: Sequence[Dict[str, Any]] = (),
+                         start: int = 0, algorithm: str = "ours",
+                         baselines: Sequence[str] = ()) -> Row:
+    """One plan chunk (see repro.explore.corpus.run_plans_chunk)."""
+    from ..explore.corpus import run_plans_chunk
+    return run_plans_chunk(target=target, plans=plans, start=start,
+                           algorithm=algorithm, baselines=baselines)
 
 
 #: The remote-counter grid: an overdraft on every pass but the first, and
@@ -703,6 +720,7 @@ CAPACITY_GRID = tuple({"offered_load": load}
                                "pool: throughput/latency capacity curve")
 def capacity_point(offered_load: float, **options) -> Row:
     """One capacity-curve point (see repro.workload.scenarios)."""
+    from ..workload.scenarios import run_capacity_point
     return run_capacity_point(offered_load=offered_load, **options)
 
 
@@ -716,6 +734,7 @@ MIXED_TRAFFIC_GRID = tuple({"seed": seed} for seed in (2026, 2027, 2028))
                                "over one pool, checked by invariant oracles")
 def mixed_traffic_point(seed: int, **options) -> Row:
     """One mixed-traffic soak run (see repro.workload.scenarios)."""
+    from ..workload.scenarios import run_mixed_traffic
     return run_mixed_traffic(seed=seed, **options)
 
 
@@ -734,6 +753,7 @@ TRANSACTIONAL_GRID = tuple({"offered_load": load}
                                "no-lost-update / locks-released oracles")
 def transactional_point(offered_load: float, **options) -> Row:
     """One transactional workload point (see repro.workload.transactional)."""
+    from ..workload.transactional import run_transactional_point
     return run_transactional_point(offered_load=offered_load, **options)
 
 
@@ -749,6 +769,7 @@ PRODUCTION_CELL_GRID = tuple({"seed": seed} for seed in (2026, 2027, 2028))
                                "by the invariant oracles")
 def production_cell_point(seed: int, **options) -> Row:
     """One open-loop production-cell run (see repro.productioncell.workload)."""
+    from ..productioncell.workload import run_production_cell_point
     return run_production_cell_point(seed=seed, **options)
 
 
@@ -775,5 +796,6 @@ SCALE_GRID = (
 def scale_point(n_instances: int, n_shards: int, offered_load: float,
                 **options) -> Row:
     """One sharded capacity point (see repro.workload.sharding)."""
+    from ..workload.sharding import run_scale_point
     return run_scale_point(n_instances=n_instances, n_shards=n_shards,
                            offered_load=offered_load, **options)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .. import obs
 from ..core.action import CAActionDefinition, RoleDefinition
@@ -39,7 +39,6 @@ from ..core.exception_graph import (
 )
 from ..core.exceptions import internal
 from ..core.handlers import HandlerMap, HandlerResult
-from ..explore.monitor import InvariantMonitor
 from ..explore.targets import (
     HANDLER_TIME,
     NORMAL_COMPUTATION_TIME,
@@ -49,12 +48,13 @@ from ..explore.targets import (
     staggered_raises,
 )
 from ..net.latency import ConstantLatency
-from ..net.rpc import RpcEndpoint
-from ..objects.remote import ObjectHostService, install_remote_objects
 from ..runtime.config import RuntimeConfig
 from ..runtime.report import ActionStatus
 from ..runtime.system import DistributedCASystem
 from ..simkernel.kernel import Kernel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..explore.monitor import InvariantMonitor
 
 #: Default loop count of experiment 1 ("executed in a loop (20 times)").
 EXPERIMENT1_ITERATIONS = 20
@@ -121,6 +121,8 @@ def new_system(t_msg: float, algorithm: str = "ours",
 
 def observed_node(system: DistributedCASystem) -> BuiltNode:
     """Attach the monitor and span observation a node's record comes from."""
+    from ..explore.monitor import InvariantMonitor
+
     monitor = InvariantMonitor(system)
     obs.observe_system(system, _NODE_OBS)
     return BuiltNode(system, monitor)
@@ -414,6 +416,9 @@ def build_remote_counter(iterations: int = 3, limit: int = 1,
     authoritative host state); the resolved exception is handled by
     both workers and the action still commits.
     """
+    from ..net.rpc import RpcEndpoint
+    from ..objects.remote import ObjectHostService, install_remote_objects
+
     system = new_system(t_msg, algorithm, t_resolution, t_abort,
                         local=local, forward=forward)
     network = system.network

@@ -13,142 +13,46 @@ particular transport or simulator:
 * the Campbell–Randell and Romanovsky-96 baseline algorithms.
 """
 
-from .action import (
-    ActionDefinitionError,
-    ActionRegistry,
-    CAActionDefinition,
-    RoleDefinition,
-)
-from .effects import (
-    AbortNested,
-    ChargeTime,
-    Effect,
-    HandleResolved,
-    InformObjects,
-    InterruptRole,
-    LogEvent,
-    SendTo,
-    count_messages,
-    sends,
-)
-from .exception_graph import (
-    CompiledGraphIndex,
-    ExceptionGraph,
-    ExceptionGraphError,
-    generate_full_graph,
-    graph_statistics,
-    prune_impossible_combinations,
-)
-from .exceptions import (
-    ABORTION,
-    ActionAborted,
-    ActionFailure,
-    ExceptionDescriptor,
-    ExceptionKind,
-    FAILURE,
-    NO_EXCEPTION,
-    RaisedException,
-    RaisedRecord,
-    UNDO,
-    UNIVERSAL,
-    interface,
-    internal,
-)
-from .handlers import (
-    Handler,
-    HandlerMap,
-    HandlerResult,
-    HandlerStatus,
-    default_abort_handler,
-)
-from .messages import (
-    ApplicationMessage,
-    CommitMessage,
-    EnterActionMessage,
-    ExceptionMessage,
-    ExitConfirmMessage,
-    ExitReadyMessage,
-    ProtocolMessage,
-    SuspendedMessage,
-    ToBeSignalledMessage,
-)
-from .resolution import CoordinatorBase, ProtocolError, ResolutionCoordinator
-from .signalling import (
-    PerformUndo,
-    SignalCoordinator,
-    SignalOutcome,
-    SignalProtocolError,
-)
-from .state import (
-    ActionContext,
-    ContextStack,
-    LocalExceptionList,
-    ThreadState,
-    max_thread,
-    min_thread,
-    thread_order_key,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ABORTION",
-    "AbortNested",
-    "ActionAborted",
-    "ActionContext",
-    "ActionDefinitionError",
-    "ActionFailure",
-    "ActionRegistry",
-    "ApplicationMessage",
-    "CAActionDefinition",
-    "ChargeTime",
-    "CommitMessage",
-    "CompiledGraphIndex",
-    "ContextStack",
-    "CoordinatorBase",
-    "count_messages",
-    "default_abort_handler",
-    "Effect",
-    "EnterActionMessage",
-    "ExceptionDescriptor",
-    "ExceptionGraph",
-    "ExceptionGraphError",
-    "ExceptionKind",
-    "ExceptionMessage",
-    "ExitConfirmMessage",
-    "ExitReadyMessage",
-    "FAILURE",
-    "generate_full_graph",
-    "graph_statistics",
-    "HandleResolved",
-    "Handler",
-    "HandlerMap",
-    "HandlerResult",
-    "HandlerStatus",
-    "InformObjects",
-    "interface",
-    "internal",
-    "InterruptRole",
-    "LocalExceptionList",
-    "LogEvent",
-    "max_thread",
-    "min_thread",
-    "NO_EXCEPTION",
-    "PerformUndo",
-    "ProtocolError",
-    "ProtocolMessage",
-    "prune_impossible_combinations",
-    "RaisedException",
-    "RaisedRecord",
-    "ResolutionCoordinator",
-    "RoleDefinition",
-    "SendTo",
-    "sends",
-    "SignalCoordinator",
-    "SignalOutcome",
-    "SignalProtocolError",
-    "SuspendedMessage",
-    "ThreadState",
-    "thread_order_key",
-    "ToBeSignalledMessage",
-    "UNDO",
-    "UNIVERSAL",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "action": [
+        "ActionDefinitionError", "ActionRegistry", "CAActionDefinition",
+        "RoleDefinition",
+    ],
+    "effects": [
+        "AbortNested", "ChargeTime", "Effect", "HandleResolved",
+        "InformObjects", "InterruptRole", "LogEvent", "SendTo",
+        "count_messages", "sends",
+    ],
+    "exception_graph": [
+        "CompiledGraphIndex", "ExceptionGraph", "ExceptionGraphError",
+        "generate_full_graph", "graph_statistics",
+        "prune_impossible_combinations",
+    ],
+    "exceptions": [
+        "ABORTION", "ActionAborted", "ActionFailure", "ExceptionDescriptor",
+        "ExceptionKind", "FAILURE", "NO_EXCEPTION", "RaisedException",
+        "RaisedRecord", "UNDO", "UNIVERSAL", "interface", "internal",
+    ],
+    "handlers": [
+        "Handler", "HandlerMap", "HandlerResult", "HandlerStatus",
+        "default_abort_handler",
+    ],
+    "messages": [
+        "ApplicationMessage", "CommitMessage", "EnterActionMessage",
+        "ExceptionMessage", "ExitConfirmMessage", "ExitReadyMessage",
+        "ProtocolMessage", "SuspendedMessage", "ToBeSignalledMessage",
+    ],
+    "resolution": [
+        "CoordinatorBase", "ProtocolError", "ResolutionCoordinator",
+    ],
+    "signalling": [
+        "PerformUndo", "SignalCoordinator", "SignalOutcome",
+        "SignalProtocolError",
+    ],
+    "state": [
+        "ActionContext", "ContextStack", "LocalExceptionList", "ThreadState",
+        "max_thread", "min_thread", "thread_order_key",
+    ],
+})

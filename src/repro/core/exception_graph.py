@@ -209,6 +209,8 @@ class ExceptionGraph:
         self._compiled: Optional[CompiledGraphIndex] = None
         #: Mutation counter; lets holders of an index detect staleness.
         self._version = 0
+        #: ``_version`` at the last successful :meth:`validate`.
+        self._validated_version = -1
 
     # ------------------------------------------------------------------
     # Construction
@@ -386,8 +388,11 @@ class ExceptionGraph:
 
         Invariants: exactly one node with in-degree 0 (the universal
         exception), no cycles (guaranteed by construction, re-checked here),
-        and every node reachable from the universal exception.
+        and every node reachable from the universal exception.  A graph
+        unchanged since its last successful validation is not re-walked.
         """
+        if self._validated_version == self._version:
+            return
         roots = [e for e in self._children if self.in_degree(e) == 0]
         if roots != [self.universal] and set(roots) != {self.universal}:
             raise ExceptionGraphError(
@@ -399,6 +404,7 @@ class ExceptionGraph:
             raise ExceptionGraphError(
                 f"graph {self.name!r}: unreachable exceptions {unreachable}")
         self._assert_acyclic()
+        self._validated_version = self._version
 
     # ------------------------------------------------------------------
     # Resolution

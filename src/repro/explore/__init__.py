@@ -29,42 +29,19 @@ mechanizes the search over that space:
   and the ``python -m repro.explore`` CLI).
 """
 
-from .corpus import (
-    Corpus,
-    CorpusEntry,
-    CorpusSearch,
-    CorpusSearchReport,
-    run_plans_chunk,
-)
-from .explorer import CaseResult, Explorer, ExplorationReport, run_case
-from .generator import FaultPlanGenerator
-from .monitor import InvariantMonitor
-from .mutate import PlanMutator
-from .plan import ExplorationPlan
-from .shrink import ShrinkResult, shrink_plan, to_pytest_source
-from .targets import TARGETS, ExplorationTarget
-from .trace import TraceRecorder, canonical_trace, trace_digest
+from .._lazy import attach
 
-__all__ = [
-    "CaseResult",
-    "Corpus",
-    "CorpusEntry",
-    "CorpusSearch",
-    "CorpusSearchReport",
-    "ExplorationPlan",
-    "ExplorationReport",
-    "ExplorationTarget",
-    "Explorer",
-    "FaultPlanGenerator",
-    "InvariantMonitor",
-    "PlanMutator",
-    "ShrinkResult",
-    "TARGETS",
-    "TraceRecorder",
-    "canonical_trace",
-    "run_case",
-    "run_plans_chunk",
-    "shrink_plan",
-    "to_pytest_source",
-    "trace_digest",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "corpus": [
+        "Corpus", "CorpusEntry", "CorpusSearch", "CorpusSearchReport",
+        "run_plans_chunk",
+    ],
+    "explorer": ["CaseResult", "Explorer", "ExplorationReport", "run_case"],
+    "generator": ["FaultPlanGenerator"],
+    "monitor": ["InvariantMonitor"],
+    "mutate": ["PlanMutator"],
+    "plan": ["ExplorationPlan"],
+    "shrink": ["ShrinkResult", "shrink_plan", "to_pytest_source"],
+    "targets": ["TARGETS", "ExplorationTarget"],
+    "trace": ["TraceRecorder", "canonical_trace", "trace_digest"],
+})

@@ -6,34 +6,16 @@ subsystem based on asynchronous calls, per-node cyclic receive buffers, and
 configurable message latency (the ``Tmmax`` parameter of the experiments).
 """
 
-from .faults import NO_FAULTS, FaultPlan, FaultStatistics
-from .latency import (
-    ConstantLatency,
-    LatencyModel,
-    PerLinkLatency,
-    TruncatedExponentialLatency,
-    UniformLatency,
-)
-from .message import Envelope
-from .network import MessageStatistics, Network, UnknownNodeError
-from .node import Node
-from .rpc import RpcEndpoint, RpcReply, RpcRequest
+from .._lazy import attach
 
-__all__ = [
-    "ConstantLatency",
-    "Envelope",
-    "FaultPlan",
-    "FaultStatistics",
-    "LatencyModel",
-    "MessageStatistics",
-    "Network",
-    "NO_FAULTS",
-    "Node",
-    "PerLinkLatency",
-    "RpcEndpoint",
-    "RpcReply",
-    "RpcRequest",
-    "TruncatedExponentialLatency",
-    "UniformLatency",
-    "UnknownNodeError",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "faults": ["NO_FAULTS", "FaultPlan", "FaultStatistics"],
+    "latency": [
+        "ConstantLatency", "LatencyModel", "PerLinkLatency",
+        "TruncatedExponentialLatency", "UniformLatency",
+    ],
+    "message": ["Envelope"],
+    "network": ["MessageStatistics", "Network", "UnknownNodeError"],
+    "node": ["Node"],
+    "rpc": ["RpcEndpoint", "RpcReply", "RpcRequest"],
+})

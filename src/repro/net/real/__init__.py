@@ -20,8 +20,11 @@ Entry points:
 
 from __future__ import annotations
 
-from .backend import RealBackend, RealBackendError, RealRunResult
-from .scenarios import run_real, run_sim
+from ..._lazy import attach
 
-__all__ = ["RealBackend", "RealBackendError", "RealRunResult",
-           "run_real", "run_sim"]
+# Lazy, so a child process importing ``repro.net.real.host`` does not
+# load the parent's asyncio hub and multiprocessing launcher.
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "backend": ["RealBackend", "RealBackendError", "RealRunResult"],
+    "scenarios": ["run_real", "run_sim"],
+})

@@ -7,44 +7,20 @@ versioned state, strict two-phase locking, per-transaction working copies,
 undo (backward recovery) and repair (forward recovery).
 """
 
-from .atomic_object import (
-    AtomicObject,
-    ExceptionNotification,
-    IntegrityError,
-    OperationRecord,
-    UndoFailure,
-)
-from .locks import DeadlockError, LockManager, LockMode
-from .recovery import (
-    RecoveryKind,
-    RecoveryOutcome,
-    RecoveryPlan,
-    RecoveryStep,
-    outcome_to_interface_exception,
-)
-from .transaction import (
-    Transaction,
-    TransactionError,
-    TransactionManager,
-    TransactionStatus,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AtomicObject",
-    "DeadlockError",
-    "ExceptionNotification",
-    "IntegrityError",
-    "LockManager",
-    "LockMode",
-    "OperationRecord",
-    "RecoveryKind",
-    "RecoveryOutcome",
-    "RecoveryPlan",
-    "RecoveryStep",
-    "Transaction",
-    "TransactionError",
-    "TransactionManager",
-    "TransactionStatus",
-    "UndoFailure",
-    "outcome_to_interface_exception",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "atomic_object": [
+        "AtomicObject", "ExceptionNotification", "IntegrityError",
+        "OperationRecord", "UndoFailure",
+    ],
+    "locks": ["DeadlockError", "LockManager", "LockMode"],
+    "recovery": [
+        "RecoveryKind", "RecoveryOutcome", "RecoveryPlan", "RecoveryStep",
+        "outcome_to_interface_exception",
+    ],
+    "transaction": [
+        "Transaction", "TransactionError", "TransactionManager",
+        "TransactionStatus",
+    ],
+})

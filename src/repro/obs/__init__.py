@@ -43,25 +43,28 @@ import contextlib
 import threading
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
+from .._lazy import attach
 from .config import ObsConfig
-from .export import (chrome_trace, diff_summaries, read_jsonl,
-                     summarize_events, systems_chrome_trace, validate_chrome,
-                     write_flight_dump, write_jsonl)
-from .metrics import MetricsRegistry
-from .observation import SystemObservation
-from .recorder import FlightRecorder
-from .spans import Span, build_spans, span_outcomes
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.system import DistributedCASystem
+    from .metrics import MetricsRegistry
+    from .observation import SystemObservation
+    from .spans import Span
 
-__all__ = [
-    "ObsConfig", "SystemObservation", "Capture", "FlightRecorder",
-    "MetricsRegistry", "Span", "build_spans", "span_outcomes",
-    "capture", "observe_system", "maybe_observe", "enabled", "active",
-    "chrome_trace", "validate_chrome", "write_jsonl", "read_jsonl",
-    "write_flight_dump", "summarize_events", "diff_summaries",
-]
+# The collectors and exporters load when a capture or observation is
+# built (or one of these names is read), not with every system.
+__getattr__, __dir__, _LAZY = attach(__name__, {
+    "observation": ["SystemObservation"],
+    "recorder": ["FlightRecorder"],
+    "metrics": ["MetricsRegistry"],
+    "spans": ["Span", "build_spans", "span_outcomes"],
+    "export": ["chrome_trace", "validate_chrome", "write_jsonl", "read_jsonl",
+               "write_flight_dump", "summarize_events", "diff_summaries"],
+})
+
+__all__ = ["ObsConfig", "Capture", "capture", "observe_system",
+           "maybe_observe", "enabled", "active", *_LAZY]
 
 #: The ambient capture (module-level enabled check).  ``None`` means
 #: observability is off and :func:`maybe_observe` costs one global read.
@@ -91,6 +94,7 @@ def observe_system(system: "DistributedCASystem",
     config = config or ObsConfig()
     observation = system.observation
     if observation is None:
+        from .observation import SystemObservation
         observation = system.observation = SystemObservation(system, config)
         system.subscribe(observation.on_event)
         system.network._obs = observation
@@ -158,6 +162,7 @@ class Capture:
 
     def spans(self) -> List[Span]:
         """Completed and open spans across every adopted system."""
+        from .spans import build_spans
         spans: List[Span] = []
         for observation in self.observations:
             completed, still_open = build_spans(observation.events or ())
@@ -166,6 +171,7 @@ class Capture:
         return spans
 
     def _merged_metrics(self) -> MetricsRegistry:
+        from .metrics import MetricsRegistry
         merged = MetricsRegistry(self.config.timeline_interval)
         for observation in self.observations:
             registry = observation.metrics
@@ -187,6 +193,7 @@ class Capture:
         Each system is its own process with its own flow ids and its own
         metrics timelines (see :func:`~repro.obs.export.systems_chrome_trace`).
         """
+        from .export import systems_chrome_trace
         return systems_chrome_trace([
             (observation.events or [], observation.timeline_snapshot())
             for observation in self.observations])
@@ -200,6 +207,7 @@ class Capture:
 
     # -- file exports --------------------------------------------------
     def write_jsonl(self, path: str) -> None:
+        from .export import write_jsonl
         write_jsonl(self.events(), path)
 
     def write_chrome_trace(self, path: str) -> None:

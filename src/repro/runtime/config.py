@@ -16,14 +16,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
-from ..core.baselines import CampbellRandellCoordinator, Romanovsky96Coordinator
 from ..core.resolution import CoordinatorBase, ResolutionCoordinator
 
-#: Registry of resolution algorithms selectable by name.
+
+def _campbell_randell(thread_id: str) -> CoordinatorBase:
+    from ..core.baselines import CampbellRandellCoordinator
+    return CampbellRandellCoordinator(thread_id)
+
+
+def _romanovsky96(thread_id: str) -> CoordinatorBase:
+    from ..core.baselines import Romanovsky96Coordinator
+    return Romanovsky96Coordinator(thread_id)
+
+
+#: Registry of resolution algorithms selectable by name: a per-thread
+#: coordinator factory each (the baselines load on first use).
 ALGORITHMS: Dict[str, Callable[[str], CoordinatorBase]] = {
     "ours": ResolutionCoordinator,
-    "campbell-randell": CampbellRandellCoordinator,
-    "romanovsky96": Romanovsky96Coordinator,
+    "campbell-randell": _campbell_randell,
+    "romanovsky96": _romanovsky96,
 }
 
 

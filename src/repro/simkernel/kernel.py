@@ -20,7 +20,6 @@ legal schedules while every individual run stays exactly reproducible.
 from __future__ import annotations
 
 import heapq
-import logging
 import random
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, List, Optional, Union
@@ -32,8 +31,6 @@ from .process import Process
 # an attribute chain per event.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-logger = logging.getLogger(__name__)
 
 #: Signature of a step tracer: ``hook(when, priority, eid, event)``.
 StepTracer = Callable[[float, int, int, Any], None]
@@ -133,9 +130,12 @@ class Kernel:
         """Disable a step hook that raised (logged once per hook).
 
         Each hook can fail at most once — it is removed here — so the
-        ``logger.exception`` below cannot spam per event.
+        ``logging`` call below cannot spam per event.
         """
-        logger.exception("step tracer %r raised; disabling it", hook)
+        import logging
+
+        logging.getLogger(__name__).exception(
+            "step tracer %r raised; disabling it", hook)
         if hook in self._tracers:
             self._tracers.remove(hook)
             self._bind_tracers()

@@ -33,51 +33,22 @@ simulated system, the way a deployed service would see them:
   telemetry exactly.
 """
 
-from .actions import ActionMix, JobProfile, TrafficActionSpec, \
-    build_traffic_action
-from .admission import AdmissionController, AdmissionStats
-from .registry import ACTIONS, STOCK_ACTIONS, TrafficActionRegistry
-from .arrivals import (
-    ArrivalProcess,
-    ClosedLoopClients,
-    OpenLoopPoisson,
-    TraceReplay,
-)
-from .driver import Job, WorkloadDriver, WorkloadReport
-from .sharding import (
-    GlobalAdmissionController,
-    ShardPlan,
-    ShardSpec,
-    ShardedPool,
-    merge_shard_snapshots,
-    merged_snapshot_digest,
-    run_scale_point,
-    shard_seed,
-)
+from .._lazy import attach
 
-__all__ = [
-    "ACTIONS",
-    "ActionMix",
-    "AdmissionController",
-    "AdmissionStats",
-    "STOCK_ACTIONS",
-    "TrafficActionRegistry",
-    "ArrivalProcess",
-    "ClosedLoopClients",
-    "GlobalAdmissionController",
-    "Job",
-    "JobProfile",
-    "OpenLoopPoisson",
-    "ShardPlan",
-    "ShardSpec",
-    "ShardedPool",
-    "TraceReplay",
-    "TrafficActionSpec",
-    "WorkloadDriver",
-    "WorkloadReport",
-    "build_traffic_action",
-    "merge_shard_snapshots",
-    "merged_snapshot_digest",
-    "run_scale_point",
-    "shard_seed",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "actions": [
+        "ActionMix", "JobProfile", "TrafficActionSpec", "build_traffic_action",
+    ],
+    "admission": ["AdmissionController", "AdmissionStats"],
+    "registry": ["ACTIONS", "STOCK_ACTIONS", "TrafficActionRegistry"],
+    "arrivals": [
+        "ArrivalProcess", "ClosedLoopClients", "OpenLoopPoisson",
+        "TraceReplay",
+    ],
+    "driver": ["Job", "WorkloadDriver", "WorkloadReport"],
+    "sharding": [
+        "GlobalAdmissionController", "ShardPlan", "ShardSpec", "ShardedPool",
+        "merge_shard_snapshots", "merged_snapshot_digest", "run_scale_point",
+        "shard_seed",
+    ],
+})

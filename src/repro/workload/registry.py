@@ -12,12 +12,12 @@ spins up).  :meth:`~repro.workload.driver.WorkloadDriver.add_action` and
 registered name, so scenarios and user code can say
 ``driver.add_action("Serve", width=3)``.
 
-The stock actions (the capacity sweep's homogeneous ``Serve`` and the
-mixed-traffic ``Ping``/``Crunch``/``Flaky`` trio) are registered here;
-plugins register their own specs — including :class:`TrafficActionSpec`
-subclasses with extra fields and a custom :meth:`~repro.workload.actions.
-TrafficActionSpec.build`, such as the transactional ``Transfer`` action
-of :mod:`repro.workload.transactional` — through :meth:`register`.
+The stock actions (the capacity sweep's homogeneous ``Serve``, the
+mixed-traffic ``Ping``/``Crunch``/``Flaky`` trio and the transactional
+``Transfer``, a :class:`TrafficActionSpec` subclass with extra fields and
+a custom :meth:`~repro.workload.actions.TrafficActionSpec.build`) are
+registered here, so every import order sees the same templates; plugins
+register their own specs through :meth:`register`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..core.registry import (
     params_from_dataclass,
     validate_params,
 )
-from .actions import TrafficActionSpec
+from .actions import TrafficActionSpec, TransactionalActionSpec
 
 
 class TrafficActionRegistry(Registry[TrafficActionSpec]):
@@ -101,3 +101,9 @@ STOCK_ACTIONS = (
 for _spec in STOCK_ACTIONS:
     ACTIONS.register(_spec)
 del _spec
+
+#: The stock transactional template: roles incrementing shared atomic
+#: counters (the workload of :mod:`repro.workload.transactional`).
+TRANSFER = ACTIONS.register(TransactionalActionSpec(
+    "Transfer", width=2, mean_service=1.0, raise_probability=0.3,
+    abort_probability=0.5, n_accounts=8))

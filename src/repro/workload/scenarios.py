@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..explore.monitor import InvariantMonitor
 from ..net.faults import FaultPlan
 from ..net.latency import ConstantLatency
 from ..runtime.config import RuntimeConfig
@@ -202,6 +201,8 @@ def run_mixed_traffic(seed: int = 2026,
     explorer's monitor collects every resolution delivery and conclusion
     and the row carries the oracle verdict — ``violations`` must be empty.
     """
+    from ..explore.monitor import InvariantMonitor
+
     faults = _noise_plan(seed, pool_size, noise_directives, noise_max_extra)
     system = _build_pool_system(pool_size, t_msg, t_resolution, algorithm,
                                 faults=faults)

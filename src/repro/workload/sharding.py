@@ -46,8 +46,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -480,6 +478,9 @@ class ShardedPool:
     def _run_pool(self, params: List[Dict[str, Any]]
                   ) -> Optional[List[Dict[str, Any]]]:
         """Shard fan-out on a process pool; ``None`` means "fall back"."""
+        from concurrent.futures.process import (BrokenProcessPool,
+                                                ProcessPoolExecutor)
+
         workers = min(self.workers, len(params))
         try:
             pool = ProcessPoolExecutor(max_workers=workers)

@@ -3,8 +3,9 @@
 The paper's CA actions access *external atomic objects* under a
 transaction that commits on success and rolls back on abort (Figure 1);
 until now the workload layer never exercised that machinery under
-concurrency.  This module registers a :class:`TrafficActionSpec`
-subclass — the first spec plugged through the registry's custom
+concurrency.  This module drives the stock ``Transfer`` template, a
+:class:`~repro.workload.actions.TransactionalActionSpec` — the first
+spec plugged through the registry's custom
 :meth:`~repro.workload.actions.TrafficActionSpec.build` seam — whose
 role bodies drive :mod:`repro.objects` for real:
 
@@ -37,153 +38,19 @@ verdict per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..core.action import CAActionDefinition, RoleDefinition
-from ..core.exception_graph import generate_full_graph
-from ..core.exceptions import ExceptionDescriptor, internal
-from ..core.handlers import HandlerMap, HandlerResult
 from ..explore.monitor import InvariantMonitor
-from ..objects.locks import DeadlockError, LockMode
-from ..simkernel.rng import SeededStreams
 from .admission import AdmissionController
 from .arrivals import OpenLoopPoisson
-from .actions import JobProfile, TrafficActionSpec
+# The spec, its profile and the account naming live with the stock
+# actions (so ``Transfer`` is registered whatever is imported first);
+# they are re-exported here beside the workload that drives them.
+from .actions import (TransactionalActionSpec, TransactionalProfile,
+                      account_name)
 from .driver import WorkloadDriver
-from .registry import ACTIONS
+from .registry import TRANSFER
 from .scenarios import DEFAULT_INSTANCES, _build_pool_system, _row_from_report
-
-
-def account_name(index: int) -> str:
-    """The canonical name of shared account ``index``."""
-    return f"acct{index:03d}"
-
-
-@dataclass(frozen=True, slots=True)
-class TransactionalProfile(JobProfile):
-    """Per-instance behaviour of one transactional job."""
-
-    #: Account index each role operates on (distinct within the instance).
-    accounts: Tuple[int, ...] = ()
-    #: Whether the resolving handler aborts instead of completing.
-    abort: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class TransactionalActionSpec(TrafficActionSpec):
-    """A traffic action whose roles increment shared atomic counters.
-
-    Extends :class:`TrafficActionSpec` with the shared-state knobs and
-    plugs transactional role bodies in through :meth:`build` — the
-    registry, driver and mix treat it exactly like any other spec.
-    """
-
-    #: Size of the shared account set instances draw from.
-    n_accounts: int = 8
-    #: Probability that a *raising* instance's handler aborts (backward
-    #: recovery; otherwise the handler completes and the transaction
-    #: commits the increments made before the fault).
-    abort_probability: float = 0.5
-
-    def __post_init__(self) -> None:
-        # Explicit base call: dataclass(slots=True) recreates the class,
-        # which breaks zero-argument super() in methods defined here.
-        TrafficActionSpec.__post_init__(self)
-        if self.n_accounts < self.width:
-            raise ValueError("n_accounts must be at least width "
-                             "(each role locks a distinct account)")
-        if not 0.0 <= self.abort_probability <= 1.0:
-            raise ValueError("abort_probability must be in [0, 1]")
-
-    @property
-    def deadlock(self) -> ExceptionDescriptor:
-        """The fault a role raises when its lock request would deadlock."""
-        return internal(f"{self.name}_deadlock")
-
-    def draw_profile(self, streams: SeededStreams,
-                     index: int) -> TransactionalProfile:
-        """Draw job ``index``'s profile — pure in ``(seed, name, index)``."""
-        stream = streams.fresh_stream(f"job:{self.name}:{index}")
-        service = tuple(stream.expovariate(1.0 / self.mean_service)
-                        for _ in range(self.width))
-        raiser = None
-        if self.raise_probability and \
-                stream.random() < self.raise_probability:
-            raiser = 0
-        abort = raiser is not None and \
-            stream.random() < self.abort_probability
-        accounts = tuple(stream.sample(range(self.n_accounts), self.width))
-        return TransactionalProfile(service_times=service, raiser=raiser,
-                                    accounts=accounts, abort=abort)
-
-    def build(self, driver: "WorkloadDriver") -> CAActionDefinition:
-        """Role bodies locking/reading/incrementing shared accounts."""
-        fault = self.fault
-        deadlock_fault = self.deadlock
-
-        def resolving_handler(ctx):
-            profile = driver.profile_for(ctx.instance)
-            if self.handler_time > 0:
-                yield ctx.delay(self.handler_time)
-            resolved = ctx.resolved_exception
-            deadlocked = resolved is not None and \
-                resolved.name != fault.name
-            if deadlocked or profile.abort:
-                return HandlerResult.abort()
-            return HandlerResult.success()
-
-        def make_body(role_index: int):
-            def body(ctx):
-                profile = driver.profile_for(ctx.instance)
-                account = account_name(profile.accounts[role_index])
-                half = profile.service_times[role_index] / 2.0
-                # Pre-lock work first: roles of overlapping instances
-                # then reach their lock requests at staggered times, so
-                # conflicting acquisition orders genuinely interleave
-                # (locking at the entry barrier would serialise whole
-                # instances and no wait-for cycle could ever close).
-                if half > 0:
-                    yield ctx.delay(half)
-                # Shared read first, then upgrade for the write: readers of
-                # the same account overlap instead of serialising, and the
-                # upgrade is still strict 2PL (the shared lock is never
-                # released before the exclusive one is granted), so no
-                # committed write can slip between the read and the write.
-                # Two overlapping upgraders form a genuine deadlock — the
-                # lock manager refuses the closing request and the victim
-                # recovers — while reader/reader queues are granted
-                # together (the mode-aware wait-for check; the old
-                # mode-blind one refused them as phantom deadlocks).
-                try:
-                    yield ctx.transaction.lock(account, LockMode.SHARED)
-                except DeadlockError:
-                    ctx.raise_exception(deadlock_fault)
-                value = ctx.read(account, "value")
-                try:
-                    yield ctx.transaction.lock(account, LockMode.EXCLUSIVE)
-                except DeadlockError:
-                    ctx.raise_exception(deadlock_fault)
-                ctx.write(account, "value", value + 1)
-                if profile.raiser == role_index:
-                    ctx.raise_exception(fault)
-                if half > 0:
-                    yield ctx.delay(half)
-            return body
-
-        roles = [RoleDefinition(role, make_body(index),
-                                HandlerMap(default_handler=resolving_handler))
-                 for index, role in enumerate(self.role_names)]
-        return CAActionDefinition(
-            self.name, roles, internal_exceptions=[fault, deadlock_fault],
-            graph=generate_full_graph([fault, deadlock_fault],
-                                      action_name=self.name))
-
-
-#: The stock transactional template (registered like any other action).
-TRANSFER = ACTIONS.register(TransactionalActionSpec(
-    "Transfer", width=2, mean_service=1.0, raise_probability=0.3,
-    abort_probability=0.5, n_accounts=8))
 
 
 def run_transactional_point(offered_load: float,

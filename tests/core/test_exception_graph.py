@@ -68,6 +68,26 @@ class TestConstruction:
     def test_validate_accepts_well_formed_graph(self):
         small_graph().validate()
 
+    def test_validate_walks_an_unchanged_graph_once(self, monkeypatch):
+        graph = small_graph()  # generate_full_graph validated it already
+        walks = []
+        monkeypatch.setattr(graph, "_assert_acyclic",
+                            lambda: walks.append(graph.version))
+        graph.validate()
+        assert walks == []
+        graph.add_exception(internal("late"))
+        graph.validate()
+        graph.validate()
+        assert walks == [graph.version]
+
+    def test_mutation_after_validation_is_still_caught(self):
+        graph = small_graph()
+        graph.validate()
+        # A cover from a brand-new node makes that node a second root.
+        graph.add_cover(internal("stray"), E1)
+        with pytest.raises(ExceptionGraphError, match="only root"):
+            graph.validate()
+
     def test_degrees_and_node_kinds(self):
         graph = small_graph()
         assert graph.out_degree(E1) == 0                   # primitive

@@ -1,0 +1,85 @@
+"""Cold-start import budget: what each entry point loads, as counts.
+
+Every ``python -m repro.*`` tool, every benchmark set-up and every
+real-backend child (a fresh *spawn* interpreter per node) pays the import
+of its entry point.  Packages re-export lazily (``repro._lazy``) and a
+module imports at top level only what its own common path calls, so an
+entry point loads the modules its run executes and nothing else.  This
+gate pins that in ``sys.modules`` terms, which read the same on any host:
+
+* no entry point loads the process-pool machinery (``multiprocessing``,
+  ``concurrent.futures``, the sharded pool) — ``repro.bench.engine``
+  loads it only when a sweep actually runs on a pool;
+* none loads the corpus search, the trace exporters or the production
+  cell, which only their own runners use;
+* the number of ``repro`` modules stays within :data:`BUDGET`.
+
+Run alone with ``python -m pytest tests/test_import_budget.py -q``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: ``repro`` modules each entry point may load (measured count + 2).
+BUDGET = {
+    "repro": 4,
+    "repro.workload.scenarios": 56,
+    "repro.bench.scenarios": 51,
+    "repro.bench.engine": 56,
+    "repro.explore.explorer": 55,
+    "repro.net.real.host": 8,
+}
+
+#: Modules no entry point may load at import.
+ABSENT = ("multiprocessing", "concurrent.futures", "repro.workload.sharding",
+          "repro.explore.corpus", "repro.obs.export", "repro.productioncell")
+
+_PROBE = """
+import json, sys
+import {module}
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(module: str):
+    """``sys.modules`` of a fresh interpreter after ``import module``."""
+    env = dict(os.environ, PYTHONPATH=SOURCE)
+    output = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(module=module)], env=env,
+        check=True, capture_output=True, text=True).stdout
+    return json.loads(output)
+
+
+@pytest.fixture(scope="module", params=sorted(BUDGET))
+def entry_point(request):
+    return request.param, loaded_modules(request.param)
+
+
+def test_no_entry_point_loads_what_only_other_runners_use(entry_point):
+    module, loaded = entry_point
+    assert [name for name in ABSENT if name in loaded] == []
+
+
+def test_repro_module_count_stays_within_budget(entry_point):
+    module, loaded = entry_point
+    ours = [name for name in loaded
+            if name == "repro" or name.startswith("repro.")]
+    assert len(ours) <= BUDGET[module], ours
+
+
+def test_real_backend_child_skips_the_parent_hub():
+    # A node process imports the host module only; asyncio is the
+    # parent hub's, multiprocessing the parent launcher's.
+    loaded = loaded_modules("repro.net.real.host")
+    assert "asyncio" not in loaded
+    assert "repro.net.real.backend" not in loaded

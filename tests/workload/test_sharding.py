@@ -151,13 +151,12 @@ class TestGlobalBackpressure:
 class TestFallbackLogging:
     def test_oserror_falls_back_to_sequential_and_warns(
             self, monkeypatch, caplog):
-        import repro.workload.sharding as sharding
-
         class ExplodingPool:
             def __init__(self, max_workers):
                 raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", ExplodingPool)
+        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
+                            ExplodingPool)
         pool = ShardedPool(pool_size=8, workers=2)
         plan = ShardPlan(seed=1, n_shards=2, n_instances=60,
                          offered_load=4.0)
