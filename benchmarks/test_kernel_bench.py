@@ -1,18 +1,14 @@
-"""Opt-in checks of the kernel microbenchmark suite (``--suite kernel``).
+"""Opt-in checks of the kernel and network microbenchmarks.
 
 Runs tiny configurations so the assertions are about structure and sanity,
-not speed; the real numbers land in the committed ``BENCH_kernel.json``.
+not speed; the real numbers are the isolated probes of
+``benchmarks/perf/`` (``simkernel.events_per_s``, ``net.msgs_per_s``).
 """
 
 from __future__ import annotations
 
-from repro.bench.kernelbench import (
-    CAPACITY_CONFIGS,
-    bench_capacity,
-    bench_event_throughput,
-    bench_message_delivery,
-    collect_kernel_baseline,
-)
+from repro.bench.kernelbench import (bench_event_throughput,
+                                     bench_message_delivery)
 
 
 class TestKernelBenchmarks:
@@ -26,38 +22,3 @@ class TestKernelBenchmarks:
         row = bench_message_delivery(n_messages=500, repeats=1)
         assert row["messages"] == 500
         assert row["messages_per_second"] > 0
-
-    def test_capacity_rows(self):
-        rows = bench_capacity(
-            {"tiny": {"offered_load": 2.0, "n_instances": 20}}, repeats=1)
-        (row,) = rows
-        assert row["config"] == "tiny"
-        assert row["jobs"] == 20
-        assert 0 < row["completed"] <= 20
-        assert row["instances_per_second"] > 0
-
-    def test_default_configs_cover_three_scales(self):
-        pools = {CAPACITY_CONFIGS[name].get("pool_size", 8)
-                 for name in CAPACITY_CONFIGS}
-        assert pools == {8, 32, 64}
-
-    def test_collect_kernel_baseline_document(self):
-        document = collect_kernel_baseline(
-            n_events=2_000, n_messages=500,
-            capacity_configs={"tiny": {"offered_load": 2.0,
-                                       "n_instances": 20}},
-            repeats=1)
-        assert set(document) >= {"python", "repeats", "event_throughput",
-                                 "message_delivery", "capacity"}
-        assert len(document["capacity"]) == 1
-
-    def test_capacity_bench_is_deterministic_in_virtual_time(self):
-        """The measured workload itself must stay byte-identical per run."""
-        one = bench_capacity(
-            {"tiny": {"offered_load": 2.0, "n_instances": 20}}, repeats=1)
-        two = bench_capacity(
-            {"tiny": {"offered_load": 2.0, "n_instances": 20}}, repeats=1)
-        for row_one, row_two in zip(one, two):
-            assert row_one["completed"] == row_two["completed"]
-            assert row_one["throughput_virtual"] == \
-                row_two["throughput_virtual"]

@@ -1,7 +1,7 @@
 """Resolution-focused benchmarks: wide-graph storms and the compiled index.
 
-These back the ``BENCH_resolution.json`` perf baseline.  The assertions pin
-the qualitative properties the compiled exception-graph index guarantees:
+The assertions pin the qualitative properties the compiled exception-graph
+index guarantees:
 
 * ``graph_statistics`` plus a 100-call ``resolve()`` loop on the
   12-primitive, ``max_level=3`` graph (794 nodes) finishes in well under a
@@ -13,15 +13,9 @@ the qualitative properties the compiled exception-graph index guarantees:
   exception, and exactly one resolution call per action instance.
 """
 
-import json
-
 import pytest
 
-from repro.bench import (
-    format_table,
-    run_scenario,
-    write_resolution_baseline,
-)
+from repro.bench import format_table, run_scenario
 
 
 @pytest.mark.benchmark(group="wide-graph")
@@ -60,20 +54,6 @@ def test_compiled_resolution_meets_the_latency_bar(benchmark, report):
                                        "build_seconds", "stats_seconds",
                                        "resolve_us_per_call",
                                        "speedup_vs_naive"]))
-
-
-def test_baseline_document_is_json_round_trippable(tmp_path):
-    path = tmp_path / "BENCH_resolution.json"
-    document = write_resolution_baseline(str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(document))
-    assert loaded["schema"] == 1
-    assert len(loaded["wide_graph"]) == 3
-    assert len(loaded["graph_microbench"]) == 3
-    # Wide-graph rows embed message statistics snapshots; the "src->dst"
-    # link encoding is what makes them JSON-representable at all.
-    sample = loaded["wide_graph"][0]["message_stats"]
-    assert all("->" in key for key in sample["by_link"])
 
 
 def test_wide_graph_rows_identical_in_parallel_mode(report):

@@ -3,10 +3,6 @@
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "baseline": [
-        "collect_resolution_baseline", "collect_workload_baseline",
-        "write_resolution_baseline", "write_workload_baseline",
-    ],
     "engine": [
         "CAPACITY_GRID", "CHURN_GRID", "FIGURE9_BASELINE", "FIGURE9_GRIDS",
         "GRAPH_MICROBENCH_GRID", "LARGE_N_GRID", "MIXED_TRAFFIC_GRID",

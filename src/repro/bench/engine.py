@@ -774,10 +774,11 @@ def production_cell_point(seed: int, **options) -> Row:
 
 
 #: The scale grid: a small sharded-capacity sweep (cheap enough for tests
-#: and conformance; the committed ``BENCH_scale.json`` sweeps 10^4 → 10^6
-#: through ``repro.bench.baseline --suite scale``).  ``pool_size`` is per
-#: shard, so aggregate capacity scales with ``n_shards`` while the
-#: offered load and instance count stay deployment totals.
+#: and conformance; a larger point is one ``run_scale_point`` call, e.g.
+#: ``run_scale_point(1_000_000, 16, 96.0, pool_size=16, workers=2)``).
+#: ``pool_size`` is per shard, so aggregate capacity scales with
+#: ``n_shards`` while the offered load and instance count stay
+#: deployment totals.
 SCALE_SEED = 2026
 SCALE_GRID = (
     {"n_instances": 1000, "n_shards": 1, "offered_load": 6.0,

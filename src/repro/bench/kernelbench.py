@@ -1,51 +1,34 @@
-"""Kernel/runtime microbenchmarks: the ``--suite kernel`` baseline.
+"""Kernel and network microbenchmarks: wall-clock rates below the runtime.
 
-Three wall-clock measurements bracket the layers the hot-path optimisation
-pass touched (all simulated *behaviour* is pinned separately by the
-golden-trace conformance suite — these benchmarks only measure speed):
+Two measurements of the layers every scenario runs on (simulated
+*behaviour* is pinned separately by the conformance fixtures; these only
+measure speed):
 
 * **event throughput** — a bare :class:`~repro.simkernel.kernel.Kernel`
   driving a timeout-yielding process: pure schedule/step/resume cost, no
   network or runtime;
 * **message delivery rate** — two nodes on a zero-fault network, one
   sender, one draining receiver: the per-message envelope/statistics/
-  FIFO-clamp/delivery path on top of the kernel;
-* **capacity instances/sec** — the end-to-end ``capacity`` workload
-  scenario at three pool scales (the default 8-worker pool of the
-  committed capacity curve, and wider 32-/64-worker pools where the
-  per-instance bookkeeping dominates), reported as completed action
-  instances per wall-clock second.
+  FIFO-clamp/delivery path on top of the kernel.
 
 Each measurement is the best of ``repeats`` runs, which is the standard
 way to suppress scheduler/allocator noise in short benchmarks.  The
-committed ``BENCH_kernel.json`` gives later PRs the same perf trajectory
-for the kernel that ``BENCH_resolution.json`` gives for graph resolution.
+end-to-end harness (``benchmarks/perf/``) reports both as its isolated
+``simkernel.events_per_s`` and ``net.msgs_per_s`` probes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict
 
 from ..simkernel.kernel import Kernel
-from .engine import GridPoint, run_scenario
 
-#: Default sizes: large enough for stable timings, small enough that the
-#: whole suite (with repeats) stays in CI-smoke territory.
+#: Default sizes: large enough for stable timings, small enough that both
+#: probes (with repeats) stay in CI-smoke territory.
 EVENT_COUNT = 100_000
 MESSAGE_COUNT = 20_000
 REPEATS = 3
-
-#: The capacity configurations measured by the kernel suite.  ``default8``
-#: is the committed capacity curve's saturated point; the wider pools are
-#: where the pre-optimisation per-instance bookkeeping (instance release
-#: sweeps, binding resolution, barrier registries) grew with pool size.
-CAPACITY_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "default8": {"offered_load": 4.0},
-    "pool32": {"offered_load": 16.0, "pool_size": 32, "n_instances": 400},
-    "pool64": {"offered_load": 32.0, "pool_size": 64, "n_instances": 600,
-               "queue_capacity": 128},
-}
 
 
 def _best_of(repeats: int, run: Callable[[], Any]) -> float:
@@ -125,177 +108,4 @@ def bench_message_delivery(n_messages: int = MESSAGE_COUNT,
         "messages": n_messages,
         "wall_seconds": seconds,
         "messages_per_second": n_messages / seconds if seconds > 0 else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
-# End-to-end capacity wall-clock
-# ----------------------------------------------------------------------
-def bench_capacity(configs: Optional[Dict[str, Dict[str, Any]]] = None,
-                   repeats: int = REPEATS) -> List[Dict[str, Any]]:
-    """End-to-end ``capacity`` scenario wall-clock at several pool scales.
-
-    Every run goes through :func:`~repro.bench.engine.run_scenario`, i.e.
-    the exact code path the conformance suite pins, so the measured wall
-    clock belongs to behaviour that is provably unchanged.
-    """
-    rows: List[Dict[str, Any]] = []
-    for name, parameters in (configs or CAPACITY_CONFIGS).items():
-        point: GridPoint = dict(parameters)
-        captured: List[Dict[str, Any]] = []
-
-        def run() -> None:
-            captured[:] = run_scenario("capacity", points=[point])
-
-        seconds = _best_of(repeats, run)
-        result = captured[0]
-        completed = int(result["completed"])
-        rows.append({
-            "config": name,
-            "offered_load": point.get("offered_load"),
-            "pool_size": result["pool_size"],
-            "jobs": result["jobs"],
-            "completed": completed,
-            "throughput_virtual": result["throughput"],
-            "wall_seconds": seconds,
-            "instances_per_second": (completed / seconds
-                                     if seconds > 0 else 0.0),
-        })
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Observability overhead (the "never perturbs, barely costs" claim)
-# ----------------------------------------------------------------------
-#: Rounds for the overhead comparison: many more than the throughput
-#: benches because the measured quantity is a *ratio* of two short
-#: timings — the median over this many paired rounds is what stabilises
-#: it on noisy (shared/throttled) CI hosts.
-OBS_ROUNDS = 45
-
-
-def _timed_once(run: Callable[[], None]) -> float:
-    """One GC-controlled wall-clock sample of ``run`` (seconds).
-
-    The cyclic collector is the dominant run-to-run drift in short kernel
-    benchmarks: every run leaves its whole system as cyclic garbage, and
-    letting generational GC fire mid-measurement makes the Nth run look
-    arbitrarily slower than the first.  Collect *before* the sample and
-    keep GC off *during* it, so every sample starts from the same heap.
-    """
-    import gc
-
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _paired_overhead(run_a: Callable[[], None], run_b: Callable[[], None],
-                     rounds: int) -> Dict[str, float]:
-    """Median relative cost of ``run_b`` over ``run_a`` (ABBA pairing).
-
-    Each round times A-B-B-A (alternating with B-A-A-B) back to back and
-    takes the within-round ratio, so both variants see near-identical
-    host conditions (CPU-quota throttling on CI runners drifts over
-    seconds, which makes any "time all of A, then all of B" comparison
-    systematically unfair).  The palindromic order cancels linear drift
-    inside a round; alternating which variant takes the outer slots
-    cancels the residual position bias; the median over rounds rejects
-    the occasional contended round entirely.
-    """
-    ratios: List[float] = []
-    a_samples: List[float] = []
-    b_samples: List[float] = []
-    for round_index in range(max(1, rounds)):
-        if round_index % 2 == 0:
-            a1 = _timed_once(run_a)
-            b1 = _timed_once(run_b)
-            b2 = _timed_once(run_b)
-            a2 = _timed_once(run_a)
-        else:
-            b1 = _timed_once(run_b)
-            a1 = _timed_once(run_a)
-            a2 = _timed_once(run_a)
-            b2 = _timed_once(run_b)
-        a_samples.extend((a1, a2))
-        b_samples.extend((b1, b2))
-        ratios.append((b1 + b2) / (a1 + a2))
-    ratios.sort()
-    a_samples.sort()
-    b_samples.sort()
-    return {
-        "overhead": ratios[len(ratios) // 2] - 1.0,
-        "a_seconds": a_samples[len(a_samples) // 2],
-        "b_seconds": b_samples[len(b_samples) // 2],
-    }
-
-
-def bench_obs_overhead(n_events: int = EVENT_COUNT,
-                       rounds: int = OBS_ROUNDS) -> Dict[str, Any]:
-    """Kernel event-loop cost with observability off vs traced.
-
-    ``disabled`` runs the identical bare-kernel loop as the baseline —
-    with ``repro.obs`` inactive the kernel's hot loop is structurally
-    unchanged (one attribute read and a ``None`` check per step), so the
-    measured ``disabled_overhead`` is noise around zero; CI asserts it
-    stays within a small band, which catches any future change that puts
-    real work on the disabled path.  ``enabled`` attaches a
-    flight-recorder step tracer through ``Kernel.add_tracer`` and reports
-    the honest cost of always-on kernel-step tracing.
-    """
-    from ..obs import FlightRecorder
-
-    iterations = max(1, n_events // 2)
-
-    def run_plain() -> None:
-        kernel = Kernel()
-        kernel.process(_timeout_loop(kernel, iterations))
-        kernel.run()
-
-    def run_traced() -> None:
-        kernel = Kernel()
-        ring = FlightRecorder()
-        kernel.add_tracer(lambda when, priority, eid, event:
-                          ring.append({"t": when, "kind": "kernel.step",
-                                       "eid": eid}))
-        kernel.process(_timeout_loop(kernel, iterations))
-        kernel.run()
-
-    run_plain()
-    run_traced()
-    disabled = _paired_overhead(run_plain, run_plain, rounds)
-    enabled = _paired_overhead(run_plain, run_traced, rounds)
-    return {
-        "events": 2 * iterations,
-        "rounds": rounds,
-        "baseline_seconds": disabled["a_seconds"],
-        "disabled_seconds": disabled["b_seconds"],
-        "enabled_seconds": enabled["b_seconds"],
-        "disabled_overhead": disabled["overhead"],
-        "enabled_overhead": enabled["overhead"],
-    }
-
-
-def collect_kernel_baseline(
-        n_events: int = EVENT_COUNT,
-        n_messages: int = MESSAGE_COUNT,
-        capacity_configs: Optional[Dict[str, Dict[str, Any]]] = None,
-        repeats: int = REPEATS) -> Dict[str, object]:
-    """Run the three kernel benchmarks and return the baseline document."""
-    import platform
-
-    return {
-        "python": platform.python_version(),
-        "repeats": repeats,
-        "event_throughput": bench_event_throughput(n_events, repeats),
-        "message_delivery": bench_message_delivery(n_messages, repeats),
-        "capacity": bench_capacity(capacity_configs, repeats),
-        "obs_overhead": bench_obs_overhead(n_events),
     }

@@ -487,9 +487,8 @@ def run_graph_microbench(n_primitives: int = 12, max_level: int = 3,
 
     Measures the compiled hot path (and, for perspective, a few calls of the
     naive reference scan) on a ``generate_full_graph`` instance.  Wall-clock
-    fields vary run to run, of course; the row exists to track the
-    *trajectory* of resolution performance across PRs via
-    ``BENCH_resolution.json``.
+    fields vary run to run, which is why ``graph_microbench`` is the one
+    scenario exempt from conformance digests.
     """
     rng = random.Random(seed)
     primitives = [internal(f"mb_{i:02d}") for i in range(n_primitives)]

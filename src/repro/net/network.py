@@ -109,8 +109,9 @@ class MessageStatistics:
 
         The snapshot is a self-contained value that is both picklable and
         JSON-serializable — links are encoded as ``"src->dst"`` strings so
-        benchmark rows containing snapshots can be written to ``BENCH_*``
-        JSON files.  :meth:`restore` rebuilds a statistics object from one
+        scenario rows that embed snapshots (``wide_graph``'s
+        ``message_stats``) survive conformance digests and JSON
+        exports.  :meth:`restore` rebuilds a statistics object from one
         and :meth:`merge` adds one onto another (both accept tuple-keyed
         legacy snapshots as well).  The scenario engine itself isolates
         parallel runs by giving each grid point a fresh system — these

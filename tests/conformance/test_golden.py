@@ -55,6 +55,9 @@ def test_every_registered_scenario_is_gated_or_exempt():
     test above enforces) or carry an explicit exemption with a reason.
     """
     assert conformance.uncovered_scenarios() == []
+    # Only the wall-clock microbenchmark is exempt: every other scenario,
+    # sweeps such as capacity, wide_graph and scale included, is digested.
+    assert set(conformance.COVERAGE_EXEMPT) == {"graph_microbench"}
     # Exemptions must name real scenarios, with a stated reason.
     from repro.bench.engine import REGISTRY
     for name, reason in conformance.COVERAGE_EXEMPT.items():

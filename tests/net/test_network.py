@@ -338,8 +338,8 @@ class TestStatistics:
         assert snapshot["by_link"]["A->B"] == 1
 
     def test_snapshot_json_roundtrip(self):
-        # Snapshots must be JSON-serializable (benchmark rows embed them in
-        # BENCH_*.json files), and restore() must accept the decoded form.
+        # Snapshots must be JSON-serializable (scenario rows embed them and
+        # are digested as JSON), and restore() must accept the decoded form.
         import json
 
         kernel, network, a, b = make_network()

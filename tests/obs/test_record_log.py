@@ -3,23 +3,63 @@
 Recording is one tuple append per event, so its cost is a count that
 repeats exactly on any host: Python-level calls into ``repro/obs`` per
 recorded event, measured under ``sys.setprofile`` while the run records
-and before anything reads.  The timelines and the Chrome trace are built
-from the log afterwards; their tests pin that derivation.
+and before anything reads.  With observation off the same count is
+exact: one adoption check per system built, nothing per event.  The
+timelines and the Chrome trace are built from the log afterwards; their
+tests pin that derivation.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
+
+import pytest
 
 from repro import obs
 from repro.bench.engine import REGISTRY, run_scenario
+from repro.bench.scenarios import run_wide_graph
 from repro.net import ConstantLatency
 from repro.runtime import DistributedCASystem, RuntimeConfig
-from repro.workload.scenarios import run_mixed_traffic
+from repro.workload.scenarios import run_capacity_point, run_mixed_traffic
+from repro.workload.transactional import run_transactional_point
 
 OBS_DIR = os.path.dirname(os.path.abspath(obs.__file__)) + os.sep
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_capacity_point(offered_load=1.0, n_instances=60),
+    lambda: run_wide_graph(n_threads=4, iterations=1),
+    lambda: run_transactional_point(offered_load=1.0, n_instances=40),
+], ids=["capacity", "wide_graph", "transactional"])
+def test_observation_off_costs_one_obs_call_per_system(run):
+    system_init = DistributedCASystem.__init__.__code__
+    obs_calls = Counter()
+    calls = systems = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls, systems
+        if event != "call":
+            return
+        calls += 1
+        code = frame.f_code
+        if code is system_init:
+            systems += 1
+        elif code.co_filename.startswith(OBS_DIR):
+            obs_calls[code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        row = run()
+    finally:
+        sys.setprofile(None)
+    # Tens of thousands of calls carried every message and kernel event,
+    # yet the only obs frame entered is the adoption check that the
+    # system constructor makes.
+    assert systems == 1 and row["protocol_messages"] > 0
+    assert calls > 20_000
+    assert obs_calls == {"maybe_observe": systems}
 
 
 def test_recording_costs_at_most_two_obs_calls_per_event():

@@ -81,3 +81,32 @@ class TestEntryPointsShareTheFlags:
         write_jsonl([{"t": 0.0, "kind": "job.submitted"}], path)
         assert main(["-v", "summarize", path]) == 0
         assert logging.getLogger("repro").level == logging.INFO
+
+
+def test_baseline_main_drives_the_real_backend_writer(
+        clean_repro_logger, monkeypatch, capsys):
+    import repro.bench.baseline as baseline
+    calls = []
+    violations = iter([0, 2])
+
+    def fake_writer(path, **options):
+        # Stands in for the matrix run, so no OS process is started.
+        calls.append((path, options))
+        return {"rows": [{}, {}, {}], "oracle_violations": next(violations)}
+
+    monkeypatch.setattr(baseline, "write_real_backend_baseline", fake_writer)
+    assert baseline.main(["--scenario", "figure9",
+                          "--scenario", "remote_counter",
+                          "--time-scale", "0.5", "--wall-timeout", "30",
+                          "--obs-dir", "real-obs",
+                          "--output", "matrix.json"]) == 0
+    assert baseline.main([]) == 1     # any oracle violation fails the run
+    assert calls == [
+        ("matrix.json", {"scenarios": ["figure9", "remote_counter"],
+                         "time_scale": 0.5, "wall_timeout": 30.0,
+                         "obs_dir": "real-obs"}),
+        ("BENCH_realbackend.json", {"scenarios": None, "time_scale": 0.02,
+                                    "wall_timeout": 120.0, "obs_dir": None}),
+    ]
+    assert "3 real-backend rows, 2 oracle violations" in \
+        capsys.readouterr().out

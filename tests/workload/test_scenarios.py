@@ -175,25 +175,3 @@ class TestEngineIntegration:
             {"seed": 2026, "n_instances": 60}])
         assert len(mixed) == 1 and mixed[0]["violations"] == []
 
-
-class TestWorkloadBaseline:
-    def test_writer_produces_committed_schema(self, tmp_path):
-        from repro.bench import write_workload_baseline
-        path = tmp_path / "BENCH_workload.json"
-        document = write_workload_baseline(
-            str(path),
-            capacity_points=[{"offered_load": 1.0, "n_instances": 60},
-                             {"offered_load": 8.0, "n_instances": 60}],
-            mixed_points=[{"seed": 2026, "n_instances": 60}],
-            transactional_points=[{"offered_load": 1.0, "n_instances": 40}],
-            cell_points=[{"seed": 2026, "n_cycles": 2}])
-        on_disk = json.loads(path.read_text())
-        assert on_disk == document
-        # Every section honours the points it was given.
-        assert [len(on_disk[section]) for section in
-                ("capacity", "mixed_traffic", "transactional",
-                 "production_cell")] == [2, 1, 1, 1]
-        assert on_disk["schema"] == 1
-        assert on_disk["oracle_violations"] == 0
-        assert {"knee_offered_load", "saturated_loads"} <= \
-            set(on_disk["saturation_knee"])

@@ -185,51 +185,3 @@ class TestEngineScaleScenario:
         assert [strip(row) for row in sequential] == \
             [strip(row) for row in parallel]
 
-
-class TestBaselineCLI:
-    def _fake_scale_document(self):
-        return {
-            "knee": {"configs": [
-                {"n_shards": 1, "merged_knee": {"knee_offered_load": 8.0}}]},
-            "backpressure": {"rows": [
-                {"admission": {"queued": 5, "dropped": 3}}]},
-            "throughput": {"n_instances": 10_000,
-                           "speedup_vs_single_shard": 3.5,
-                           "speedup_vs_single_shard_parallel": 4.2},
-        }
-
-    def test_workers_and_small_flags_reach_the_scale_writer(
-            self, monkeypatch, tmp_path, capsys):
-        import repro.bench.baseline as baseline
-        captured = {}
-
-        def fake_writer(path, small=False, workers=0):
-            captured.update(path=path, small=small, workers=workers)
-            return self._fake_scale_document()
-
-        monkeypatch.setattr(baseline, "write_scale_baseline", fake_writer)
-        output = str(tmp_path / "BENCH_scale.json")
-        assert baseline.main(["--suite", "scale", "--small",
-                              "--workers", "3", "--output", output]) == 0
-        assert captured == {"path": output, "small": True, "workers": 3}
-        assert "3.50x vs single shard" in capsys.readouterr().out
-
-    def test_workers_flag_reaches_run_scenario(self, monkeypatch, tmp_path):
-        import repro.bench.baseline as baseline
-        captured = {}
-
-        def fake_writer(path, parallel=False, max_workers=None):
-            captured.update(parallel=parallel, max_workers=max_workers)
-            return {"capacity": [], "mixed_traffic": [],
-                    "saturation_knee": {"knee_offered_load": None},
-                    "oracle_violations": 0,
-                    "transactional": [], "transactional_violations": 0,
-                    "production_cell": [],
-                    "production_cell_violations": 0}
-
-        monkeypatch.setattr(baseline, "write_workload_baseline",
-                            fake_writer)
-        output = str(tmp_path / "BENCH_workload.json")
-        assert baseline.main(["--suite", "workload", "--parallel",
-                              "--workers", "5", "--output", output]) == 0
-        assert captured == {"parallel": True, "max_workers": 5}
