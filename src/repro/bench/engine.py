@@ -5,7 +5,8 @@ simulated runs.  Instead of hand-rolled loops per figure, this module keeps
 a registry mapping a scenario name to
 
 * a **runner** — a function taking one grid point's parameters (as keyword
-  arguments) and returning one row dictionary, and
+  arguments) and returning one row dictionary; its signature declares the
+  parameters every grid point is checked against before anything runs, and
 * a default **parameter grid** — the list of points the paper (or the new
   workload) sweeps.
 
@@ -19,7 +20,14 @@ produce byte-identical rows; results are always returned in grid order.
 rows are wall-clock throughout, and ``wide_graph`` rows carry one
 wall-clock field, ``wall_seconds``.)
 
-Registering a new workload::
+The built-in scenarios are one table at the end of this module; each
+names its runner (and node builder) by ``"module:function"`` reference,
+imported on first use, so importing the engine loads no workload code::
+
+    REGISTRY.add(Scenario("capacity", "repro.workload.scenarios:"
+                          "run_capacity_point", CAPACITY_GRID))
+
+A plugin registers the function itself::
 
     @REGISTRY.register("my-workload", grid=[{"n": 2}, {"n": 4}])
     def my_workload(n):
@@ -42,17 +50,13 @@ import gc
 import json
 import logging
 import os
-from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .. import obs
 
-from ..analysis.bounds import (
-    messages_all_exceptions,
-    messages_single_exception,
-    theorem2_worst_case_messages,
-)
 from ..core.registry import (
     ParamError,
     ParamSpec,
@@ -60,23 +64,12 @@ from ..core.registry import (
     Registry,
     format_params,
     params_from_callable,
+    resolve,
     validate_params,
 )
-from ..explore.generator import DEFAULT_KINDS, STORM_KINDS, FaultPlanGenerator
+from ..explore.generator import STORM_KINDS, FaultPlanGenerator
 from ..explore.targets import get_target
-from .scenarios import (
-    EXPERIMENT1_ITERATIONS,
-    BuiltNode,
-    build_experiment1,
-    build_remote_counter,
-    observed_node,
-    run_churn,
-    run_complexity_scenario,
-    run_experiment1,
-    run_experiment2,
-    run_graph_microbench,
-    run_wide_graph,
-)
+from .scenarios import EXPERIMENT1_ITERATIONS, BuiltNode
 
 logger = logging.getLogger(__name__)
 
@@ -122,45 +115,61 @@ class ScenarioConfig:
 class Scenario:
     """A named, sweepable workload.
 
-    ``params`` holds the runner's declared parameters (derived from its
-    signature when the scenario is added to a registry); ``accepts_extra``
-    is true for runners taking ``**options``, whose unknown keys forward
-    to a lower-level function and therefore pass validation.
-
-    ``nodes`` and ``build`` make the scenario *real-capable*: the real
-    backend boots one OS process per name in ``nodes`` and each calls
-    ``build`` for its own node (see :data:`NodeBuilder`).
+    ``runner`` (a function, or its ``"module:function"`` reference) runs
+    one grid point; its signature declares :attr:`params`.  ``nodes``
+    and ``build`` (a node builder, given either way) make the scenario
+    *real-capable*: the real backend boots one OS process per name in
+    ``nodes`` and each calls ``build`` for its own node (see
+    :data:`NodeBuilder`).
     """
 
     name: str
-    runner: Callable[..., Row]
+    runner: Union[Callable[..., Row], str]
     grid: Tuple[GridPoint, ...]
     description: str = ""
-    params: Optional[Tuple[ParamSpec, ...]] = None
-    accepts_extra: bool = False
     nodes: Tuple[str, ...] = ()
-    build: Optional[NodeBuilder] = None
+    build: Union[NodeBuilder, str, None] = None
 
-    def validate_point(self, point: GridPoint) -> List[ParamError]:
-        """Check one grid point against the runner's declared params."""
-        if self.params is None:
-            return []
-        return validate_params(f"scenario {self.name!r}", self.params,
-                               self.accepts_extra, point)
+    @cached_property
+    def _resolved(self) -> Tuple[Callable[..., Row], Tuple[ParamSpec, ...],
+                                 bool]:
+        """The runner and its declared params; the default grid checked."""
+        owner = f"scenario {self.name!r}"
+        runner = resolve(owner, self.runner)
+        params, accepts_extra = params_from_callable(runner)
+        errors = [error for point in self.grid for error
+                  in validate_params(owner, params, accepts_extra, point)]
+        if errors:
+            raise ParamValidationError(errors)
+        return runner, params, accepts_extra
+
+    @property
+    def resolved_runner(self) -> Callable[..., Row]:
+        """The runner function (a reference is imported on first use)."""
+        return self._resolved[0]
+
+    @property
+    def params(self) -> Tuple[ParamSpec, ...]:
+        """The parameters the runner's signature declares."""
+        return self._resolved[1]
+
+    @property
+    def accepts_extra(self) -> bool:
+        """True for a runner taking ``**options``: unknown keys pass."""
+        return self._resolved[2]
 
     def validate_grid(self, grid: Sequence[GridPoint]) -> List[ParamError]:
         """Check every point of ``grid``; empty list means all valid."""
-        errors: List[ParamError] = []
-        for point in grid:
-            errors.extend(self.validate_point(point))
-        return errors
+        _, params, accepts_extra = self._resolved
+        return [error for point in grid for error in validate_params(
+            f"scenario {self.name!r}", params, accepts_extra, point)]
 
     def bind_point(self, point: GridPoint) -> Dict[str, object]:
         """``point`` validated, then completed with the declared defaults."""
-        errors = self.validate_point(point)
+        errors = self.validate_grid((point,))
         if errors:
             raise ParamValidationError(errors)
-        bound = {spec.name: spec.default for spec in self.params or ()
+        bound = {spec.name: spec.default for spec in self.params
                  if not spec.required}
         bound.update(point)
         return bound
@@ -176,11 +185,12 @@ class Scenario:
                    forward=None) -> BuiltNode:
         """Build node ``local`` (all-local when None) for grid ``point``."""
         self.require_nodes()
-        return self.build(self.bind_point(point), local, forward)
+        build = resolve(f"scenario {self.name!r}", self.build)
+        return build(self.bind_point(point), local, forward)
 
     def describe_params(self) -> str:
         """One-line rendering of the declared params (``--list`` output)."""
-        return format_params(self.params or (), self.accepts_extra)
+        return format_params(self.params, self.accepts_extra)
 
 
 class ScenarioRegistry(Registry[Scenario]):
@@ -203,28 +213,21 @@ class ScenarioRegistry(Registry[Scenario]):
         return decorate
 
     def add(self, scenario: Scenario) -> Scenario:
-        """Register ``scenario``, deriving and checking its declared params.
+        """Register ``scenario``; a bad default grid raises on resolution.
 
-        The runner's signature becomes the scenario's parameter
-        declaration (unless the caller supplied one), and the default
-        grid is validated against it immediately — a plugin with a
-        mistyped grid fails at registration, not mid-sweep.
+        A runner function resolves here, so a plugin's mistyped grid fails
+        at registration, not mid-sweep; a reference resolves on first use.
         """
         if bool(scenario.nodes) != (scenario.build is not None):
             raise ValueError(f"scenario {scenario.name!r}: nodes and a node "
                              f"builder must be declared together")
-        if scenario.params is None:
-            params, accepts_extra = params_from_callable(scenario.runner)
-            scenario = replace(scenario, params=params,
-                               accepts_extra=accepts_extra)
-        errors = scenario.validate_grid(scenario.grid)
-        if errors:
-            raise ParamValidationError(errors)
+        if callable(scenario.runner):
+            scenario.params  # resolving checks the default grid
         return super().add(scenario)
 
 
-#: The process-wide default registry (the paper's figures plus the new
-#: workloads register themselves below).
+#: The process-wide default registry (the built-in scenarios are declared
+#: in the table at the end of this module).
 REGISTRY = ScenarioRegistry()
 
 
@@ -268,7 +271,7 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
                 name, len(grid))
         return _run_traced(scenario, grid, config)
     if parallel and len(grid) > 1:
-        if not _shippable(scenario.runner):
+        if not _shippable(scenario.resolved_runner):
             logger.warning(
                 "scenario %r: runner is not picklable; running the %d-point "
                 "grid sequentially instead of on a process pool",
@@ -311,26 +314,8 @@ def _run_real_backend(scenario: Scenario, grid: Sequence[GridPoint],
                         handle.write(json.dumps(
                             {"node": node, **event}, sort_keys=True,
                             default=str) + "\n")
-        rows.append(_backend_row(point, result))
+        rows.append(result.row(point))
     return rows
-
-
-def _backend_row(point: GridPoint, result) -> Row:
-    """One node-built run as a row: the same keys on both backends."""
-    return {
-        **point,
-        "backend": result.backend,
-        "n_violations": len(result.violations),
-        "violations": [str(violation) for violation in result.violations],
-        "outcomes": {f"{action}/{status}": count
-                     for (action, status), count
-                     in sorted(result.outcomes.items())},
-        "crashed": list(result.crashed),
-        "counters": [counter for _, record in sorted(result.records.items())
-                     for counter in record["counters"]],
-        "by_type": dict(sorted(result.stats["by_type"].items())),
-        "wall_seconds": result.wall_time,
-    }
 
 
 def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
@@ -345,7 +330,8 @@ def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
     if was_enabled:
         gc.disable()
     try:
-        return [scenario.runner(**point) for point in grid]
+        runner = scenario.resolved_runner
+        return [runner(**point) for point in grid]
     finally:
         if was_enabled:
             gc.enable()
@@ -410,7 +396,7 @@ def _run_pool(scenario: Scenario, grid: Sequence[GridPoint],
         return None
     try:
         with pool:
-            futures = [pool.submit(_call_runner, scenario.runner, dict(point))
+            futures = [pool.submit(scenario.resolved_runner, **point)
                        for point in grid]
             # A runner's own exception propagates to the caller here — only
             # a broken pool (workers killed at spawn) triggers the fallback.
@@ -421,17 +407,9 @@ def _run_pool(scenario: Scenario, grid: Sequence[GridPoint],
         return None
 
 
-def _call_runner(runner: Callable[..., Row], point: Dict[str, object]) -> Row:
-    """Worker-side trampoline (module-level, hence picklable)."""
-    return runner(**point)
-
-
 # ----------------------------------------------------------------------
-# The paper's figures as registered scenarios
+# The built-in scenarios: their default grids, then one declaration table
 # ----------------------------------------------------------------------
-#: Baseline parameter values (the first row of each Figure 9 column).
-FIGURE9_BASELINE = {"t_msg": 0.2, "t_abort": 0.1, "t_resolution": 0.3}
-
 #: Parameter grids published in Figure 9 of the paper.
 FIGURE9_GRIDS = {
     "t_msg": (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4,
@@ -456,145 +434,23 @@ def figure9_grid(varying: str,
 _DEFAULT_FIGURE9_GRID = tuple(point for parameter in FIGURE9_GRIDS
                               for point in figure9_grid(parameter))
 
-
-def _figure9_timing(varying: str, value: float) -> Dict[str, float]:
-    """Experiment 1's three durations: ``varying`` swept, others baseline."""
-    if varying not in FIGURE9_BASELINE:
-        raise ValueError(f"unknown parameter {varying!r}")
-    return {**FIGURE9_BASELINE, varying: value}
-
-
-def figure9_node(params: Dict[str, object], local: Optional[str],
-                 forward) -> BuiltNode:
-    """Node builder of ``figure9``: Experiment 1, one process per thread."""
-    return observed_node(build_experiment1(
-        iterations=params["iterations"], algorithm=params["algorithm"],
-        local=local, forward=forward,
-        **_figure9_timing(params["varying"], params["value"])))
-
-
-@REGISTRY.register("figure9", grid=_DEFAULT_FIGURE9_GRID,
-                   description="Figure 9/10 sensitivity sweep "
-                               "(three threads, nested abort, 20 iterations)",
-                   nodes=("T1", "T2", "T3"), build=figure9_node)
-def figure9_point(varying: str = "t_msg",
-                  value: float = FIGURE9_BASELINE["t_msg"],
-                  iterations: int = EXPERIMENT1_ITERATIONS,
-                  algorithm: str = "ours") -> Row:
-    """One Figure 9 grid point: sweep ``varying``, others at baseline."""
-    result = run_experiment1(iterations=iterations, algorithm=algorithm,
-                             **_figure9_timing(varying, value))
-    return {
-        varying: value,
-        "total_time": result.total_time,
-        "time_per_iteration": result.time_per_iteration,
-        "protocol_messages": result.protocol_messages,
-    }
-
-
 #: Parameter grids published in Figure 12.
 FIGURE12_TMMAX_GRID = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4)
 FIGURE12_TRES_GRID = (0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5)
-FIGURE12_FIXED_TRES = 0.3
-FIGURE12_FIXED_TMMAX = 1.0
 
-
-def _figure12_comparison(t_msg: float, t_resolution: float,
-                         iterations: int) -> Dict[str, float]:
-    """Both algorithms on one Figure 12 grid point (shared row columns)."""
-    ours = run_experiment2(t_msg, t_resolution, algorithm="ours",
-                           iterations=iterations)
-    cr = run_experiment2(t_msg, t_resolution, algorithm="campbell-randell",
-                         iterations=iterations)
-    return {
-        "time_ours": ours.total_time,
-        "time_cr": cr.total_time,
-        "messages_ours": ours.protocol_messages,
-        "messages_cr": cr.protocol_messages,
-        "resolution_calls_ours": ours.resolution_calls,
-        "resolution_calls_cr": cr.resolution_calls,
-    }
-
-
-@REGISTRY.register("figure12_tmmax",
-                   grid=tuple({"t_msg": value} for value in FIGURE12_TMMAX_GRID),
-                   description="Figure 12 left half: ours vs Campbell-Randell,"
-                               " varying Tmmax")
-def figure12_tmmax_point(t_msg: float,
-                         t_resolution: float = FIGURE12_FIXED_TRES,
-                         iterations: int = 1) -> Row:
-    """One Figure 12 point varying ``Tmmax`` at fixed ``Tres``."""
-    row: Row = {"t_msg": t_msg}
-    row.update(_figure12_comparison(t_msg, t_resolution, iterations))
-    return row
-
-
-@REGISTRY.register("figure12_tres",
-                   grid=tuple({"t_res": value} for value in FIGURE12_TRES_GRID),
-                   description="Figure 12 right half: ours vs Campbell-Randell,"
-                               " varying Tres")
-def figure12_tres_point(t_res: float, t_msg: float = FIGURE12_FIXED_TMMAX,
-                        iterations: int = 1) -> Row:
-    """One Figure 12 point varying ``Tres`` at fixed ``Tmmax``."""
-    row: Row = {"t_res": t_res}
-    row.update(_figure12_comparison(t_msg, t_res, iterations))
-    return row
-
-
-# ----------------------------------------------------------------------
-# New workloads beyond the paper
-# ----------------------------------------------------------------------
 #: The large-N grid: the paper stops at N = 6; this sweep extends the
 #: message-complexity measurement up to 64 participants.
 LARGE_N_GRID = tuple({"n_threads": n} for n in (4, 8, 16, 32, 64))
-
-
-@REGISTRY.register("large_n", grid=LARGE_N_GRID,
-                   description="Message-complexity sweep up to N=64 "
-                               "participants (single concurrent exception)")
-def large_n_point(n_threads: int, n_exceptions: int = 1,
-                  algorithm: str = "ours") -> Row:
-    """One large-N point: measured counts against the analytic formulas."""
-    outcome = run_complexity_scenario(n_threads, n_exceptions,
-                                      algorithm=algorithm)
-    return {
-        "n_threads": n_threads,
-        "n_exceptions": n_exceptions,
-        "resolution_messages": outcome["resolution_messages"],
-        "signalling_messages": outcome["signalling_messages"],
-        "resolution_calls": outcome["resolution_calls"],
-        "total_time": outcome["total_time"],
-        "paper_single": messages_single_exception(n_threads),
-        "paper_all": messages_all_exceptions(n_threads),
-        "theorem2_bound": theorem2_worst_case_messages(n_threads, 1),
-    }
-
 
 #: The wide-graph grid: all-raise storms over a truncated 12-primitive
 #: graph (794 nodes) with a growing number of raising threads.
 WIDE_GRAPH_GRID = tuple({"n_threads": n} for n in (4, 8, 12))
 
-
-REGISTRY.register("wide_graph", grid=WIDE_GRAPH_GRID,
-                  description="Resolution-heavy all-raise storms over a "
-                              "wide truncated exception graph")(run_wide_graph)
-
-
 #: The graph-microbenchmark grid: growing graphs, fixed resolve loop.
 #: (Rows carry wall-clock timings, so unlike the simulated-time scenarios
 #: they are not byte-identical between runs or execution modes.)
-GRAPH_MICROBENCH_GRID = (
-    {"n_primitives": 8, "max_level": 3},
-    {"n_primitives": 12, "max_level": 3},
-    {"n_primitives": 16, "max_level": 3},
-)
-
-
-REGISTRY.register("graph_microbench", grid=GRAPH_MICROBENCH_GRID,
-                  description="Compiled exception-graph resolution "
-                              "microbenchmark (no runtime)")(
-    run_graph_microbench)
-
+GRAPH_MICROBENCH_GRID = tuple({"n_primitives": n, "max_level": 3}
+                              for n in (8, 12, 16))
 
 #: The explorer grid: a fixed-seed 200-plan budget over the nested-abort
 #: target, split into chunks of 25 so the process-pool path has real
@@ -609,26 +465,6 @@ EXPLORE_GRID = tuple(
     {"target": "nested_abort", "seed": EXPLORE_SEED,
      "start": start, "stop": start + EXPLORE_CHUNK_SIZE}
     for start in range(0, EXPLORE_BUDGET, EXPLORE_CHUNK_SIZE))
-
-
-@REGISTRY.register("explore", grid=EXPLORE_GRID,
-                   description="Fault-space exploration sweep: seeded fault "
-                               "plans + schedule perturbation, checked "
-                               "against the invariant oracles")
-def explore_point(target: str = "nested_abort", seed: int = 2026,
-                  start: int = 0, stop: int = 25,
-                  kinds: Sequence[str] = DEFAULT_KINDS,
-                  max_directives: int = 3,
-                  jitter_probability: float = 0.5,
-                  algorithm: str = "ours",
-                  baselines: Sequence[str] = ()) -> Row:
-    """One explorer chunk (see repro.explore.explorer.explore_chunk)."""
-    from ..explore.explorer import explore_chunk
-    return explore_chunk(target=target, seed=seed, start=start, stop=stop,
-                         kinds=kinds, max_directives=max_directives,
-                         jitter_probability=jitter_probability,
-                         algorithm=algorithm, baselines=baselines)
-
 
 #: The corpus-search chunk grid: explicit storm-vocabulary plans (crash /
 #: restore waves, drop and corrupt classes included), sampled at a fixed
@@ -651,62 +487,13 @@ def _explore_corpus_grid() -> Tuple[Dict[str, object], ...]:
                            EXPLORE_CORPUS_CHUNK))
 
 
-@REGISTRY.register("explore_corpus", grid=_explore_corpus_grid(),
-                   description="Corpus-search execution chunks: explicit "
-                               "fault plans (full storm vocabulary), "
-                               "canonical trace digests per plan")
-def explore_corpus_point(target: str = "nested_abort",
-                         plans: Sequence[Dict[str, Any]] = (),
-                         start: int = 0, algorithm: str = "ours",
-                         baselines: Sequence[str] = ()) -> Row:
-    """One plan chunk (see repro.explore.corpus.run_plans_chunk)."""
-    from ..explore.corpus import run_plans_chunk
-    return run_plans_chunk(target=target, plans=plans, start=start,
-                           algorithm=algorithm, baselines=baselines)
-
-
 #: The remote-counter grid: an overdraft on every pass but the first, and
 #: a quiet run whose limit is never reached.
 REMOTE_COUNTER_GRID = ({"iterations": 3}, {"iterations": 2, "limit": 10})
 
-
-@REGISTRY.register(
-    "remote_counter", grid=REMOTE_COUNTER_GRID,
-    description="Two workers increment a counter on a remote object host: "
-                "every lock, read, write and commit crosses the RPC layer",
-    nodes=("W1", "W2", "objhost"),
-    build=lambda params, local, forward: build_remote_counter(
-        local=local, forward=forward, **params))
-def remote_counter_point(iterations: int = 3, limit: int = 1,
-                         algorithm: str = "ours", t_msg: float = 0.1,
-                         t_resolution: float = 0.2, t_abort: float = 0.1,
-                         rpc_timeout: float = 60.0) -> Row:
-    """One all-local run of the node builder, reported like a real run."""
-    from ..net.real.scenarios import run_sim
-
-    point = {"iterations": iterations, "limit": limit,
-             "algorithm": algorithm, "t_msg": t_msg,
-             "t_resolution": t_resolution, "t_abort": t_abort,
-             "rpc_timeout": rpc_timeout}
-    return _backend_row(point, run_sim("remote_counter", **point))
-
-
 #: The churn grid: an increasing number of unrelated concurrent actions
 #: sharing one network.
 CHURN_GRID = tuple({"n_groups": n} for n in (1, 2, 4, 8, 16))
-
-
-@REGISTRY.register("churn", grid=CHURN_GRID,
-                   description="Multi-action churn: many concurrent top-level"
-                               " CA actions sharing the network")
-def churn_point(n_groups: int, iterations: int = 2, group_size: int = 3,
-                t_msg: float = 0.05, t_resolution: float = 0.1,
-                algorithm: str = "ours") -> Row:
-    """One churn point: aggregate throughput of ``n_groups`` parallel actions."""
-    return run_churn(n_groups, iterations=iterations, group_size=group_size,
-                     t_msg=t_msg, t_resolution=t_resolution,
-                     algorithm=algorithm)
-
 
 #: The capacity grid: offered loads bracketing the default pool's nominal
 #: service capacity (8 workers / width 2 / mean service 1.0 → 4 inst/s;
@@ -714,29 +501,9 @@ def churn_point(n_groups: int, iterations: int = 2, group_size: int = 3,
 CAPACITY_GRID = tuple({"offered_load": load}
                       for load in (0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
 
-
-@REGISTRY.register("capacity", grid=CAPACITY_GRID,
-                   description="Offered-load sweep over a shared partition "
-                               "pool: throughput/latency capacity curve")
-def capacity_point(offered_load: float, **options) -> Row:
-    """One capacity-curve point (see repro.workload.scenarios)."""
-    from ..workload.scenarios import run_capacity_point
-    return run_capacity_point(offered_load=offered_load, **options)
-
-
 #: The mixed-traffic grid: three seeds of the heterogeneous soak, each a
 #: fresh arrival schedule, job profile set and delay-noise plan.
 MIXED_TRAFFIC_GRID = tuple({"seed": seed} for seed in (2026, 2027, 2028))
-
-
-@REGISTRY.register("mixed_traffic", grid=MIXED_TRAFFIC_GRID,
-                   description="Heterogeneous action mix + fault-plan noise "
-                               "over one pool, checked by invariant oracles")
-def mixed_traffic_point(seed: int, **options) -> Row:
-    """One mixed-traffic soak run (see repro.workload.scenarios)."""
-    from ..workload.scenarios import run_mixed_traffic
-    return run_mixed_traffic(seed=seed, **options)
-
 
 #: The transactional grid: offered loads over the default pool and the
 #: default shared-account set (strict 2PL serialises conflicting
@@ -744,34 +511,9 @@ def mixed_traffic_point(seed: int, **options) -> Row:
 TRANSACTIONAL_GRID = tuple({"offered_load": load}
                            for load in (1.0, 2.0, 4.0))
 
-
-@REGISTRY.register("transactional",
-                   grid=TRANSACTIONAL_GRID,
-                   description="Transactional CA workload: atomic objects, "
-                               "strict 2PL locks and recovery under "
-                               "concurrent instances, with the "
-                               "no-lost-update / locks-released oracles")
-def transactional_point(offered_load: float, **options) -> Row:
-    """One transactional workload point (see repro.workload.transactional)."""
-    from ..workload.transactional import run_transactional_point
-    return run_transactional_point(offered_load=offered_load, **options)
-
-
 #: The production-cell grid: three seeds of the open-loop case study,
 #: each a fresh fault schedule and blank-arrival trace.
 PRODUCTION_CELL_GRID = tuple({"seed": seed} for seed in (2026, 2027, 2028))
-
-
-@REGISTRY.register("production_cell",
-                   grid=PRODUCTION_CELL_GRID,
-                   description="Production-cell case study under open-loop "
-                               "traffic with seeded device faults, checked "
-                               "by the invariant oracles")
-def production_cell_point(seed: int, **options) -> Row:
-    """One open-loop production-cell run (see repro.productioncell.workload)."""
-    from ..productioncell.workload import run_production_cell_point
-    return run_production_cell_point(seed=seed, **options)
-
 
 #: The scale grid: a small sharded-capacity sweep (cheap enough for tests
 #: and conformance; a larger point is one ``run_scale_point`` call, e.g.
@@ -789,14 +531,70 @@ SCALE_GRID = (
      "pool_size": 8, "seed": SCALE_SEED, "global_max_in_flight": 8},
 )
 
-
-@REGISTRY.register("scale", grid=SCALE_GRID,
-                   description="Sharded partition pools: capacity workload "
-                               "split across per-shard kernels with merged "
-                               "telemetry and global admission leases")
-def scale_point(n_instances: int, n_shards: int, offered_load: float,
-                **options) -> Row:
-    """One sharded capacity point (see repro.workload.sharding)."""
-    from ..workload.sharding import run_scale_point
-    return run_scale_point(n_instances=n_instances, n_shards=n_shards,
-                           offered_load=offered_load, **options)
+for _scenario in (
+    Scenario("figure9", "repro.bench.scenarios:figure9_point",
+             _DEFAULT_FIGURE9_GRID,
+             "Figure 9/10 sensitivity sweep (three threads, nested abort, "
+             "20 iterations)",
+             nodes=("T1", "T2", "T3"),
+             build="repro.bench.scenarios:figure9_node"),
+    Scenario("figure12_tmmax", "repro.bench.scenarios:figure12_tmmax_point",
+             tuple({"t_msg": value} for value in FIGURE12_TMMAX_GRID),
+             "Figure 12 left half: ours vs Campbell-Randell, varying Tmmax"),
+    Scenario("figure12_tres", "repro.bench.scenarios:figure12_tres_point",
+             tuple({"t_res": value} for value in FIGURE12_TRES_GRID),
+             "Figure 12 right half: ours vs Campbell-Randell, varying Tres"),
+    Scenario("large_n", "repro.bench.scenarios:large_n_point", LARGE_N_GRID,
+             "Message-complexity sweep up to N=64 participants (single "
+             "concurrent exception)"),
+    Scenario("wide_graph", "repro.bench.scenarios:run_wide_graph",
+             WIDE_GRAPH_GRID,
+             "Resolution-heavy all-raise storms over a wide truncated "
+             "exception graph"),
+    Scenario("graph_microbench",
+             "repro.bench.scenarios:run_graph_microbench",
+             GRAPH_MICROBENCH_GRID,
+             "Compiled exception-graph resolution microbenchmark "
+             "(no runtime)"),
+    Scenario("explore", "repro.explore.explorer:explore_chunk", EXPLORE_GRID,
+             "Fault-space exploration sweep: seeded fault plans + schedule "
+             "perturbation, checked against the invariant oracles"),
+    Scenario("explore_corpus", "repro.explore.corpus:run_plans_chunk",
+             _explore_corpus_grid(),
+             "Corpus-search execution chunks: explicit fault plans (full "
+             "storm vocabulary), canonical trace digests per plan"),
+    Scenario("remote_counter",
+             "repro.net.real.scenarios:remote_counter_point",
+             REMOTE_COUNTER_GRID,
+             "Two workers increment a counter on a remote object host: "
+             "every lock, read, write and commit crosses the RPC layer",
+             nodes=("W1", "W2", "objhost"),
+             build="repro.bench.scenarios:remote_counter_node"),
+    Scenario("churn", "repro.bench.scenarios:run_churn", CHURN_GRID,
+             "Multi-action churn: many concurrent top-level CA actions "
+             "sharing the network"),
+    Scenario("capacity", "repro.workload.scenarios:run_capacity_point",
+             CAPACITY_GRID,
+             "Offered-load sweep over a shared partition pool: "
+             "throughput/latency capacity curve"),
+    Scenario("mixed_traffic", "repro.workload.scenarios:run_mixed_traffic",
+             MIXED_TRAFFIC_GRID,
+             "Heterogeneous action mix + fault-plan noise over one pool, "
+             "checked by invariant oracles"),
+    Scenario("transactional",
+             "repro.workload.transactional:run_transactional_point",
+             TRANSACTIONAL_GRID,
+             "Transactional CA workload: atomic objects, strict 2PL locks "
+             "and recovery under concurrent instances, with the "
+             "no-lost-update / locks-released oracles"),
+    Scenario("production_cell",
+             "repro.productioncell.workload:run_production_cell_point",
+             PRODUCTION_CELL_GRID,
+             "Production-cell case study under open-loop traffic with seeded "
+             "device faults, checked by the invariant oracles"),
+    Scenario("scale", "repro.workload.sharding:run_scale_point", SCALE_GRID,
+             "Sharded partition pools: capacity workload split across "
+             "per-shard kernels with merged telemetry and global admission "
+             "leases"),
+):
+    REGISTRY.add(_scenario)

@@ -31,6 +31,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .. import obs
+from ..analysis.bounds import (
+    messages_all_exceptions,
+    messages_single_exception,
+    theorem2_worst_case_messages,
+)
 from ..core.action import CAActionDefinition, RoleDefinition
 from ..core.exception_graph import (
     ExceptionGraph,
@@ -58,6 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Default loop count of experiment 1 ("executed in a loop (20 times)").
 EXPERIMENT1_ITERATIONS = 20
+
+#: Baseline parameter values (the first row of each Figure 9 column).
+FIGURE9_BASELINE = {"t_msg": 0.2, "t_abort": 0.1, "t_resolution": 0.3}
+
+#: The parameter Figure 12 holds fixed while it varies the other.
+FIGURE12_FIXED_TRES = 0.3
+FIGURE12_FIXED_TMMAX = 1.0
 
 #: Observation profile of node builds: spans only — events are plain
 #: picklable dicts the real backend's children ship back to the hub.
@@ -233,6 +245,37 @@ def run_experiment1(t_msg: float, t_abort: float, t_resolution: float,
                           algorithm), iterations)
 
 
+def _figure9_timing(varying: str, value: float) -> Dict[str, float]:
+    """Experiment 1's three durations: ``varying`` swept, others baseline."""
+    if varying not in FIGURE9_BASELINE:
+        raise ValueError(f"unknown parameter {varying!r}")
+    return {**FIGURE9_BASELINE, varying: value}
+
+
+def figure9_point(varying: str = "t_msg",
+                  value: float = FIGURE9_BASELINE["t_msg"],
+                  iterations: int = EXPERIMENT1_ITERATIONS,
+                  algorithm: str = "ours") -> Dict[str, float]:
+    """One Figure 9 grid point: sweep ``varying``, others at baseline."""
+    result = run_experiment1(iterations=iterations, algorithm=algorithm,
+                             **_figure9_timing(varying, value))
+    return {
+        varying: value,
+        "total_time": result.total_time,
+        "time_per_iteration": result.time_per_iteration,
+        "protocol_messages": result.protocol_messages,
+    }
+
+
+def figure9_node(params: Dict[str, object], local: Optional[str],
+                 forward) -> BuiltNode:
+    """Node builder of ``figure9``: Experiment 1, one process per thread."""
+    return observed_node(build_experiment1(
+        iterations=params["iterations"], algorithm=params["algorithm"],
+        local=local, forward=forward,
+        **_figure9_timing(params["varying"], params["value"])))
+
+
 # ----------------------------------------------------------------------
 # Experiment 2 and its family: a flat action whose threads raise at once
 # ----------------------------------------------------------------------
@@ -267,6 +310,38 @@ def run_experiment2(t_msg: float, t_resolution: float,
                           n_threads), iterations)
 
 
+def _figure12_comparison(t_msg: float, t_resolution: float,
+                         iterations: int) -> Dict[str, float]:
+    """Both algorithms on one Figure 12 grid point (shared row columns)."""
+    ours = run_experiment2(t_msg, t_resolution, algorithm="ours",
+                           iterations=iterations)
+    cr = run_experiment2(t_msg, t_resolution, algorithm="campbell-randell",
+                         iterations=iterations)
+    return {
+        "time_ours": ours.total_time,
+        "time_cr": cr.total_time,
+        "messages_ours": ours.protocol_messages,
+        "messages_cr": cr.protocol_messages,
+        "resolution_calls_ours": ours.resolution_calls,
+        "resolution_calls_cr": cr.resolution_calls,
+    }
+
+
+def figure12_tmmax_point(t_msg: float,
+                         t_resolution: float = FIGURE12_FIXED_TRES,
+                         iterations: int = 1) -> Dict[str, float]:
+    """One Figure 12 point varying ``Tmmax`` at fixed ``Tres``."""
+    return {"t_msg": t_msg,
+            **_figure12_comparison(t_msg, t_resolution, iterations)}
+
+
+def figure12_tres_point(t_res: float, t_msg: float = FIGURE12_FIXED_TMMAX,
+                        iterations: int = 1) -> Dict[str, float]:
+    """One Figure 12 point varying ``Tres`` at fixed ``Tmmax``."""
+    return {"t_res": t_res,
+            **_figure12_comparison(t_msg, t_res, iterations)}
+
+
 # ----------------------------------------------------------------------
 # Generic message-complexity scenario (Theorem 2 / Section 3.2.3)
 # ----------------------------------------------------------------------
@@ -298,6 +373,24 @@ def run_complexity_scenario(n_threads: int, n_exceptions: int,
         "signalling_messages": stats.count("ToBeSignalledMessage"),
         "resolution_calls": totals["resolution_calls"],
         "total_time": totals["total_time"],
+    }
+
+
+def large_n_point(n_threads: int, n_exceptions: int = 1,
+                  algorithm: str = "ours") -> Dict[str, object]:
+    """One large-N point: measured counts against the analytic formulas."""
+    outcome = run_complexity_scenario(n_threads, n_exceptions,
+                                      algorithm=algorithm)
+    return {
+        "n_threads": n_threads,
+        "n_exceptions": n_exceptions,
+        "resolution_messages": outcome["resolution_messages"],
+        "signalling_messages": outcome["signalling_messages"],
+        "resolution_calls": outcome["resolution_calls"],
+        "total_time": outcome["total_time"],
+        "paper_single": messages_single_exception(n_threads),
+        "paper_all": messages_all_exceptions(n_threads),
+        "theorem2_bound": theorem2_worst_case_messages(n_threads, 1),
     }
 
 
@@ -476,6 +569,12 @@ def build_remote_counter(iterations: int = 3, limit: int = 1,
     return built
 
 
+def remote_counter_node(params: Dict[str, object], local: Optional[str],
+                        forward) -> BuiltNode:
+    """Node builder of ``remote_counter``: :func:`build_remote_counter`."""
+    return build_remote_counter(local=local, forward=forward, **params)
+
+
 # ----------------------------------------------------------------------
 # Graph microbenchmark: compiled resolution without any runtime
 # ----------------------------------------------------------------------
@@ -539,7 +638,7 @@ def run_graph_microbench(n_primitives: int = 12, max_level: int = 3,
     }
 
 
-def run_churn(n_groups: int, iterations: int = 1, group_size: int = 3,
+def run_churn(n_groups: int, iterations: int = 2, group_size: int = 3,
               t_msg: float = 0.05, t_resolution: float = 0.1,
               algorithm: str = "ours") -> Dict[str, float]:
     """Run the churn scenario and return aggregate throughput figures."""

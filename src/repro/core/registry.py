@@ -15,6 +15,7 @@ Both plugin surfaces of the reproduction — the scenario registry of
 
 This module holds the shared machinery: :class:`Registry` (the name →
 spec base class), :class:`ParamSpec` (one declared parameter),
+:func:`resolve` (a ``"module:function"`` reference, imported on use),
 :func:`params_from_callable` / :func:`params_from_dataclass` (derivation)
 and :func:`validate_params` (the checking contract).  Type checking is
 deliberately shallow: only ``bool``/``int``/``float``/``str`` and
@@ -26,6 +27,7 @@ is documented in listings but not checked.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import typing
 from dataclasses import dataclass
@@ -142,6 +144,24 @@ def _resolved_hints(obj: Any) -> Dict[str, Any]:
         return typing.get_type_hints(obj)
     except Exception:
         return {}
+
+
+def resolve(owner: str, target: Union[Callable[..., Any], str]
+            ) -> Callable[..., Any]:
+    """``target`` itself, or the callable its ``"module:function"`` names.
+
+    A reference is imported on use, as :mod:`repro._lazy` imports a
+    package's re-exports; one that does not resolve raises
+    ``ImportError`` naming ``owner`` and the reference.
+    """
+    if not isinstance(target, str):
+        return target
+    module, _, name = target.partition(":")
+    try:
+        return getattr(importlib.import_module(module), name)
+    except (ImportError, AttributeError) as error:
+        raise ImportError(f"{owner}: cannot resolve {target!r} ({error})"
+                          ) from error
 
 
 def params_from_callable(func: Callable[..., Any]

@@ -54,6 +54,24 @@ class RealRunResult:
     def ok(self) -> bool:
         return not self.violations
 
+    def row(self, point: Dict[str, Any]) -> Dict[str, Any]:
+        """The run as ``point``'s sweep row: the same keys on both backends."""
+        return {
+            **point,
+            "backend": self.backend,
+            "n_violations": len(self.violations),
+            "violations": [str(violation) for violation in self.violations],
+            "outcomes": {f"{action}/{status}": count
+                         for (action, status), count
+                         in sorted(self.outcomes.items())},
+            "crashed": list(self.crashed),
+            "counters": [counter
+                         for _, record in sorted(self.records.items())
+                         for counter in record["counters"]],
+            "by_type": dict(sorted(self.stats["by_type"].items())),
+            "wall_seconds": self.wall_time,
+        }
+
 
 # ----------------------------------------------------------------------
 # Record merging and oracle evaluation (hub side)

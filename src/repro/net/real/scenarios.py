@@ -70,6 +70,18 @@ def run_sim(name: str, **overrides: Any):
                            wall_time=0.0)
 
 
+def remote_counter_point(iterations: int = 3, limit: int = 1,
+                         algorithm: str = "ours", t_msg: float = 0.1,
+                         t_resolution: float = 0.2, t_abort: float = 0.1,
+                         rpc_timeout: float = 60.0) -> Dict[str, Any]:
+    """One all-local run of ``remote_counter``, reported like a real run."""
+    point = {"iterations": iterations, "limit": limit,
+             "algorithm": algorithm, "t_msg": t_msg,
+             "t_resolution": t_resolution, "t_abort": t_abort,
+             "rpc_timeout": rpc_timeout}
+    return run_sim("remote_counter", **point).row(point)
+
+
 def run_real(name: str, **overrides: Any):
     """Run a real-capable scenario across OS processes (convenience)."""
     from .backend import RealBackend

@@ -9,8 +9,10 @@ from repro.bench import (
     ScenarioRegistry,
     run_scenario,
 )
-from repro.bench.engine import figure9_point, figure9_grid
-from repro.bench.scenarios import run_experiment1, run_experiment2
+from repro.bench import engine
+from repro.bench.engine import figure9_grid
+from repro.bench.scenarios import (figure9_point, run_experiment1,
+                                   run_experiment2)
 
 
 # ----------------------------------------------------------------------
@@ -81,15 +83,43 @@ class TestGridValidation:
             def bad(n: int):
                 return {"n": n}
 
-    def test_run_rejects_unknown_key_before_running(self):
+    @pytest.mark.parametrize("name, point, typo", [
+        pytest.param("demo", {"n": 1}, "m", id="demo"),
+        # The built-in workloads: their runners' own signatures, no
+        # ``**options`` pass-through.
+        pytest.param("capacity", {"offered_load": 1.0}, "n_instance",
+                     id="capacity"),
+        pytest.param("mixed_traffic", {"seed": 2026}, "noise_directive",
+                     id="mixed_traffic"),
+        pytest.param("transactional", {"offered_load": 1.0}, "n_account",
+                     id="transactional"),
+        pytest.param("production_cell", {"seed": 2026}, "n_cycle",
+                     id="production_cell"),
+        pytest.param("scale", {"n_instances": 10, "n_shards": 1,
+                               "offered_load": 1.0}, "n_shard", id="scale"),
+    ])
+    def test_run_rejects_unknown_key_before_running(self, monkeypatch, name,
+                                                    point, typo):
         from repro.core.registry import ParamValidationError
-        registry = self.make_registry()
+
+        def no_run(scenario, grid):
+            raise AssertionError("the runner was called")
+
+        monkeypatch.setattr(engine, "_run_sequential", no_run)
+        registry = self.make_registry() if name == "demo" else REGISTRY
         with pytest.raises(ParamValidationError) as excinfo:
-            run_scenario("demo", points=[{"n": 1, "m": 2}],
+            run_scenario(name, points=[{**point, typo: 5}],
                          registry=registry)
         (error,) = excinfo.value.errors
-        assert error.kind == "unknown" and error.key == "m"
-        assert "scenario 'demo'" in str(error)
+        assert error.kind == "unknown" and error.key == typo
+        assert f"scenario {name!r}" in str(error)
+
+    def test_bad_reference_names_the_scenario_and_the_reference(self):
+        registry = ScenarioRegistry()
+        registry.add(Scenario("broken", "repro.nope:f", ({},)))
+        with pytest.raises(ImportError,
+                           match="scenario 'broken'.*'repro.nope:f'"):
+            run_scenario("broken", registry=registry)
 
     def test_run_rejects_missing_required_param(self):
         from repro.core.registry import ParamValidationError
@@ -257,6 +287,11 @@ class TestChurn:
                                              {"n_groups": 4,
                                               "iterations": 1}])
         assert rows[1]["total_time"] < 2 * rows[0]["total_time"]
+
+    def test_runner_and_scenario_share_one_default(self):
+        from repro.bench.scenarios import run_churn
+        assert run_churn(2) == run_scenario("churn",
+                                            points=[{"n_groups": 2}])[0]
 
     def test_group_validation(self):
         from repro.bench.scenarios import run_churn

@@ -128,7 +128,8 @@ class TestParamValidation:
     def no_build(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("validation must come before any build")
-        monkeypatch.setattr(engine, "build_experiment1", forbidden)
+        monkeypatch.setattr("repro.bench.scenarios.build_experiment1",
+                            forbidden)
         monkeypatch.setattr("repro.net.real.backend.asyncio.run", forbidden)
         monkeypatch.setattr(
             "repro.net.real.backend.multiprocessing.get_context", forbidden)

@@ -12,7 +12,9 @@ gate pins that in ``sys.modules`` terms, which read the same on any host:
   loads it only when a sweep actually runs on a pool;
 * none loads the corpus search, the trace exporters or the production
   cell, which only their own runners use;
-* the number of ``repro`` modules stays within :data:`BUDGET`.
+* the number of ``repro`` modules stays within :data:`BUDGET`;
+* reading the scenario registry (names, grids) imports no runner: a
+  scenario's runner reference is imported on first use.
 
 Run alone with ``python -m pytest tests/test_import_budget.py -q``.
 """
@@ -47,16 +49,20 @@ ABSENT = ("multiprocessing", "concurrent.futures", "repro.workload.sharding",
 _PROBE = """
 import json, sys
 import {module}
+{then}
 print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_modules(module: str):
-    """``sys.modules`` of a fresh interpreter after ``import module``."""
+def loaded_modules(module: str, then: str = ""):
+    """``sys.modules`` of a fresh interpreter after ``import module``.
+
+    ``then`` is a statement run after the import.
+    """
     env = dict(os.environ, PYTHONPATH=SOURCE)
     output = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(module=module)], env=env,
-        check=True, capture_output=True, text=True).stdout
+        [sys.executable, "-c", _PROBE.format(module=module, then=then)],
+        env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(output)
 
 
@@ -83,3 +89,16 @@ def test_real_backend_child_skips_the_parent_hub():
     loaded = loaded_modules("repro.net.real.host")
     assert "asyncio" not in loaded
     assert "repro.net.real.backend" not in loaded
+
+
+def test_reading_the_scenario_registry_imports_no_runner():
+    listed = loaded_modules(
+        "repro.bench.engine", "from repro.bench.engine import REGISTRY\n"
+        "REGISTRY.names()\n[scenario.grid for scenario in REGISTRY]")
+    deferred = ("repro.workload.scenarios", "repro.workload.transactional")
+    assert [name for name in deferred + ABSENT if name in listed] == []
+    # A runner's declared params resolve its reference.
+    resolved = loaded_modules(
+        "repro.bench.engine", "from repro.bench.engine import REGISTRY\n"
+        "REGISTRY.get('capacity').params")
+    assert "repro.workload.scenarios" in resolved

@@ -20,8 +20,6 @@ import types
 import pytest
 
 import repro
-from repro.bench.engine import REGISTRY
-from repro.core.registry import params_from_callable
 
 SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -116,15 +114,3 @@ def test_registries_do_not_depend_on_what_was_imported():
     assert registries("repro.explore.corpus", "repro.productioncell.workload",
                       "repro.workload.sharding",
                       "repro.workload.transactional") == fresh
-
-
-@pytest.mark.parametrize("scenario, module, function", [
-    ("explore", "repro.explore.explorer", "explore_chunk"),
-    ("explore_corpus", "repro.explore.corpus", "run_plans_chunk"),
-])
-def test_deferred_runner_declares_the_runners_params(scenario, module,
-                                                     function):
-    runner = getattr(importlib.import_module(module), function)
-    declared = REGISTRY.get(scenario)
-    assert (declared.params, declared.accepts_extra) == \
-        params_from_callable(runner)

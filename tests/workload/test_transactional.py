@@ -90,8 +90,12 @@ class TestScenarioRegistration:
     def test_registered_through_the_plugin_path(self):
         from repro.bench.engine import REGISTRY
         scenario = REGISTRY.get("transactional")
-        assert scenario.accepts_extra
-        assert [p.name for p in scenario.params] == ["offered_load"]
+        assert scenario.accepts_extra is False
+        assert [p.name for p in scenario.params] == [
+            "offered_load", "n_instances", "pool_size", "width",
+            "n_accounts", "mean_service", "raise_probability",
+            "abort_probability", "seed", "t_msg", "t_resolution",
+            "max_in_flight", "queue_capacity", "policy", "algorithm"]
         assert scenario.validate_grid(scenario.grid) == []
 
     def test_invalid_point_rejected_before_running(self):
