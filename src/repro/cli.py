@@ -1,57 +1,35 @@
-"""Shared command-line plumbing for the ``repro`` CLIs.
+"""The command line: ``python -m repro COMMAND``, one subcommand table.
 
-Every entry point (``repro.conformance``, ``repro.explore``,
-``repro.bench.baseline``, ``repro.obs``) accepts the same two logging
-flags and configures the package-level ``repro`` logger the same way:
+* ``check`` — re-run the conformance cases and fail on digest drift;
+* ``list`` — the case catalogue, the scenario coverage and the registry;
+* ``explore {enumerate,corpus,compare}`` — the fault-space search;
+* ``obs {summarize,convert,diff}`` — read exported traces;
+* ``real`` — the real-backend smoke matrix on OS processes.
 
-* ``-v`` / ``--verbose`` — more detail (repeatable: ``-vv`` → DEBUG);
-* ``-q`` / ``--quiet`` — less (repeatable: ``-qq`` → ERROR only).
-
-The default level is WARNING, so existing scripted invocations see no
-new output.  Configuration happens exactly once per process: a second
-``configure_logging`` call only adjusts the level, never stacks another
-handler (repeated ``main()`` calls in one process — the test suite does
-this — must not multiply log lines).
+Each command imports the library it drives when it runs, so ``--help``
+and the trace readers never load the scenario engine.  ``-v`` / ``-q``
+(repeatable) go before the command and move the ``repro`` logger from
+its default WARNING one level per flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
+import os
 import sys
-from typing import Optional
+from typing import List, Optional
 
-#: Handler marker so re-configuration can find (and not duplicate) the
-#: handler this module installed.
+#: Marks the handler this module installed, so it is never added twice.
 _HANDLER_NAME = "repro-cli"
-
-#: ``verbosity`` (verbose − quiet) → level; clamped outside the range.
-_LEVELS = {
-    -2: logging.CRITICAL,
-    -1: logging.ERROR,
-    0: logging.WARNING,
-    1: logging.INFO,
-    2: logging.DEBUG,
-}
-
-
-def add_logging_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the shared ``-v`` / ``-q`` flags on ``parser``."""
-    group = parser.add_argument_group("logging")
-    group.add_argument("-v", "--verbose", action="count", default=0,
-                       help="more logging (-v: info, -vv: debug)")
-    group.add_argument("-q", "--quiet", action="count", default=0,
-                       help="less logging (-q: errors only, "
-                            "-qq: critical only)")
 
 
 class _CurrentStderrHandler(logging.StreamHandler):
     """A stream handler bound to the *current* ``sys.stderr``.
 
-    A plain ``StreamHandler(sys.stderr)`` captures the stream object
-    once; long-lived processes that swap ``sys.stderr`` (the test
-    suite's output capture does, per test) would leave the handler
-    writing to a dead stream forever.
+    A plain ``StreamHandler(sys.stderr)`` would keep writing to a stream
+    the test suite's output capture has since swapped out.
     """
 
     @property
@@ -63,30 +41,407 @@ class _CurrentStderrHandler(logging.StreamHandler):
         pass
 
 
-def configure_logging(arguments: Optional[argparse.Namespace] = None,
-                      verbose: int = 0, quiet: int = 0) -> logging.Logger:
-    """Configure the package ``repro`` logger once; return it.
+def configure_logging(verbose: int = 0, quiet: int = 0) -> logging.Logger:
+    """Set the package ``repro`` logger's level; install its handler once.
 
-    Pass the parsed namespace from a parser that went through
-    :func:`add_logging_arguments`, or explicit counts.
+    Each ``-v`` lowers the level one step from WARNING, each ``-q``
+    raises it (clamped to DEBUG..CRITICAL); a second call only adjusts
+    the level, so repeated ``main()`` calls never multiply log lines.
     """
-    if arguments is not None:
-        verbose = getattr(arguments, "verbose", 0)
-        quiet = getattr(arguments, "quiet", 0)
-    verbosity = max(-2, min(2, verbose - quiet))
     logger = logging.getLogger("repro")
-    logger.setLevel(_LEVELS[verbosity])
-    for handler in logger.handlers:
-        if handler.get_name() == _HANDLER_NAME:
-            break
-    else:
+    logger.setLevel(max(logging.DEBUG, min(
+        logging.CRITICAL, logging.WARNING + 10 * (quiet - verbose))))
+    if not any(handler.get_name() == _HANDLER_NAME
+               for handler in logger.handlers):
         handler = _CurrentStderrHandler()
         handler.set_name(_HANDLER_NAME)
         handler.setFormatter(logging.Formatter(
             "%(levelname)s %(name)s: %(message)s"))
         logger.addHandler(handler)
-        # Propagation stays on: a CLI process leaves the root logger
-        # unconfigured (so nothing double-logs), and embedders that DO
-        # configure root — the test suite's log capture, notably — keep
-        # seeing the tree's records.
+        # Propagation stays on: the CLI leaves the root logger alone, and
+        # embedders that configure it (pytest's log capture) see records.
     return logger
+
+
+def _print_json(document) -> None:
+    print(json.dumps(document, indent=2, sort_keys=True))
+
+
+def cmd_check(arguments) -> int:
+    import contextlib
+
+    from . import conformance, obs
+
+    names = arguments.case or conformance.case_names()
+    unknown = sorted(set(names) - set(conformance.CASES))
+    if unknown:
+        arguments.error(f"unknown case(s): {', '.join(unknown)}")
+    # With --obs one ambient capture adopts every system the cases build;
+    # the digests must still match, as observation never perturbs a run.
+    ambient = obs.capture(obs.ObsConfig()) if arguments.obs \
+        else contextlib.nullcontext()
+    with ambient:
+        if arguments.regenerate:
+            for path in conformance.regenerate(names, arguments.fixtures):
+                print(f"wrote {path}")
+            return 0
+        problems = conformance.check(names, arguments.fixtures)
+    bytecode = conformance.tracked_bytecode()
+    if bytecode:
+        problems.append(f"tracked bytecode: {', '.join(sorted(bytecode))}")
+    if problems:
+        for problem in problems:
+            print(f"CONFORMANCE FAILURE: {problem}", file=sys.stderr)
+        return 1
+    print(f"{len(names)} conformance case(s) OK"
+          + ("" if bytecode is None else "; no tracked bytecode"))
+    return 0
+
+
+def registry_listing() -> List[str]:
+    """Every scenario and traffic action: what ``list`` ends with.
+
+    Name, grid size, description, declared parameters and — for
+    real-capable scenarios — the OS-process nodes.
+    """
+    from .bench.engine import REGISTRY
+    from .workload.registry import ACTIONS
+
+    lines: List[str] = [f"Scenarios ({len(REGISTRY)}):"]
+    for name in REGISTRY.names():
+        scenario = REGISTRY.get(name)
+        lines.append(f"  {name}  [{len(scenario.grid)} grid point(s)]")
+        if scenario.description:
+            lines.append(f"      {scenario.description}")
+        lines.append(f"      params: {scenario.describe_params()}")
+        if scenario.nodes:
+            lines.append(f"      nodes: {', '.join(scenario.nodes)} "
+                         f"(runs on the real backend)")
+    lines.append("")
+    lines.append(f"Traffic actions ({len(ACTIONS)}):")
+    for name in ACTIONS.names():
+        spec = ACTIONS.get(name)
+        lines.append(f"  {name}  [{type(spec).__name__}: "
+                     f"width={spec.width}, mean_service={spec.mean_service}, "
+                     f"raise_probability={spec.raise_probability}, "
+                     f"weight={spec.weight}]")
+        lines.append(f"      params: {ACTIONS.describe_params(name)}")
+    return lines
+
+
+def cmd_list(arguments) -> int:
+    from .bench.engine import REGISTRY
+    from .conformance import CASES, COVERAGE_EXEMPT, covered_scenarios
+
+    for name, case in CASES.items():
+        scenarios = ", ".join(scenario for scenario, _ in case.runs)
+        print(f"{name:24s} {scenarios:28s} {case.note}")
+    print()
+    covered = covered_scenarios()
+    print("Scenario coverage:")
+    for scenario in REGISTRY.names():
+        if scenario in covered:
+            status = "gated"
+        elif scenario in COVERAGE_EXEMPT:
+            status = f"exempt ({COVERAGE_EXEMPT[scenario]})"
+        else:
+            status = "UNGATED — add a case or an exemption"
+        print(f"  {scenario:20s} {status}")
+    print()
+    for line in registry_listing():
+        print(line)
+    return 0
+
+
+#: ``--kinds`` vocabularies in :mod:`repro.explore.generator`: delays
+#: (full oracle catalogue) or the failure storm (liveness waived).
+KINDS = {"delay": "DEFAULT_KINDS", "storm": "STORM_KINDS"}
+
+
+def _kinds(name: str):
+    from .explore import generator
+    return getattr(generator, KINDS[name])
+
+
+def _enumerate_distinct(arguments) -> dict:
+    from .explore.explorer import Explorer
+
+    report = Explorer(target=arguments.target, seed=arguments.seed,
+                      budget=arguments.budget,
+                      kinds=_kinds(arguments.kinds)).run()
+    return {
+        "mode": "enumerate",
+        "target": report.target,
+        "seed": arguments.seed,
+        "executed": len(report.cases),
+        "distinct_digests": len({case.digest for case in report.cases}),
+        "failures": len(report.failures),
+        "failing_plans": [case.plan.to_dict() for case in report.failures],
+    }
+
+
+def _write_reproducers(reproducers, directory: str) -> List[str]:
+    from .obs import write_flight_dump
+
+    os.makedirs(directory, exist_ok=True)
+    paths = []
+    for number, record in enumerate(reproducers):
+        path = os.path.join(directory, f"test_reproducer_{number}.py")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(record["source"])
+        paths.append(path)
+        # The failing run's flight-recorder timeline rides next to the
+        # ready-to-paste test (`python -m repro obs summarize` reads it).
+        if record.get("flight"):
+            flight_path = os.path.join(
+                directory, f"test_reproducer_{number}.flight.jsonl")
+            write_flight_dump(record["flight"], flight_path)
+            paths.append(flight_path)
+    return paths
+
+
+def cmd_enumerate(arguments) -> int:
+    summary = _enumerate_distinct(arguments)
+    _print_json(summary)
+    return 1 if summary["failures"] else 0
+
+
+def cmd_corpus(arguments) -> int:
+    from .explore.corpus import Corpus, CorpusSearch, engine_chunk_runner
+
+    corpus: Optional[Corpus] = None
+    if arguments.corpus and os.path.exists(arguments.corpus):
+        corpus = Corpus.load(arguments.corpus)
+        if corpus.target != arguments.target:
+            print(f"corpus file is for target {corpus.target!r}, "
+                  f"not {arguments.target!r}", file=sys.stderr)
+            return 2
+    run_chunks = engine_chunk_runner() if arguments.parallel else None
+    search = CorpusSearch(target=arguments.target, seed=arguments.seed,
+                          corpus=corpus, kinds=_kinds(arguments.kinds),
+                          chunk_size=arguments.chunk_size,
+                          run_chunks=run_chunks)
+    report = search.run(budget=arguments.budget)
+    if arguments.corpus:
+        search.corpus.save(arguments.corpus)
+    summary = {"mode": "corpus", **report.summary()}
+    if arguments.reproducers and report.reproducers:
+        summary["reproducer_files"] = _write_reproducers(
+            report.reproducers, arguments.reproducers)
+    _print_json(summary)
+    return 1 if report.failures else 0
+
+
+def cmd_compare(arguments) -> int:
+    from .explore.corpus import CorpusSearch
+
+    enumeration = _enumerate_distinct(arguments)
+    report = CorpusSearch(target=arguments.target, seed=arguments.seed,
+                          kinds=_kinds(arguments.kinds),
+                          chunk_size=arguments.chunk_size,
+                          shrink=False).run(budget=arguments.budget)
+    _print_json({
+        "mode": "compare",
+        "target": arguments.target,
+        "seed": arguments.seed,
+        "budget": arguments.budget,
+        "kinds": arguments.kinds,
+        "enumeration_distinct_digests": enumeration["distinct_digests"],
+        "corpus_distinct_digests": report.distinct_digests,
+        "advantage": (report.distinct_digests
+                      - enumeration["distinct_digests"]),
+    })
+    return 0
+
+
+def cmd_summarize(arguments) -> int:
+    from .obs.export import summarize_path
+
+    _print_json(summarize_path(arguments.file))
+    return 0
+
+
+def cmd_convert(arguments) -> int:
+    from .obs.export import chrome_trace, load_trace
+
+    form, payload = load_trace(arguments.file)
+    if form == "chrome":
+        print(f"{arguments.file} is already a Chrome trace", file=sys.stderr)
+        return 2
+    doc = chrome_trace([record for record in payload
+                        if record.get("kind") != "flight.header"])
+    with open(arguments.output, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, sort_keys=True)
+    print(f"wrote {arguments.output} "
+          f"({len(doc['traceEvents'])} trace events)")
+    return 0
+
+
+def cmd_diff(arguments) -> int:
+    from .obs.export import diff_summaries, summarize_path
+
+    delta = diff_summaries(summarize_path(arguments.a),
+                           summarize_path(arguments.b))
+    _print_json(delta)
+    return 1 if delta else 0
+
+
+#: Bump when the ``BENCH_realbackend.json`` row layout changes
+#: incompatibly.
+SCHEMA_VERSION = 1
+
+#: Every real-capable scenario runs under each resolution algorithm.
+REAL_BACKEND_ALGORITHMS = ("ours", "campbell-randell", "romanovsky96")
+
+
+def cmd_real(arguments) -> int:
+    """Run the real-capable scenarios on OS processes; write the rows.
+
+    Rows are oracle-gated, not digest-gated: wall-clock pacing makes a
+    real run's interleavings non-reproducible, but the paper's
+    invariants must hold on every one of them.
+    """
+    import platform
+
+    from .bench.engine import REGISTRY, ScenarioConfig, run_scenario
+
+    capable = sorted(scenario.name for scenario in REGISTRY
+                     if scenario.nodes)
+    names = arguments.scenario or capable
+    unknown = sorted(set(names) - set(capable))
+    if unknown:
+        arguments.error(f"not real-capable: {', '.join(unknown)} "
+                        f"(real-capable: {', '.join(capable)})")
+    config = ScenarioConfig(
+        backend="real", export_dir=arguments.obs_dir,
+        backend_options={"time_scale": arguments.time_scale,
+                         "wall_timeout": arguments.wall_timeout})
+    points = [{"algorithm": algorithm, "iterations": 1}
+              for algorithm in REAL_BACKEND_ALGORITHMS]
+    rows = [{"scenario": name, **row} for name in names
+            for row in run_scenario(name, points=points, config=config)]
+    violations = sum(row["n_violations"] for row in rows)
+    with open(arguments.output, "w", encoding="utf-8") as handle:
+        json.dump({"schema": SCHEMA_VERSION,
+                   "python": platform.python_version(),
+                   "backend": "real",
+                   "time_scale": arguments.time_scale,
+                   "rows": rows,
+                   "oracle_violations": violations},
+                  handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {arguments.output}: {len(rows)} real-backend rows, "
+          f"{violations} oracle violations")
+    return 1 if violations else 0
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+#: What every explore mode searches.
+_SEARCH = (
+    _arg("--target", default="nested_abort",
+         help="exploration target (default: nested_abort)"),
+    _arg("--seed", type=int, default=2026, help="search seed (default: 2026)"),
+    _arg("--budget", type=int, default=200,
+         help="executed runs (default: 200)"),
+    _arg("--kinds", choices=sorted(KINDS), default="storm",
+         help="fault vocabulary (default: storm)"),
+)
+_CHUNK_SIZE = _arg("--chunk-size", type=int, default=25,
+                   help="plans per execution chunk (default: 25)")
+
+#: ``name -> (help, handler, *arguments)``; a command group holds the
+#: table of its own commands in place of the handler.
+COMMANDS = {
+    "check": (
+        "re-run the conformance cases; fail on digest drift", cmd_check,
+        _arg("--case", action="append", metavar="NAME",
+             help="restrict to one case (repeatable; default: all)"),
+        _arg("--fixtures", metavar="DIR",
+             help="fixture directory (default: tests/conformance/fixtures)"),
+        _arg("--obs", action="store_true",
+             help="run under an ambient repro.obs capture (digests must "
+                  "not move)"),
+        _arg("--regenerate", action="store_true",
+             help="rewrite the fixtures instead of checking them")),
+    "list": ("list the cases, the scenario coverage and the registry",
+             cmd_list),
+    "explore": ("fault-space exploration", {
+        "enumerate": ("independent-sample sweep", cmd_enumerate, *_SEARCH),
+        "corpus": (
+            "coverage-guided corpus search", cmd_corpus, *_SEARCH,
+            _CHUNK_SIZE,
+            _arg("--corpus", metavar="FILE",
+                 help="persisted corpus JSON (loaded, then saved back)"),
+            _arg("--reproducers", metavar="DIR",
+                 help="write auto-shrunk pytest reproducers here"),
+            _arg("--parallel", action="store_true",
+                 help="fan chunks over the scenario engine's process pool")),
+        "compare": ("enumeration vs corpus search at an equal budget",
+                    cmd_compare, *_SEARCH, _CHUNK_SIZE),
+    }),
+    "obs": ("summarize, convert, and diff exported traces", {
+        "summarize": ("event counts, span outcomes, time range",
+                      cmd_summarize,
+                      _arg("file", help="JSONL or Chrome trace file")),
+        "convert": ("JSONL events → Chrome trace_event JSON", cmd_convert,
+                    _arg("file", help="JSONL trace or flight dump"),
+                    _arg("-o", "--output", required=True,
+                         help="output trace_event JSON path")),
+        "diff": ("differing summary leaves of two trace files", cmd_diff,
+                 _arg("a", help="first trace file"),
+                 _arg("b", help="second trace file")),
+    }),
+    "real": (
+        "run the real-backend smoke matrix on OS processes", cmd_real,
+        _arg("--scenario", action="append", metavar="NAME",
+             help="restrict to this real-capable scenario (repeatable)"),
+        _arg("--time-scale", type=float, default=0.02,
+             help="wall seconds per unit of virtual time (default 0.02)"),
+        _arg("--wall-timeout", type=float, default=120.0,
+             help="wall-clock cap per run; children are killed on expiry"),
+        _arg("--obs-dir",
+             help="write each run's bridged obs events as JSONL here"),
+        _arg("--output", default="BENCH_realbackend.json",
+             help="output path (default: BENCH_realbackend.json)")),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, table) -> None:
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+    for name, (help_text, handler, *arguments) in table.items():
+        sub = commands.add_parser(name, help=help_text,
+                                  description=help_text)
+        if isinstance(handler, dict):
+            _add_commands(sub, handler)
+            continue
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        # ``arguments.error`` is a usage error (exit 2) on this command.
+        sub.set_defaults(func=handler, error=sub.error)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One root parser: the logging flags, then :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Coordinated exception handling in distributed object "
+                    "systems: conformance, exploration, traces, and the "
+                    "real backend.")
+    group = parser.add_argument_group("logging")
+    group.add_argument("-v", "--verbose", action="count", default=0,
+                       help="more logging (-v: info, -vv: debug)")
+    group.add_argument("-q", "--quiet", action="count", default=0,
+                       help="less logging (-q: errors only, "
+                            "-qq: critical only)")
+    _add_commands(parser, COMMANDS)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    arguments = build_parser().parse_args(argv)
+    configure_logging(arguments.verbose, arguments.quiet)
+    return arguments.func(arguments)

@@ -22,15 +22,9 @@ digest covers only deterministic virtual-time content.  Everything else —
 message counts, latency percentiles, per-link statistics, explorer trace
 digests — is hashed bit-for-bit.
 
-Regenerating fixtures (only when a behaviour change is intended)::
-
-    PYTHONPATH=src python -m repro.conformance --regenerate
-
-Checking without pytest (CI uses both)::
-
-    PYTHONPATH=src python -m repro.conformance --check
-
-``--check`` also enforces two hygiene guards: no tracked ``__pycache__``
+``python -m repro check`` runs the gate without pytest (CI uses both);
+``--regenerate`` rewrites the fixtures, only when a behaviour change is
+intended.  It also enforces two hygiene guards: no tracked ``__pycache__``
 directories or ``*.pyc`` files (PR 3 removed 51 of them), and no
 *ungated* scenario — every name in the scenario registry must appear in
 a conformance case or carry an explicit :data:`COVERAGE_EXEMPT` entry
@@ -39,19 +33,14 @@ with a reason.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import hashlib
 import json
 import os
 import subprocess
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from . import obs
 from .bench.engine import GridPoint, REGISTRY, run_scenario
-from .cli import add_logging_arguments, configure_logging
 
 #: Bump when the canonical-document layout changes incompatibly (this
 #: invalidates every fixture, so regenerate them in the same commit).
@@ -405,86 +394,6 @@ def tracked_bytecode(repo_root: Optional[str] = None) -> Optional[List[str]]:
             if line.endswith(".pyc") or "__pycache__" in line.split("/")]
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate or check the golden-trace conformance "
-                    "fixtures.")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--regenerate", action="store_true",
-                       help="re-run the cases and rewrite their fixtures")
-    group.add_argument("--check", action="store_true",
-                       help="re-run the cases and fail on any digest drift "
-                            "(default)")
-    group.add_argument("--list", action="store_true",
-                       help="list the case catalogue and exit")
-    parser.add_argument("--case", action="append", default=None,
-                        metavar="NAME", help="restrict to one case "
-                        "(repeatable; default: all)")
-    parser.add_argument("--fixtures", default=None,
-                        help="fixture directory (default: "
-                             "tests/conformance/fixtures)")
-    parser.add_argument("--obs", action="store_true",
-                        help="run the cases under an ambient repro.obs "
-                             "capture — the digests must not move, which "
-                             "proves observation never perturbs scheduling")
-    add_logging_arguments(parser)
-    arguments = parser.parse_args(argv)
-    configure_logging(arguments)
-
-    if arguments.list:
-        for name in case_names():
-            case = CASES[name]
-            scenarios = ", ".join(scenario for scenario, _ in case.runs)
-            print(f"{name:24s} {scenarios:28s} {case.note}")
-        print()
-        covered = covered_scenarios()
-        print("Scenario coverage:")
-        for scenario in REGISTRY.names():
-            if scenario in covered:
-                status = "gated"
-            elif scenario in COVERAGE_EXEMPT:
-                status = f"exempt ({COVERAGE_EXEMPT[scenario]})"
-            else:
-                status = "UNGATED — add a case or an exemption"
-            print(f"  {scenario:20s} {status}")
-        print()
-        from .bench.baseline import registry_listing
-        for line in registry_listing():
-            print(line)
-        return 0
-
-    names = arguments.case or case_names()
-    unknown = sorted(set(names) - set(CASES))
-    if unknown:
-        parser.error(f"unknown case(s): {', '.join(unknown)}")
-
-    # With --obs every system the cases build is adopted by one ambient
-    # capture (spans + metrics + flight recorder).  The committed digests
-    # must still match — observation never schedules kernel events or
-    # draws from the simulation's RNG streams.
-    ambient = obs.capture(obs.ObsConfig()) if arguments.obs \
-        else contextlib.nullcontext()
-
-    with ambient:
-        if arguments.regenerate:
-            for path in regenerate(names, arguments.fixtures):
-                print(f"wrote {path}")
-            return 0
-        problems = check(names, arguments.fixtures)
-    bytecode = tracked_bytecode()
-    if bytecode:
-        problems.append(f"tracked bytecode: {', '.join(sorted(bytecode))}")
-    if problems:
-        for problem in problems:
-            print(f"CONFORMANCE FAILURE: {problem}", file=sys.stderr)
-        return 1
-    print(f"{len(names)} conformance case(s) OK"
-          + ("" if bytecode is None else "; no tracked bytecode"))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())
+if __name__ == "__main__":  # the old entry point must not pass silently
+    raise SystemExit("python -m repro.conformance is gone: "
+                     "run python -m repro check")

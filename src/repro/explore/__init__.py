@@ -26,7 +26,7 @@ mechanizes the search over that space:
 * :mod:`~repro.explore.corpus` — :class:`CorpusSearch`, coverage-guided
   generational search steered by trace-digest novelty over a persisted
   :class:`Corpus` (also the scenario-engine workload ``"explore_corpus"``
-  and the ``python -m repro.explore`` CLI).
+  and the ``python -m repro explore`` command).
 """
 
 from .._lazy import attach

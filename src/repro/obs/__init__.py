@@ -31,9 +31,9 @@ When nothing is captured, the module is a strict no-op: systems carry
 one attribute check, and no per-event allocation happens.  Observation
 never schedules kernel events and never perturbs scheduling — all
 conformance digests are bit-identical with observability off and on
-(``python -m repro.conformance --check --obs`` proves it).
+(``python -m repro check --obs`` proves it).
 
-``python -m repro.obs`` summarizes, converts, and diffs exported
+``python -m repro obs`` summarizes, converts, and diffs exported
 traces; see :mod:`repro.obs.export` for the file formats.
 """
 

@@ -4,7 +4,7 @@ These tests are the gate in front of any kernel/runtime change: a refactor
 or optimisation that perturbs observable behaviour — event ordering,
 message counts, latency quantiles, oracle verdicts — moves a digest and
 fails here.  Regenerate fixtures only when the behaviour change is
-intended: ``PYTHONPATH=src python -m repro.conformance --regenerate``.
+intended: ``PYTHONPATH=src python -m repro check --regenerate``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def test_case_matches_committed_fixture(name):
     fixture = conformance.load_fixture(name, FIXTURE_ROOT)
     assert fixture is not None, (
         f"fixture for {name} missing; regenerate with "
-        f"python -m repro.conformance --regenerate")
+        f"python -m repro check --regenerate")
     fresh = conformance.run_case(conformance.CASES[name])
     assert fresh["schema"] == fixture["schema"]
     assert fresh["digest"] == fixture["digest"], (

@@ -1,7 +1,7 @@
 """Repository hygiene guard: compiled bytecode must never be tracked.
 
 PR 3 removed 51 committed ``.pyc`` files and added ``.gitignore`` rules;
-this test (and ``python -m repro.conformance --check``, which CI runs)
+this test (and ``python -m repro check``, which CI runs)
 fails the build if any ``__pycache__`` directory or ``*.pyc`` file sneaks
 back into the git index.
 """

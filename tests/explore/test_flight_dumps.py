@@ -10,10 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.cli import _write_reproducers
 from repro.core import effects as fx
 from repro.core.resolution import ResolutionCoordinator
 from repro.explore import ExplorationPlan, Explorer, run_case
-from repro.explore.__main__ import _write_reproducers
 from repro.net.faults import FaultDirective
 from repro.obs import build_spans, read_jsonl
 

@@ -44,7 +44,7 @@ class TestRegistry:
                                          nodes=("A",)))
 
     def test_listing_shows_the_nodes_of_real_capable_scenarios(self):
-        from repro.bench.baseline import registry_listing
+        from repro.cli import registry_listing
         lines = registry_listing()
         assert any("nodes: T1, T2, T3" in line for line in lines)
         assert sum("nodes:" in line for line in lines) == len(REAL_CAPABLE)

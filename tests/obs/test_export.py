@@ -1,4 +1,4 @@
-"""Tests for trace exporters, the schema checker, and the obs CLI."""
+"""Tests for trace exporters, the schema checker, and ``repro obs``."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import read_jsonl, validate_chrome, write_flight_dump, \
     write_jsonl
-from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (chrome_trace, diff_summaries, load_trace,
                               summarize_events, summarize_path)
 
@@ -180,28 +180,28 @@ class TestObsCli:
         return path
 
     def test_summarize(self, tmp_path, capsys):
-        assert obs_main(["summarize", self.write_events(tmp_path)]) == 0
+        assert main(["obs", "summarize", self.write_events(tmp_path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"] == len(EVENTS)
 
     def test_convert_writes_a_valid_chrome_trace(self, tmp_path, capsys):
         out = str(tmp_path / "out.trace.json")
-        assert obs_main(["convert", self.write_events(tmp_path),
-                         "-o", out]) == 0
+        assert main(["obs", "convert", self.write_events(tmp_path),
+                     "-o", out]) == 0
         assert "wrote" in capsys.readouterr().out
         with open(out, encoding="utf-8") as handle:
             doc = json.load(handle)
         assert validate_chrome(doc) == []
         # Converting the converted file is refused: already Chrome form.
-        assert obs_main(["convert", out, "-o", out]) == 2
+        assert main(["obs", "convert", out, "-o", out]) == 2
 
     def test_diff_exit_status_reflects_differences(self, tmp_path, capsys):
         a = self.write_events(tmp_path)
         b = str(tmp_path / "short.jsonl")
         write_jsonl(EVENTS[:-1], b)
-        assert obs_main(["diff", a, a]) == 0
+        assert main(["obs", "diff", a, a]) == 0
         assert json.loads(capsys.readouterr().out) == {}
-        assert obs_main(["diff", a, b]) == 1
+        assert main(["obs", "diff", a, b]) == 1
         delta = json.loads(capsys.readouterr().out)
         assert delta["events"] == [10, 9]
 
@@ -209,7 +209,7 @@ class TestObsCli:
         path = str(tmp_path / "run.flight.jsonl")
         write_flight_dump({"capacity": 8, "observed": 2, "truncated": False,
                            "events": EVENTS[-2:]}, path)
-        assert obs_main(["summarize", path]) == 0
+        assert main(["obs", "summarize", path]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"] == 2
         assert summarize_path(path) == summary

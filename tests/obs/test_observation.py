@@ -143,7 +143,7 @@ class TestDigestInvariance:
         # The strongest no-perturbation statement: a golden-trace case
         # re-run under a full ambient capture reproduces the committed
         # fixture bit for bit (CI re-checks this via
-        # ``python -m repro.conformance --check --obs``).
+        # ``python -m repro check --obs``).
         from repro.conformance import CASES, load_fixture, run_case
         fixture = load_fixture("churn_ours")
         assert fixture is not None

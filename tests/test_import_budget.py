@@ -1,6 +1,6 @@
 """Cold-start import budget: what each entry point loads, as counts.
 
-Every ``python -m repro.*`` tool, every benchmark set-up and every
+Every ``python -m repro`` command, every benchmark set-up and every
 real-backend child (a fresh *spawn* interpreter per node) pays the import
 of its entry point.  Packages re-export lazily (``repro._lazy``) and a
 module imports at top level only what its own common path calls, so an
@@ -35,6 +35,7 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: ``repro`` modules each entry point may load (measured count + 2).
 BUDGET = {
     "repro": 4,
+    "repro.cli": 5,
     "repro.workload.scenarios": 56,
     "repro.bench.scenarios": 51,
     "repro.bench.engine": 56,
@@ -89,6 +90,18 @@ def test_real_backend_child_skips_the_parent_hub():
     loaded = loaded_modules("repro.net.real.host")
     assert "asyncio" not in loaded
     assert "repro.net.real.backend" not in loaded
+
+
+def test_reading_a_trace_loads_no_scenario_engine(tmp_path):
+    # ``python -m repro obs summarize`` imports only the trace reader.
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"kind": "job.submitted", "t": 0.0}\n')
+    loaded = loaded_modules(
+        "repro.cli", "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    repro.cli.main(['obs', 'summarize', {str(path)!r}])")
+    assert [name for name in ("repro.bench.engine",) + ABSENT
+            if name in loaded] == ["repro.obs.export"]
 
 
 def test_reading_the_scenario_registry_imports_no_runner():
