@@ -70,12 +70,14 @@ class RunMetrics:
     """Aggregated counters for one simulated run.
 
     ``keep_details`` (default ``True``) controls whether the unbounded
-    per-participation ``action_outcomes`` list is retained.  A
-    million-instance shard of a
-    :class:`~repro.workload.sharding.ShardedPool` sets it to ``False``:
-    every counter (including the per-name maps) still counts exactly and
-    still merges, only the outcome list stays empty, so memory stays
-    flat no matter how many instances a shard serves.
+    per-participation ``action_outcomes`` list is retained.  Every
+    system served by a :class:`~repro.workload.driver.WorkloadDriver`
+    (each shard of a :class:`~repro.workload.sharding.ShardedPool`
+    included) has it set to ``False``: every counter (including the
+    per-name maps) still counts exactly and still merges, only the
+    outcome list stays empty, so memory stays flat no matter how many
+    instances the driver serves.  Single-episode systems (figures, the
+    explorer, the real backend) keep the list.
     """
 
     def __init__(self) -> None:
@@ -142,9 +144,10 @@ class RunMetrics:
     def counters(self) -> Dict[str, object]:
         """The scalar and per-name counters only (no per-event lists).
 
-        The JSON-friendly aggregate a merged sharded-capacity row embeds:
-        exact under ``keep_details=False`` and identical to the matching
-        subset of :meth:`snapshot`.
+        The JSON-friendly aggregate a merged sharded-capacity row and a
+        :class:`~repro.workload.driver.WorkloadReport` embed: exact under
+        ``keep_details=False`` and identical to the matching subset of
+        :meth:`snapshot`.
         """
         return {
             "exceptions_raised": self.exceptions_raised,

@@ -108,7 +108,7 @@ class CoordinatorBase:
         self._trace(f"enter {context.action}")
         return self._replay_retained(context)
 
-    def leave_action(self, action: str, success: bool = True) -> List[fx.Effect]:
+    def leave_action(self, action: str, success: bool) -> List[fx.Effect]:
         """The thread leaves ``action`` (after the synchronous exit protocol)."""
         top = self.sa.top()
         if top is None or top.action != action:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Set
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..simkernel.kernel import Kernel
 from .atomic_object import AtomicObject, IntegrityError, UndoFailure
@@ -36,8 +37,24 @@ class TransactionError(RuntimeError):
     """Raised for protocol misuse (e.g. writing in a finished transaction)."""
 
 
+#: The ``objects`` / ``failed_objects`` of a transaction that touched
+#: none / whose undo failed nowhere: shared, so a finished transaction
+#: that never touched an object costs no set or list of its own.
+_NO_OBJECTS: FrozenSet[str] = frozenset()
+_NO_FAILURES: Tuple[str, ...] = ()
+
+
 class Transaction:
-    """Handle for a group of accesses to external atomic objects."""
+    """Handle for a group of accesses to external atomic objects.
+
+    :attr:`TransactionManager.finished` keeps every finished transaction
+    (the oracles read it), so the record is a ``__slots__`` object and
+    ``objects`` / ``failed_objects`` become a ``set`` / ``list`` only on
+    first touch.
+    """
+
+    __slots__ = ("manager", "transaction_id", "action_name", "status",
+                 "objects", "failed_objects")
 
     def __init__(self, manager: "TransactionManager", transaction_id: str,
                  action_name: str) -> None:
@@ -45,35 +62,35 @@ class Transaction:
         self.transaction_id = transaction_id
         self.action_name = action_name
         self.status = TransactionStatus.ACTIVE
-        self.objects: Set[str] = set()
-        self.failed_objects: List[str] = []
+        self.objects: AbstractSet[str] = _NO_OBJECTS
+        self.failed_objects: Sequence[str] = _NO_FAILURES
 
     # ------------------------------------------------------------------
     def read(self, object_name: str, key: str):
         """Transactionally read a field of an external object."""
         self._ensure_active()
         obj = self.manager.object(object_name)
-        self.objects.add(object_name)
+        self._touch(object_name)
         return obj.read(self.transaction_id, key, now=self.manager.now)
 
     def write(self, object_name: str, key: str, value) -> None:
         """Transactionally write a field of an external object."""
         self._ensure_active()
         obj = self.manager.object(object_name)
-        self.objects.add(object_name)
+        self._touch(object_name)
         obj.write(self.transaction_id, key, value, now=self.manager.now)
 
     def repair(self, object_name: str, repair_function) -> None:
         """Forward-recover one object's state (used by exception handlers)."""
         self._ensure_active()
         obj = self.manager.object(object_name)
-        self.objects.add(object_name)
+        self._touch(object_name)
         obj.repair(self.transaction_id, repair_function)
 
     def lock(self, object_name: str, mode: LockMode = LockMode.EXCLUSIVE):
         """Acquire a lock on an object; returns the grant event."""
         self._ensure_active()
-        self.objects.add(object_name)
+        self._touch(object_name)
         return self.manager.locks.acquire(object_name, self.transaction_id, mode)
 
     def notify_exception(self, exception_name: str) -> None:
@@ -113,7 +130,8 @@ class Transaction:
                 self.manager.object(object_name).undo(self.transaction_id)
             except UndoFailure:
                 failed.append(object_name)
-        self.failed_objects = failed
+        if failed:
+            self.failed_objects = failed
         self.status = (TransactionStatus.FAILED_UNDO if failed
                        else TransactionStatus.ABORTED)
         self.manager.locks.release_all(self.transaction_id)
@@ -121,6 +139,12 @@ class Transaction:
         return self.status
 
     # ------------------------------------------------------------------
+    def _touch(self, object_name: str) -> None:
+        if self.objects is _NO_OBJECTS:
+            self.objects = {object_name}
+        else:
+            self.objects.add(object_name)  # type: ignore[attr-defined]
+
     def _ensure_active(self) -> None:
         if self.status is not TransactionStatus.ACTIVE:
             raise TransactionError(

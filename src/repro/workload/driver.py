@@ -24,6 +24,13 @@ DistributedCASystem` into exactly that:
   delay, throughput, and observed concurrency (max and time-weighted
   mean).
 
+The driver keeps state for the instances in flight, not for every
+instance served: once a job settles (completed or dropped) it lives on
+only in counters and histograms, and the :class:`Job` itself is freed by
+reference counting unless the caller kept what :meth:`WorkloadDriver.
+submit` returned.  The system's :class:`~repro.analysis.metrics.
+RunMetrics` likewise counts outcomes instead of listing them.
+
 Everything runs in deterministic virtual time; a ``(system build, seed,
 arrival process)`` triple reproduces the run byte for byte.
 """
@@ -164,8 +171,15 @@ class WorkloadDriver:
             self._inboxes[name] = Mailbox(self.kernel)
             system.spawn(name, self._make_worker(name))
         self._stopped = False
+        # Outcomes are counted, not listed: a soak must not keep one
+        # ActionOutcome per participation.
+        system.metrics.keep_details = False
 
-        self.jobs: List[Job] = []
+        # Counters, not a job list: a settled job leaves nothing behind.
+        self._submitted = 0
+        self._completed = 0
+        self._dropped = 0
+        self._first_arrival: Optional[float] = None
         self._by_instance: Dict[str, Job] = {}
         self._outstanding = 0
         self._drained: Optional[Event] = None
@@ -215,9 +229,14 @@ class WorkloadDriver:
     # Submission and placement
     # ------------------------------------------------------------------
     def submit(self, action: Optional[str] = None) -> Job:
-        """Submit one job now; returns it (with its ``completion`` event)."""
+        """Submit one job now; returns it (with its ``completion`` event).
+
+        The completion fires with the job's ``outcome`` once it settles.
+        The driver keeps no reference to a settled job: a caller that
+        wants the timeline keeps the jobs this returns.
+        """
         spec = self.mix.get(action) if action else self.mix.pick(self.streams)
-        index = len(self.jobs)
+        index = self._submitted
         job = Job(
             index=index,
             action=spec.name,
@@ -228,7 +247,9 @@ class WorkloadDriver:
             profile=spec.draw_profile(self.streams, index),
             completion=self.kernel.event(),
         )
-        self.jobs.append(job)
+        self._submitted += 1
+        if self._first_arrival is None:
+            self._first_arrival = job.arrived_at
         self._by_instance[job.instance] = job
         self._outstanding += 1
         if self.system.observation is not None:
@@ -333,8 +354,8 @@ class WorkloadDriver:
         # conclusion (profile_for from the role bodies); prune it so a
         # long soak does not grow by one entry per instance ever served.
         del self._by_instance[job.instance]
-        job.completion.succeed(job)
-        self._job_settled()
+        self._completed += 1
+        self._settle(job)
         self._pump()
 
     def _finalize_drop(self, job: Job) -> None:
@@ -343,10 +364,14 @@ class WorkloadDriver:
         if self.system.observation is not None:
             self.system.observation.job_event(kinds.JOB_DROPPED, job)
         del self._by_instance[job.instance]
-        job.completion.succeed(job)
-        self._job_settled()
+        self._dropped += 1
+        self._settle(job)
 
-    def _job_settled(self) -> None:
+    def _settle(self, job: Job) -> None:
+        # The completion fires with the outcome, not the job: an event
+        # whose value is the job that holds it is a reference cycle, and
+        # a settled job must be freed by reference counting.
+        job.completion.succeed(job.outcome)
         self._outstanding -= 1
         if self._outstanding == 0 and self._drained is not None and \
                 not self._drained.triggered:
@@ -407,14 +432,13 @@ class WorkloadDriver:
         # Flush the busy integral so a mid-run report counts the interval
         # since the last dispatch/conclusion, not just completed intervals.
         self._flush_concurrency()
-        completed = sum(1 for job in self.jobs if job.outcome == "completed")
-        dropped = sum(1 for job in self.jobs if job.outcome == "dropped")
+        completed = self._completed
         total_time = self.kernel.now
-        elapsed = total_time - (self.jobs[0].arrived_at if self.jobs else 0.0)
+        elapsed = total_time - (self._first_arrival or 0.0)
         return WorkloadReport(
-            jobs=len(self.jobs),
+            jobs=self._submitted,
             completed=completed,
-            dropped=dropped,
+            dropped=self._dropped,
             total_time=total_time,
             throughput=(completed / elapsed if elapsed > 0 else 0.0),
             max_concurrency=self.max_concurrency,
@@ -430,7 +454,7 @@ class WorkloadDriver:
             admission=self.admission.stats.snapshot(),
             admission_config=self.admission.describe(),
             arrivals=self._arrivals_description,
-            metrics=self.system.metrics.snapshot(),
+            metrics=self.system.metrics.counters(),
         )
 
     def telemetry_snapshot(self) -> Dict[str, Any]:
@@ -462,4 +486,4 @@ class WorkloadDriver:
 
     def __repr__(self) -> str:
         return (f"<WorkloadDriver pool={len(self.pool)} "
-                f"jobs={len(self.jobs)} in_flight={self.admission.in_flight}>")
+                f"jobs={self._submitted} in_flight={self.admission.in_flight}>")

@@ -254,18 +254,12 @@ def run_shard(params: Mapping[str, Any]) -> Dict[str, Any]:
     """
     spec = dict(params)
     monitor_oracles = spec.pop("check_oracles")
-    lean = spec.pop("lean_telemetry")
     system = DistributedCASystem(
         RuntimeConfig(algorithm=spec["algorithm"],
                       resolution_time=spec["t_resolution"]),
         latency=ConstantLatency(spec["t_msg"]))
     system.add_threads([f"S{spec['shard_id']:03d}W{i:03d}"
                         for i in range(1, spec["pool_size"] + 1)])
-    if lean:
-        # A million-instance shard must not retain one event string and
-        # two ActionOutcome records per instance; counters are enough
-        # for capacity telemetry (and they merge identically).
-        system.metrics.keep_details = False
     monitor = InvariantMonitor(system) if monitor_oracles else None
     driver = WorkloadDriver(
         system, seed=spec["seed"],
@@ -384,6 +378,13 @@ class ShardedPool:
       spawn falls back to sequential — logged, and recorded in the
       result's ``executor`` field, never silent — and the merged
       snapshot is byte-identical either way.
+
+    A shard's memory does not grow with the instances it serves: its
+    :class:`~repro.workload.driver.WorkloadDriver` keeps state only for
+    the instances in flight and has the shard's
+    :class:`~repro.analysis.metrics.RunMetrics` count outcomes instead of
+    listing them, so the per-shard ``metrics`` snapshot carries counters
+    and an empty ``action_outcomes`` list.
     """
 
     def __init__(self, pool_size: int = 8, width: int = 2,
@@ -391,8 +392,7 @@ class ShardedPool:
                  t_msg: float = 0.02, t_resolution: float = 0.05,
                  queue_capacity: int = 32, policy: str = "drop",
                  algorithm: str = "ours", workers: int = 0,
-                 check_oracles: bool = True,
-                 lean_telemetry: bool = True) -> None:
+                 check_oracles: bool = True) -> None:
         if pool_size < width:
             raise ValueError(f"each shard pool needs at least width={width} "
                              f"workers; got {pool_size}")
@@ -409,7 +409,6 @@ class ShardedPool:
         self.algorithm = algorithm
         self.workers = int(workers)
         self.check_oracles = bool(check_oracles)
-        self.lean_telemetry = bool(lean_telemetry)
 
     @property
     def capacity_per_shard(self) -> float:
@@ -435,7 +434,6 @@ class ShardedPool:
             "policy": self.policy,
             "algorithm": self.algorithm,
             "check_oracles": self.check_oracles,
-            "lean_telemetry": self.lean_telemetry,
         }
 
     def run(self, plan: ShardPlan) -> Dict[str, Any]:

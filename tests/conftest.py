@@ -147,3 +147,24 @@ def feed_outcome(subscriber, action: str, status: str,
     feed(subscriber, kinds.ACTION_CONCLUDED, thread, action, finished_at,
          status=ActionStatus(status), resolved=None,
          signalled=internal(signalled) if signalled else NO_EXCEPTION)
+
+
+# ----------------------------------------------------------------------
+# Keeping the jobs a workload driver serves (the driver keeps none)
+# ----------------------------------------------------------------------
+def record_jobs(driver) -> list:
+    """Wrap ``driver.submit`` so every submitted ``Job`` lands in a list.
+
+    The arrival processes call ``driver.submit``; the returned list fills
+    as they do, in submission order.
+    """
+    jobs = []
+    submit = driver.submit
+
+    def recording(action=None):
+        job = submit(action)
+        jobs.append(job)
+        return job
+
+    driver.submit = recording
+    return jobs

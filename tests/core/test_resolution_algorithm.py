@@ -221,6 +221,20 @@ class TestNestedAbortion:
         assert all(effect.actions == ("Inner",) for effect in aborts)
         assert all(effect.resume_action == "Outer" for effect in aborts)
 
+    def test_interrupt_names_the_nested_action_the_role_is_in(self):
+        """A's exception reaches a thread inside B (nested in A): the role
+        to interrupt is B's, the one the thread is running, not A's."""
+        coordinator = ResolutionCoordinator("T2")
+        coordinator.enter_action(ActionContext(
+            "A", ("T1", "T2"), generate_full_graph([E1], action_name="A")))
+        coordinator.enter_action(ActionContext(
+            "B", ("T2",), ExceptionGraph("B"), parent="A"))
+        effects = coordinator.receive(ExceptionMessage("A", "T1", E1))
+        [interrupt] = [e for e in effects if isinstance(e, InterruptRole)]
+        assert interrupt.action == "B"
+        [abort] = [e for e in effects if isinstance(e, AbortNested)]
+        assert abort.actions == ("B",) and abort.resume_action == "A"
+
     def test_abortion_completed_with_exception_broadcasts_it(self):
         driver = self.build_nested()
         driver.raise_in("T1", E1)
@@ -389,7 +403,7 @@ class TestLifecycle:
         coordinator = ResolutionCoordinator("T1")
         coordinator.enter_action(ActionContext("A", ("T1",), graph))
         with pytest.raises(ProtocolError):
-            coordinator.leave_action("B")
+            coordinator.leave_action("B", success=True)
 
     def test_enter_requires_membership(self):
         graph = generate_full_graph([E1])

@@ -137,3 +137,21 @@ class TestRunCaseConditioning:
         result = run_case("concurrent_raises", ExplorationPlan(),
                           baselines=("campbell-randell", "romanovsky96"))
         assert result.violations == []
+
+
+class TestLocksReleasedOracle:
+    def test_a_finished_transaction_holding_an_unwanted_lock_is_flagged(self):
+        """A leaked grant that nobody waits for is still a leak."""
+        from tests.conftest import make_simple_system
+
+        system = make_simple_system()
+        system.create_object("acct", {"value": 0})
+        monitor = InvariantMonitor(system)
+        manager = system.transactions
+        transaction = manager.begin("A")
+        transaction.lock("acct")
+        manager._finished(transaction)      # finished without release_all
+        assert manager.locks.all_holders() and not manager.locks.all_waiters()
+        violations = monitor.check(require_liveness=False)
+        assert [v.invariant for v in violations] == [oracles.LOCKS_RELEASED]
+        assert transaction.transaction_id in violations[0].detail

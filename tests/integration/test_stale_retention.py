@@ -76,7 +76,7 @@ class TestCoordinatorInstanceTracking:
 
     def test_message_for_finished_instance_is_dropped(self):
         coordinator, _ = self._coordinator_in("A#1")
-        coordinator.leave_action("A")
+        coordinator.leave_action("A", success=True)
         coordinator.receive(ExceptionMessage("A", "T2", internal("e"),
                                              instance="A#1"))
         assert coordinator.retained == []
@@ -90,7 +90,7 @@ class TestCoordinatorInstanceTracking:
         early = SuspendedMessage("A", "T2", instance="A#2")
         coordinator.receive(early)
         assert coordinator.retained == [early]
-        coordinator.leave_action("A")
+        coordinator.leave_action("A", success=True)
         assert coordinator.retained == [early]
         graph = generate_full_graph([internal("e")], action_name="A")
         coordinator.enter_action(ActionContext("A", ("T1", "T2"), graph,
@@ -100,7 +100,7 @@ class TestCoordinatorInstanceTracking:
 
     def test_message_for_future_instance_is_parked_then_replayed(self):
         coordinator, _ = self._coordinator_in("A#1")
-        coordinator.leave_action("A")
+        coordinator.leave_action("A", success=True)
         # T2 already re-entered as instance A#2 and suspended there.
         early = SuspendedMessage("A", "T2", instance="A#2")
         coordinator.receive(early)

@@ -13,6 +13,7 @@ from repro.workload import (
     TrafficActionSpec,
     WorkloadDriver,
 )
+from tests.conftest import record_jobs
 
 
 def build_driver(pool_size=4, seed=7, latency=0.01, **admission):
@@ -50,18 +51,21 @@ class TestOpenLoopPoisson:
     def test_same_seed_same_arrival_times(self):
         first = build_driver(seed=11)
         second = build_driver(seed=11)
+        first_jobs, second_jobs = record_jobs(first), record_jobs(second)
         first.run(OpenLoopPoisson(rate=4.0, count=20))
         second.run(OpenLoopPoisson(rate=4.0, count=20))
-        assert [job.arrived_at for job in first.jobs] == \
-            [job.arrived_at for job in second.jobs]
+        assert len(first_jobs) == 20
+        assert [job.arrived_at for job in first_jobs] == \
+            [job.arrived_at for job in second_jobs]
 
     def test_different_seed_different_schedule(self):
         first = build_driver(seed=11)
         second = build_driver(seed=12)
+        first_jobs, second_jobs = record_jobs(first), record_jobs(second)
         first.run(OpenLoopPoisson(rate=4.0, count=20))
         second.run(OpenLoopPoisson(rate=4.0, count=20))
-        assert [job.arrived_at for job in first.jobs] != \
-            [job.arrived_at for job in second.jobs]
+        assert [job.arrived_at for job in first_jobs] != \
+            [job.arrived_at for job in second_jobs]
 
     def test_describe(self):
         assert OpenLoopPoisson(2.0, 10).describe() == \
@@ -71,16 +75,18 @@ class TestOpenLoopPoisson:
 class TestTraceReplay:
     def test_arrivals_at_exact_times(self):
         driver = build_driver()
+        jobs = record_jobs(driver)
         report = driver.run(TraceReplay([0.5, 0.25, 2.0]))
         assert report.jobs == 3
-        assert [job.arrived_at for job in driver.jobs] == [0.25, 0.5, 2.0]
+        assert [job.arrived_at for job in jobs] == [0.25, 0.5, 2.0]
 
     def test_entries_may_pin_actions(self):
         driver = build_driver()
         driver.add_action(TrafficActionSpec("Other", width=2,
                                             mean_service=0.25))
+        jobs = record_jobs(driver)
         driver.run(TraceReplay([(0.1, "Other"), (0.2, "Serve")]))
-        assert [job.action for job in driver.jobs] == ["Other", "Serve"]
+        assert [job.action for job in jobs] == ["Other", "Serve"]
 
 
 class TestClosedLoopClients:

@@ -1,5 +1,7 @@
 """Tests for the workload driver: overlap, per-instance keying, determinism."""
 
+import gc
+
 import pytest
 
 from repro.explore.monitor import InvariantMonitor
@@ -13,6 +15,7 @@ from repro.workload import (
     TrafficActionSpec,
     WorkloadDriver,
 )
+from tests.conftest import record_jobs
 
 
 def build_system(pool_size=8, latency=0.02, resolution_time=0.05,
@@ -38,6 +41,7 @@ class TestOverlap:
         driver = build_driver()
         driver.add_action(TrafficActionSpec("Serve", width=2,
                                             mean_service=1.0))
+        jobs = record_jobs(driver)
         report = driver.run(OpenLoopPoisson(rate=4.0, count=40))
         assert report.jobs == 40
         assert report.completed == 40
@@ -45,7 +49,7 @@ class TestOverlap:
         # Cross-check from the job timeline: at least one pair of completed
         # jobs of the same action has overlapping [dispatch, completion).
         intervals = [(job.dispatched_at, job.completed_at)
-                     for job in driver.jobs if job.outcome == "completed"]
+                     for job in jobs if job.outcome == "completed"]
         overlapping = any(
             a_start < b_end and b_start < a_end
             for i, (a_start, a_end) in enumerate(intervals)
@@ -56,10 +60,12 @@ class TestOverlap:
         driver = build_driver()
         driver.add_action(TrafficActionSpec("Serve", width=2,
                                             mean_service=1.0))
+        jobs = record_jobs(driver)
         driver.run(OpenLoopPoisson(rate=4.0, count=30))
+        assert len(jobs) == 30
         in_flight = []
         events = []
-        for job in driver.jobs:
+        for job in jobs:
             # Completions sort before dispatches at equal timestamps: a
             # conclusion frees its workers for a same-instant dispatch.
             events.append((job.dispatched_at, 1, job))
@@ -124,12 +130,15 @@ class TestAdmissionIntegration:
         driver = build_driver(max_in_flight=1, queue_capacity=1)
         driver.add_action(TrafficActionSpec("Serve", width=2,
                                             mean_service=2.0))
+        jobs = record_jobs(driver)
         report = driver.run(OpenLoopPoisson(rate=10.0, count=40))
         assert report.dropped > 0
         assert report.completed + report.dropped == 40
         assert report.max_concurrency == 1
-        for job in driver.jobs:
+        assert len(jobs) == 40
+        for job in jobs:
             assert job.completion.triggered
+            assert job.completion.value == job.outcome
 
     def test_retry_policy_eventually_serves_or_drops(self):
         driver = build_driver(max_in_flight=1, queue_capacity=0,
@@ -164,6 +173,40 @@ class TestLifecycleHygiene:
                                             mean_service=0.5))
         driver.run(OpenLoopPoisson(rate=4.0, count=20))
         assert driver._by_instance == {}
+
+    def test_a_settled_instance_leaves_nothing_behind(self):
+        """No Job, no ActionOutcome and no per-transaction dict survive.
+
+        The cyclic collector is off during the run, so whatever is freed
+        is freed by reference counting; object counts, not byte sizes,
+        so the check holds on every interpreter version.
+        """
+        from repro.analysis.metrics import ActionOutcome
+        from repro.workload.driver import Job
+
+        system = build_system()
+        driver = WorkloadDriver(system, seed=5)     # default queue: drops
+        driver.add_action(TrafficActionSpec("Serve", width=2,
+                                            mean_service=1.0,
+                                            raise_probability=0.3))
+        enabled = gc.isenabled()
+        gc.collect()            # earlier tests' cyclic garbage
+        gc.disable()
+        try:
+            report = driver.run(OpenLoopPoisson(rate=4.0, count=300))
+            alive = [type(obj) for obj in gc.get_objects()
+                     if isinstance(obj, (Job, ActionOutcome))]
+        finally:
+            if enabled:
+                gc.enable()
+        assert report.jobs == 300
+        assert report.completed > 0 and report.dropped > 0
+        assert system.metrics.resolutions > 0
+        assert alive == []
+        assert system.metrics.action_outcomes == []
+        finished = system.transactions.finished
+        assert len(finished) == report.completed   # one per instance
+        assert not hasattr(finished[0], "__dict__")
 
     def test_mid_run_report_counts_open_intervals(self):
         """mean_concurrency includes the time since the last state change."""
@@ -212,9 +255,10 @@ class TestLifecycleHygiene:
                                             mean_service=0.5, weight=2.0))
         driver.add_action(TrafficActionSpec("Wide", width=5,
                                             mean_service=1.0))
+        jobs = record_jobs(driver)
         report = driver.run(OpenLoopPoisson(rate=3.0, count=40))
         assert report.completed == 40
-        actions = {job.action for job in driver.jobs}
+        actions = {job.action for job in jobs}
         assert actions == {"Narrow", "Wide"}
 
     def test_trace_pinning_and_per_action_histograms(self):
