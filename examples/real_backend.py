@@ -49,7 +49,7 @@ def main() -> None:
     print("\nremote_counter (2 workers + 1 object host):")
     real = run_real("remote_counter", iterations=2, time_scale=0.01)
     show("real (3 processes)", real)
-    counter = real.records["objhost"]["counters"][0]
+    counter = real.record.counters[0]
     print(f"  host counter: {counter['initial']} -> {counter['final']} "
           f"({counter['committed_writers']} committed writers)")
 

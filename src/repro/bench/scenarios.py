@@ -59,7 +59,7 @@ from ..runtime.system import DistributedCASystem
 from ..simkernel.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..explore.monitor import InvariantMonitor
+    from ..runtime.monitor import InvariantMonitor
 
 #: Default loop count of experiment 1 ("executed in a loop (20 times)").
 EXPERIMENT1_ITERATIONS = 20
@@ -133,7 +133,7 @@ def new_system(t_msg: float, algorithm: str = "ours",
 
 def observed_node(system: DistributedCASystem) -> BuiltNode:
     """Attach the monitor and span observation a node's record comes from."""
-    from ..explore.monitor import InvariantMonitor
+    from ..runtime.monitor import InvariantMonitor
 
     monitor = InvariantMonitor(system)
     obs.observe_system(system, _NODE_OBS)

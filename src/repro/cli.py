@@ -2,7 +2,7 @@
 
 * ``check`` — re-run the conformance cases and fail on digest drift;
 * ``list`` — the case catalogue, the scenario coverage and the registry;
-* ``explore {enumerate,corpus,compare}`` — the fault-space search;
+* ``explore corpus`` — the coverage-guided fault-space search;
 * ``obs {summarize,convert,diff}`` — read exported traces;
 * ``real`` — the real-backend smoke matrix on OS processes.
 
@@ -163,23 +163,6 @@ def _kinds(name: str):
     return getattr(generator, KINDS[name])
 
 
-def _enumerate_distinct(arguments) -> dict:
-    from .explore.explorer import Explorer
-
-    report = Explorer(target=arguments.target, seed=arguments.seed,
-                      budget=arguments.budget,
-                      kinds=_kinds(arguments.kinds)).run()
-    return {
-        "mode": "enumerate",
-        "target": report.target,
-        "seed": arguments.seed,
-        "executed": len(report.cases),
-        "distinct_digests": len({case.digest for case in report.cases}),
-        "failures": len(report.failures),
-        "failing_plans": [case.plan.to_dict() for case in report.failures],
-    }
-
-
 def _write_reproducers(reproducers, directory: str) -> List[str]:
     from .obs import write_flight_dump
 
@@ -198,12 +181,6 @@ def _write_reproducers(reproducers, directory: str) -> List[str]:
             write_flight_dump(record["flight"], flight_path)
             paths.append(flight_path)
     return paths
-
-
-def cmd_enumerate(arguments) -> int:
-    summary = _enumerate_distinct(arguments)
-    _print_json(summary)
-    return 1 if summary["failures"] else 0
 
 
 def cmd_corpus(arguments) -> int:
@@ -230,28 +207,6 @@ def cmd_corpus(arguments) -> int:
             report.reproducers, arguments.reproducers)
     _print_json(summary)
     return 1 if report.failures else 0
-
-
-def cmd_compare(arguments) -> int:
-    from .explore.corpus import CorpusSearch
-
-    enumeration = _enumerate_distinct(arguments)
-    report = CorpusSearch(target=arguments.target, seed=arguments.seed,
-                          kinds=_kinds(arguments.kinds),
-                          chunk_size=arguments.chunk_size,
-                          shrink=False).run(budget=arguments.budget)
-    _print_json({
-        "mode": "compare",
-        "target": arguments.target,
-        "seed": arguments.seed,
-        "budget": arguments.budget,
-        "kinds": arguments.kinds,
-        "enumeration_distinct_digests": enumeration["distinct_digests"],
-        "corpus_distinct_digests": report.distinct_digests,
-        "advantage": (report.distinct_digests
-                      - enumeration["distinct_digests"]),
-    })
-    return 0
 
 
 def cmd_summarize(arguments) -> int:
@@ -339,19 +294,6 @@ def _arg(*flags, **options):
     return flags, options
 
 
-#: What every explore mode searches.
-_SEARCH = (
-    _arg("--target", default="nested_abort",
-         help="exploration target (default: nested_abort)"),
-    _arg("--seed", type=int, default=2026, help="search seed (default: 2026)"),
-    _arg("--budget", type=int, default=200,
-         help="executed runs (default: 200)"),
-    _arg("--kinds", choices=sorted(KINDS), default="storm",
-         help="fault vocabulary (default: storm)"),
-)
-_CHUNK_SIZE = _arg("--chunk-size", type=int, default=25,
-                   help="plans per execution chunk (default: 25)")
-
 #: ``name -> (help, handler, *arguments)``; a command group holds the
 #: table of its own commands in place of the handler.
 COMMANDS = {
@@ -369,18 +311,24 @@ COMMANDS = {
     "list": ("list the cases, the scenario coverage and the registry",
              cmd_list),
     "explore": ("fault-space exploration", {
-        "enumerate": ("independent-sample sweep", cmd_enumerate, *_SEARCH),
         "corpus": (
-            "coverage-guided corpus search", cmd_corpus, *_SEARCH,
-            _CHUNK_SIZE,
+            "coverage-guided corpus search", cmd_corpus,
+            _arg("--target", default="nested_abort",
+                 help="exploration target (default: nested_abort)"),
+            _arg("--seed", type=int, default=2026,
+                 help="search seed (default: 2026)"),
+            _arg("--budget", type=int, default=200,
+                 help="executed runs (default: 200)"),
+            _arg("--kinds", choices=sorted(KINDS), default="storm",
+                 help="fault vocabulary (default: storm)"),
+            _arg("--chunk-size", type=int, default=25,
+                 help="plans per execution chunk (default: 25)"),
             _arg("--corpus", metavar="FILE",
                  help="persisted corpus JSON (loaded, then saved back)"),
             _arg("--reproducers", metavar="DIR",
                  help="write auto-shrunk pytest reproducers here"),
             _arg("--parallel", action="store_true",
                  help="fan chunks over the scenario engine's process pool")),
-        "compare": ("enumeration vs corpus search at an equal budget",
-                    cmd_compare, *_SEARCH, _CHUNK_SIZE),
     }),
     "obs": ("summarize, convert, and diff exported traces", {
         "summarize": ("event counts, span outcomes, time range",

@@ -13,21 +13,21 @@ algorithms (Sections 3.3–3.4):
   thread is idle, has no pending abortion and retains no undelivered
   protocol messages.
 
-This module states those properties as pure predicates over plain data
-(records collected by the explorer's
-:class:`~repro.explore.monitor.InvariantMonitor` probes, and coordinator /
-partition state inspected at quiescence).  Keeping them here — next to the
-state machines whose guarantees they express — lets both the mechanized
-fault-space explorer and hand-written tests share one oracle catalogue.
+This module states those properties as pure predicates over plain data,
+the one record they read (:class:`RunRecord`, filled by
+:class:`~repro.runtime.monitor.InvariantMonitor`; real-backend node
+records fold with :meth:`RunRecord.merge`) and the one catalogue over it,
+:func:`check`, which judges every kind of run.
 
 Every predicate returns a list of :class:`OracleViolation` (empty means the
-property holds), so callers can aggregate across predicates and runs.
+property holds; empty input holds), so callers can aggregate across
+predicates and runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .state import ThreadState
 
@@ -251,3 +251,68 @@ def check_differential_agreement(reference: Mapping[str, str],
                 f"{key}: {reference_name} resolved {ours!r} but "
                 f"{candidate_name} resolved {theirs!r}"))
     return violations
+
+
+# ----------------------------------------------------------------------
+# The run record and the catalogue over it
+# ----------------------------------------------------------------------
+@dataclass
+class RunRecord:
+    """One run's (or one node's) oracle inputs, as plain picklable data:
+    the arguments of the predicates above, one field each."""
+
+    resolutions: Dict[Tuple[str, str], List[Tuple[str, str]]] = \
+        field(default_factory=dict)
+    outcomes: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
+    quiescence: List[ThreadQuiescence] = field(default_factory=list)
+    counters: List[Mapping[str, Any]] = field(default_factory=list)
+    locks_held: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict)
+    locks_waiting: Dict[str, List[str]] = field(default_factory=dict)
+    finished_txns: List[str] = field(default_factory=list)
+
+    @classmethod
+    def merge(cls, records: Iterable["RunRecord"]) -> "RunRecord":
+        """Fold node records into one: lists and keyed lists concatenate
+        in the order given (node order), ``outcomes`` sum."""
+        merged = cls()
+        for record in records:
+            for name in ("resolutions", "locks_held", "locks_waiting"):
+                into = getattr(merged, name)
+                for key, entries in getattr(record, name).items():
+                    into.setdefault(key, []).extend(entries)
+            for key, count in record.outcomes.items():
+                merged.outcomes[key] = merged.outcomes.get(key, 0) + count
+            for name in ("quiescence", "counters", "finished_txns"):
+                getattr(merged, name).extend(getattr(record, name))
+        return merged
+
+
+def check(record: RunRecord,
+          require_liveness: bool = True) -> List[OracleViolation]:
+    """The oracle catalogue: every predicate over ``record``, once each.
+
+    ``require_liveness=False`` waives the liveness half — missing
+    conclusions, ``no_stranded_thread`` and ``abortion_atomic`` — which a
+    run outside the paper's delivery assumptions (a dropped message, a
+    crashed node) may legitimately break; the safety oracles always run.
+    """
+    violations = check_agreement(record.resolutions)
+    violations.extend(check_exactly_one_outcome(
+        record.outcomes, require_completion=require_liveness))
+    if require_liveness:
+        violations.extend(check_no_stranded_thread(record.quiescence))
+        violations.extend(check_abortion_atomic(record.quiescence))
+    violations.extend(check_no_lost_updates(record.counters))
+    violations.extend(check_locks_released(
+        record.locks_held, record.locks_waiting, record.finished_txns))
+    return violations
+
+
+def resolved_names(resolutions: Mapping[Tuple[str, str],
+                                        Sequence[Tuple[str, str]]]
+                   ) -> Dict[str, str]:
+    """``"instance/thread" -> resolved name``, the last delivery winning
+    (what :func:`check_differential_agreement` compares)."""
+    return {f"{instance}/{thread}": name
+            for (_, instance), seen in resolutions.items()
+            for thread, name in seen}

@@ -12,13 +12,12 @@ mechanizes the search over that space:
 * :mod:`~repro.explore.generator` — :class:`FaultPlanGenerator`, seeded
   sampling of plans from the drop/corrupt/delay/crash vocabulary;
 * :mod:`~repro.explore.targets` — the scenario systems under exploration;
-* :mod:`~repro.explore.monitor` — :class:`InvariantMonitor`, which probes
-  the runtime and evaluates the oracle catalogue of
-  :mod:`repro.core.oracles` after every run;
 * :mod:`~repro.explore.trace` — byte-identical canonical traces and
   digests for deterministic replay checking;
 * :mod:`~repro.explore.explorer` — :class:`Explorer`, the budgeted sweep
-  (also exposed as the scenario-engine workload ``"explore"``);
+  (also exposed as the scenario-engine workload ``"explore"``); every
+  case is judged by :func:`repro.core.oracles.check` over the record of
+  a :class:`~repro.runtime.monitor.InvariantMonitor`;
 * :mod:`~repro.explore.shrink` — delta-debugging reduction of a failing
   plan to a minimal reproducer, emitted as a ready-to-paste pytest;
 * :mod:`~repro.explore.mutate` — :class:`PlanMutator`, seeded
@@ -38,7 +37,6 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ],
     "explorer": ["CaseResult", "Explorer", "ExplorationReport", "run_case"],
     "generator": ["FaultPlanGenerator"],
-    "monitor": ["InvariantMonitor"],
     "mutate": ["PlanMutator"],
     "plan": ["ExplorationPlan"],
     "shrink": ["ShrinkResult", "shrink_plan", "to_pytest_source"],

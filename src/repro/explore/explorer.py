@@ -19,8 +19,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from .. import obs
 from ..core import oracles
 from ..core.oracles import OracleViolation
+from ..runtime.monitor import InvariantMonitor
 from .generator import DEFAULT_KINDS, FaultPlanGenerator
-from .monitor import InvariantMonitor
 from .plan import ExplorationPlan
 from .targets import ExplorationTarget, get_target
 from .trace import TraceRecorder, canonical_trace, trace_digest
@@ -102,7 +102,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
 
     if plan.preserves_delivery and error is None:
         for baseline in baselines:
-            # Only the resolved map is compared; skip the trace recorder.
+            # Only the resolutions are compared; skip the trace recorder.
             _, base_monitor, _, base_error = _execute(
                 resolved_target, plan, baseline, record_trace=False)
             if base_error is not None:
@@ -111,7 +111,8 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
                     f"{baseline} raised {base_error} on the same plan"))
                 continue
             violations.extend(oracles.check_differential_agreement(
-                monitor.resolved_map, base_monitor.resolved_map,
+                oracles.resolved_names(monitor.resolutions),
+                oracles.resolved_names(base_monitor.resolutions),
                 algorithm, baseline))
 
     digest = trace_digest(canonical_trace(system, recorder))

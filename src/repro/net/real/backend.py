@@ -4,10 +4,10 @@
 ``multiprocessing``'s *spawn* context so children re-import the code
 tree instead of forking kernel state), runs the parent hub, enforces a
 hard wall-clock timeout, and merges the children's ``final`` records
-into one oracle evaluation.  :func:`assemble_result` is shared with
-:func:`~repro.net.real.scenarios.run_sim` so both backends produce the
-identical :class:`RealRunResult` shape — the object the parity tests
-compare field by field.
+into one :func:`repro.core.oracles.check`.  :func:`assemble_result` is
+shared with :func:`~repro.net.real.scenarios.run_sim` so both backends
+produce the identical :class:`RealRunResult` shape — the object the
+parity tests compare field by field.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import asyncio
 import multiprocessing
 import sys
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core import oracles
-from ...core.oracles import OracleViolation
+from ...core.oracles import OracleViolation, RunRecord
 from ..network import MessageStatistics
 from .host import run_node
 from .hub import Hub
@@ -38,14 +38,18 @@ class RealRunResult:
     scenario: str
     backend: str
     params: Dict[str, Any]
-    #: Oracle violations over the merged records ([] == run passed).
+    #: Oracle violations over :attr:`record` ([] == run passed).
     violations: List[OracleViolation]
     #: (action, status) -> number of concluded participations.
     outcomes: Dict[Tuple[str, str], int]
     #: Merged message-statistics snapshot.
     stats: Dict[str, Any]
-    #: The raw per-node records ("sim" is the single key on the sim backend).
+    #: The per-node final frames, ``{"record", "stats", "obs_events",
+    #: ...}`` ("sim" is the single key on the sim backend).
     records: Dict[str, Dict[str, Any]]
+    #: The nodes' oracle records merged in node order: what
+    #: :attr:`violations` judged.
+    record: RunRecord
     #: Nodes whose process died / connection dropped before finalizing.
     crashed: List[str] = field(default_factory=list)
     wall_time: float = 0.0
@@ -65,72 +69,20 @@ class RealRunResult:
                          for (action, status), count
                          in sorted(self.outcomes.items())},
             "crashed": list(self.crashed),
-            "counters": [counter
-                         for _, record in sorted(self.records.items())
-                         for counter in record["counters"]],
+            "counters": list(self.record.counters),
             "by_type": dict(sorted(self.stats["by_type"].items())),
             "wall_seconds": self.wall_time,
         }
 
 
-# ----------------------------------------------------------------------
-# Record merging and oracle evaluation (hub side)
-# ----------------------------------------------------------------------
-#: Record fields that are lists (concatenated across nodes) and fields
-#: that map a key to a list (concatenated per key).
-_LIST_FIELDS = ("quiescence", "counters", "finished_txns", "obs_events")
-_KEYED_LIST_FIELDS = ("resolutions", "locks_held", "locks_waiting")
-
-
-def merge_records(records: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold per-node records into one system-wide view for the oracles."""
-    merged: Dict[str, Any] = {field: [] for field in _LIST_FIELDS}
-    merged.update({field: defaultdict(list) for field in _KEYED_LIST_FIELDS})
-    outcomes: Dict[Any, int] = defaultdict(int)
-    stats = MessageStatistics()
-    for _, record in sorted(records.items()):
-        for field in _LIST_FIELDS:
-            merged[field].extend(record.get(field, ()))
-        for field in _KEYED_LIST_FIELDS:
-            for key, entries in record.get(field, {}).items():
-                merged[field][key].extend(entries)
-        for key, count in record.get("outcomes", {}).items():
-            outcomes[key] += count
-        stats.merge(record.get("stats", {}))
-    for field in _KEYED_LIST_FIELDS:
-        merged[field] = dict(merged[field])
-    merged["outcomes"] = dict(outcomes)
-    merged["stats"] = stats.snapshot()
-    return merged
-
-
-def evaluate_merged(merged: Dict[str, Any],
-                    require_liveness: bool = True) -> List[OracleViolation]:
-    """The InvariantMonitor's oracle catalogue over a merged record."""
-    violations: List[OracleViolation] = []
-    violations.extend(oracles.check_agreement(merged["resolutions"]))
-    violations.extend(oracles.check_exactly_one_outcome(
-        merged["outcomes"], require_completion=require_liveness))
-    if require_liveness:
-        violations.extend(
-            oracles.check_no_stranded_thread(merged["quiescence"]))
-        violations.extend(
-            oracles.check_abortion_atomic(merged["quiescence"]))
-    if merged["counters"]:
-        violations.extend(oracles.check_no_lost_updates(merged["counters"]))
-    if merged["locks_held"] or merged["locks_waiting"]:
-        violations.extend(oracles.check_locks_released(
-            merged["locks_held"], merged["locks_waiting"],
-            merged["finished_txns"]))
-    return violations
-
-
-def outcome_counts(merged: Dict[str, Any]) -> Dict[Tuple[str, str], int]:
+def outcome_counts(frames: List[Dict[str, Any]]
+                   ) -> Dict[Tuple[str, str], int]:
     """(action, status) conclusion counts from the bridged obs events."""
     counts: Counter = Counter()
-    for event in merged["obs_events"]:
-        if event.get("kind") == "action.concluded":
-            counts[(event.get("action"), event.get("status"))] += 1
+    for frame in frames:
+        for event in frame["obs_events"]:
+            if event.get("kind") == "action.concluded":
+                counts[(event.get("action"), event.get("status"))] += 1
     return dict(counts)
 
 
@@ -138,14 +90,19 @@ def assemble_result(scenario: str, backend: str,
                     records: Dict[str, Dict[str, Any]],
                     crashed: List[str], wall_time: float,
                     params: Optional[Dict[str, Any]] = None) -> RealRunResult:
-    merged = merge_records(records)
+    frames = [frame for _, frame in sorted(records.items())]
+    merged = RunRecord.merge(frame["record"] for frame in frames)
+    stats = MessageStatistics()
+    for frame in frames:
+        stats.merge(frame["stats"])
     return RealRunResult(
         scenario=scenario, backend=backend, params=dict(params or {}),
         # A run with injected crashes is allowed to strand participations
         # (the paper's liveness guarantees assume delivery).
-        violations=evaluate_merged(merged, require_liveness=not crashed),
-        outcomes=outcome_counts(merged), stats=merged["stats"],
-        records=records, crashed=sorted(crashed), wall_time=wall_time)
+        violations=oracles.check(merged, require_liveness=not crashed),
+        outcomes=outcome_counts(frames), stats=stats.snapshot(),
+        records=records, record=merged, crashed=sorted(crashed),
+        wall_time=wall_time)
 
 
 # ----------------------------------------------------------------------

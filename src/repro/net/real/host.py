@@ -142,9 +142,9 @@ def run_node(host: str, port: int, scenario: str, node: str,
     while kernel.peek() != float("inf") and steps < FINALIZE_STEP_CAP:
         kernel.step()
         steps += 1
-    record = collect_record(built, local=node)
-    record["finalize_steps"] = steps
-    link.send({"kind": "final", "node": node, "record": record})
+    final = collect_record(built, local=node)
+    final["finalize_steps"] = steps
+    link.send({"kind": "final", "node": node, "record": final})
     # Leave the socket open briefly so the final frame flushes before the
     # process exits (the hub closes the connection once it has read it).
     link.poll(0.2)

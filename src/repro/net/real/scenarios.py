@@ -25,33 +25,17 @@ from ...bench.scenarios import BuiltNode
 # ----------------------------------------------------------------------
 def collect_record(built: BuiltNode,
                    local: Optional[str] = None) -> Dict[str, Any]:
-    """One node's contribution to the merged oracle evaluation.
+    """One node's final frame: its oracle record plus what the hub merges
+    beside it (message statistics, bridged obs events).
 
-    Everything in the record is plain picklable data; ``local`` filters
-    the quiescence snapshots to the node's own partition (the stub
-    partitions of a child process never run and would read as stranded).
+    Everything in it is plain picklable data; ``local`` filters the
+    quiescence snapshots to the node's own partition (see
+    :meth:`~repro.runtime.monitor.InvariantMonitor.record`).
     """
     system = built.system
-    monitor = built.monitor
-    quiescence = monitor.quiescence()
-    if local is not None:
-        quiescence = [snap for snap in quiescence if snap.thread == local]
-    locks = system.transactions.locks
-    events = system.observation.events or []
-    return {
-        "resolutions": {key: list(value)
-                        for key, value in monitor.resolutions.items()},
-        "outcomes": dict(monitor.outcomes),
-        "resolved_map": dict(monitor.resolved_map),
-        "quiescence": quiescence,
-        "counters": monitor.counter_records(),
-        "locks_held": locks.all_holders() if locks is not None else {},
-        "locks_waiting": locks.all_waiters() if locks is not None else {},
-        "finished_txns": [t.transaction_id
-                          for t in system.transactions.finished],
-        "stats": system.network.stats.snapshot(),
-        "obs_events": list(events),
-    }
+    return {"record": built.monitor.record(local),
+            "stats": system.network.stats.snapshot(),
+            "obs_events": list(system.observation.events or [])}
 
 
 def run_sim(name: str, **overrides: Any):
@@ -65,9 +49,8 @@ def run_sim(name: str, **overrides: Any):
 
     built = REGISTRY.get(name).build_node(overrides)
     built.system.kernel.run()
-    record = collect_record(built)
-    return assemble_result(name, "sim", {"sim": record}, crashed=[],
-                           wall_time=0.0)
+    return assemble_result(name, "sim", {"sim": collect_record(built)},
+                           crashed=[], wall_time=0.0)
 
 
 def remote_counter_point(iterations: int = 3, limit: int = 1,

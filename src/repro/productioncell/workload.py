@@ -7,7 +7,7 @@ scenario: blanks arrive from a seeded Poisson process
 (:meth:`~repro.productioncell.cell.ProductionCell.run` with
 ``arrival_times``), device faults are drawn per cycle from the canonical
 :data:`~repro.productioncell.failures.FAULT_NAMES`, and an
-:class:`~repro.explore.monitor.InvariantMonitor` watches the whole run —
+:class:`~repro.runtime.monitor.InvariantMonitor` watches the whole run —
 so every row carries the full oracle verdict (agreement, exactly-one
 outcome, no stranded thread, abortion atomic, plus the transactional
 locks-released check over the cell-state object) next to the plant
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..explore.monitor import InvariantMonitor
+from ..runtime.monitor import InvariantMonitor
 from ..simkernel.rng import SeededStreams
 from .cell import ProductionCell
 from .failures import FAULT_NAMES, FailureInjector

@@ -2,36 +2,30 @@
 
 The :class:`InvariantMonitor` subscribes to the life-cycle seam of a
 :class:`~repro.runtime.system.DistributedCASystem` (see
-``DistributedCASystem.subscribe``) and records every entry, every
-resolution delivery and every action conclusion.  After the run,
-:meth:`check` evaluates the oracle predicates of :mod:`repro.core.oracles`:
-
-* ``agreement`` and the duplicate-conclusion half of
-  ``exactly_one_outcome`` are checked unconditionally — they are pure
-  safety properties;
-* the missing-conclusion half of ``exactly_one_outcome`` and the
-  ``no_stranded_thread`` / ``abortion_atomic`` oracles are
-  liveness-flavoured and only meaningful when the plan stayed within the
-  paper's delivery assumptions (a plan that *drops* a protocol message is
-  allowed to strand a participation — the paper says so explicitly), so
-  :meth:`check` takes a ``require_liveness`` flag the explorer derives
-  from ``ExplorationPlan.preserves_delivery``.
+``DistributedCASystem.subscribe``) and records every resolution delivery,
+every entry and every action conclusion.  :meth:`record` reads those,
+plus the threads' quiescence snapshots and the transactional state, into
+a :class:`~repro.core.oracles.RunRecord`, and :meth:`check` judges it
+with :func:`repro.core.oracles.check` — whose ``require_liveness`` flag
+the explorer derives from ``ExplorationPlan.preserves_delivery`` (a plan
+that *drops* a protocol message is allowed to strand a participation —
+the paper says so explicitly).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import oracles
-from ..core.oracles import OracleViolation, ThreadQuiescence
+from ..core.oracles import OracleViolation, RunRecord, ThreadQuiescence
 from ..objects.transaction import TransactionStatus
 from ..obs import events as kinds
-from ..runtime.system import DistributedCASystem
+from .system import DistributedCASystem
 
 
 class InvariantMonitor:
-    """Collects life-cycle records for one run and evaluates the oracles."""
+    """Collects one run's life-cycle records and evaluates the oracles."""
 
     def __init__(self, system: DistributedCASystem) -> None:
         self.system = system
@@ -41,9 +35,6 @@ class InvariantMonitor:
             defaultdict(list)
         #: (action, instance, thread) -> number of conclusions observed.
         self.outcomes: Dict[Tuple[str, str, str], int] = defaultdict(int)
-        #: "instance/thread" -> resolved exception name (for differential
-        #: comparison across algorithms).
-        self.resolved_map: Dict[str, str] = {}
         #: Tracked transactional counters: (object name, key) -> initial
         #: committed value (see :meth:`track_counter`).
         self._counters: Dict[Tuple[str, str], Any] = {}
@@ -53,9 +44,8 @@ class InvariantMonitor:
     def _on_event(self, kind: str, now: float, thread: str, action: str,
                   instance: str, data: Dict[str, Any]) -> None:
         if kind == kinds.ACTION_RESOLVED:
-            name = data["exception"].name
-            self.resolutions[(action, instance)].append((thread, name))
-            self.resolved_map[f"{instance}/{thread}"] = name
+            self.resolutions[(action, instance)].append(
+                (thread, data["exception"].name))
         elif kind == kinds.ACTION_ENTERED:
             # Seed the outcome counter at zero so a participation that is
             # entered but never concluded is visible to the oracle as a
@@ -118,31 +108,27 @@ class InvariantMonitor:
             })
         return records
 
-    def _transactional_violations(self) -> List[OracleViolation]:
-        violations: List[OracleViolation] = []
-        if self._counters:
-            violations.extend(
-                oracles.check_no_lost_updates(self.counter_records()))
-        locks = self.system.transactions.locks
-        if locks is not None:
-            held = locks.all_holders()
-            waiting = locks.all_waiters()
-            if held or waiting:
-                finished = [t.transaction_id
-                            for t in self.system.transactions.finished]
-                violations.extend(oracles.check_locks_released(
-                    held, waiting, finished))
-        return violations
+    # ------------------------------------------------------------------
+    def record(self, local: Optional[str] = None) -> RunRecord:
+        """The run as a :class:`~repro.core.oracles.RunRecord`.
+
+        The resolution and outcome containers are the monitor's own, not
+        copies.  ``local`` keeps only that thread's quiescence snapshot
+        (a real-backend node's stub partitions never run and would read
+        as stranded).
+        """
+        quiescence = self.quiescence()
+        if local is not None:
+            quiescence = [snap for snap in quiescence if snap.thread == local]
+        manager = self.system.transactions
+        locks = manager.locks
+        return RunRecord(
+            resolutions=self.resolutions, outcomes=self.outcomes,
+            quiescence=quiescence, counters=self.counter_records(),
+            locks_held=locks.all_holders() if locks is not None else {},
+            locks_waiting=locks.all_waiters() if locks is not None else {},
+            finished_txns=[t.transaction_id for t in manager.finished])
 
     def check(self, require_liveness: bool = True) -> List[OracleViolation]:
         """Evaluate the oracle catalogue over the collected records."""
-        violations: List[OracleViolation] = []
-        violations.extend(oracles.check_agreement(self.resolutions))
-        violations.extend(oracles.check_exactly_one_outcome(
-            self.outcomes, require_completion=require_liveness))
-        if require_liveness:
-            snapshots = self.quiescence()
-            violations.extend(oracles.check_no_stranded_thread(snapshots))
-            violations.extend(oracles.check_abortion_atomic(snapshots))
-        violations.extend(self._transactional_violations())
-        return violations
+        return oracles.check(self.record(), require_liveness)

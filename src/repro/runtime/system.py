@@ -12,7 +12,8 @@ The system owns the runtime's one **life-cycle event seam**: every
 protocol point a participant passes is reported by exactly one
 :meth:`DistributedCASystem.emit` call naming an action/signal kind of
 :mod:`repro.obs.events`.  ``system.metrics`` is subscribed from
-construction; the explorer's ``InvariantMonitor`` and an attached
+construction; the oracle collector
+(:class:`~repro.runtime.monitor.InvariantMonitor`) and an attached
 ``repro.obs`` observation join through :meth:`~DistributedCASystem.subscribe`.
 """
 

@@ -10,8 +10,8 @@ process-pool sweeps can ship them to workers):
   the curve — the highest load the pool still serves at its offered rate.
 * :func:`run_mixed_traffic` — a heterogeneous action mix (clean, faulty
   and always-raising definitions of different widths) under seeded
-  protocol-message delay noise, with the fault-space explorer's
-  :class:`~repro.explore.monitor.InvariantMonitor` attached; the row
+  protocol-message delay noise, with an
+  :class:`~repro.runtime.monitor.InvariantMonitor` attached; the row
   reports any oracle violations (agreement, exactly-one-outcome,
   no-stranded-thread, abortion-atomic) observed across the overlapping
   instances.
@@ -198,10 +198,10 @@ def run_mixed_traffic(seed: int = 2026,
 
     Heterogeneous actions overlap on one pool while seeded
     (delivery-preserving) delay noise perturbs the protocol messages; the
-    explorer's monitor collects every resolution delivery and conclusion
+    invariant monitor collects every resolution delivery and conclusion
     and the row carries the oracle verdict — ``violations`` must be empty.
     """
-    from ..explore.monitor import InvariantMonitor
+    from ..runtime.monitor import InvariantMonitor
 
     faults = _noise_plan(seed, pool_size, noise_directives, noise_max_extra)
     system = _build_pool_system(pool_size, t_msg, t_resolution, algorithm,

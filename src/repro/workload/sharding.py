@@ -51,10 +51,10 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.histograms import LatencyHistogram
 from ..analysis.metrics import RunMetrics
-from ..explore.monitor import InvariantMonitor
 from ..net.latency import ConstantLatency
 from ..net.network import MessageStatistics
 from ..runtime.config import RuntimeConfig
+from ..runtime.monitor import InvariantMonitor
 from ..runtime.system import DistributedCASystem
 from ..simkernel.rng import SeededStreams
 from .admission import AdmissionController, AdmissionStats
@@ -243,24 +243,22 @@ class GlobalAdmissionController:
 # ----------------------------------------------------------------------
 # One shard = one kernel + system + driver (worker-side, picklable)
 # ----------------------------------------------------------------------
-def run_shard(params: Mapping[str, Any]) -> Dict[str, Any]:
+def run_shard(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one shard of a sharded capacity workload and snapshot it.
 
-    ``params`` is a plain dict (picklable both ways) built by
+    ``spec`` is a plain dict (picklable both ways) built by
     :meth:`ShardedPool._shard_params`.  The returned snapshot carries
     only JSON-friendly mergeable telemetry: histogram/metrics/message
     snapshots plus scalar counters — never live objects — so shards
     merge identically whether they ran in this process or a worker.
     """
-    spec = dict(params)
-    monitor_oracles = spec.pop("check_oracles")
     system = DistributedCASystem(
         RuntimeConfig(algorithm=spec["algorithm"],
                       resolution_time=spec["t_resolution"]),
         latency=ConstantLatency(spec["t_msg"]))
     system.add_threads([f"S{spec['shard_id']:03d}W{i:03d}"
                         for i in range(1, spec["pool_size"] + 1)])
-    monitor = InvariantMonitor(system) if monitor_oracles else None
+    monitor = InvariantMonitor(system)
     driver = WorkloadDriver(
         system, seed=spec["seed"],
         admission=AdmissionController(max_in_flight=spec["lease"],
@@ -272,8 +270,7 @@ def run_shard(params: Mapping[str, Any]) -> Dict[str, Any]:
     driver.run(OpenLoopPoisson(rate=spec["offered_load"],
                                count=spec["n_instances"]))
 
-    violations = [] if monitor is None else [
-        str(v) for v in monitor.check(require_liveness=True)]
+    violations = [str(v) for v in monitor.check(require_liveness=True)]
     snapshot = driver.telemetry_snapshot()
     snapshot.update({
         "shard_id": spec["shard_id"],
@@ -284,7 +281,6 @@ def run_shard(params: Mapping[str, Any]) -> Dict[str, Any]:
         "resolutions": system.metrics.resolutions,
         "message_stats": system.network.stats.snapshot(),
         "metrics": system.metrics.snapshot(),
-        "oracle": "checked" if monitor is not None else "skipped",
         "violations": violations,
         "n_violations": len(violations),
     })
@@ -391,8 +387,7 @@ class ShardedPool:
                  mean_service: float = 1.0, raise_probability: float = 0.1,
                  t_msg: float = 0.02, t_resolution: float = 0.05,
                  queue_capacity: int = 32, policy: str = "drop",
-                 algorithm: str = "ours", workers: int = 0,
-                 check_oracles: bool = True) -> None:
+                 algorithm: str = "ours", workers: int = 0) -> None:
         if pool_size < width:
             raise ValueError(f"each shard pool needs at least width={width} "
                              f"workers; got {pool_size}")
@@ -408,7 +403,6 @@ class ShardedPool:
         self.policy = policy
         self.algorithm = algorithm
         self.workers = int(workers)
-        self.check_oracles = bool(check_oracles)
 
     @property
     def capacity_per_shard(self) -> float:
@@ -433,7 +427,6 @@ class ShardedPool:
             "queue_capacity": self.queue_capacity,
             "policy": self.policy,
             "algorithm": self.algorithm,
-            "check_oracles": self.check_oracles,
         }
 
     def run(self, plan: ShardPlan) -> Dict[str, Any]:
@@ -639,8 +632,8 @@ def run_scale_point(n_instances: int, n_shards: int, offered_load: float,
                     t_resolution: float = 0.05,
                     global_max_in_flight: Optional[int] = None,
                     queue_capacity: int = 32, policy: str = "drop",
-                    algorithm: str = "ours", workers: int = 0,
-                    check_oracles: bool = True) -> Dict[str, Any]:
+                    algorithm: str = "ours",
+                    workers: int = 0) -> Dict[str, Any]:
     """One sharded capacity point (the engine's ``scale`` scenario).
 
     ``pool_size`` is **per shard**, so aggregate service capacity scales
@@ -661,8 +654,7 @@ def run_scale_point(n_instances: int, n_shards: int, offered_load: float,
                        raise_probability=raise_probability, t_msg=t_msg,
                        t_resolution=t_resolution,
                        queue_capacity=queue_capacity, policy=policy,
-                       algorithm=algorithm, workers=workers,
-                       check_oracles=check_oracles)
+                       algorithm=algorithm, workers=workers)
     row = scale_row(pool.run(plan))
     row["pool_size"] = pool_size
     row["global_max_in_flight"] = global_max_in_flight

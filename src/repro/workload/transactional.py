@@ -32,7 +32,7 @@ must equal its initial value plus the number of committed writers
 transaction may still hold or await a lock
 (:func:`~repro.core.oracles.check_locks_released`).
 :func:`run_transactional_point` wires both into the
-:class:`~repro.explore.monitor.InvariantMonitor` and reports the
+:class:`~repro.runtime.monitor.InvariantMonitor` and reports the
 verdict per row.
 """
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..explore.monitor import InvariantMonitor
+from ..runtime.monitor import InvariantMonitor
 from .admission import AdmissionController
 from .arrivals import OpenLoopPoisson
 # The spec, its profile and the account naming live with the stock

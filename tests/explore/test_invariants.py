@@ -5,9 +5,10 @@ import pytest
 from repro.core import oracles
 from repro.core.oracles import ThreadQuiescence
 from repro.core.state import ThreadState
-from repro.explore import ExplorationPlan, InvariantMonitor, run_case
+from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
 from repro.net.faults import FaultDirective
+from repro.runtime.monitor import InvariantMonitor
 
 
 def _quiet(thread="T1", **overrides):

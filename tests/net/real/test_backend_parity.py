@@ -5,7 +5,7 @@ budgets): every test here boots one process per scenario node, paces the
 kernels against the wall clock, and is therefore seconds-slow and
 scheduling-sensitive.  The contract checked is the acceptance bar of the
 real backend — on every real-capable scenario of the registry x
-algorithm cell the real run must pass every InvariantMonitor oracle and
+algorithm cell the real run must pass every oracle of the catalogue and
 report the *same* oracle verdicts and (action, status) conclusion counts
 as the deterministic sim run of the same node builder.
 """
@@ -38,10 +38,7 @@ def test_parity(name, algorithm):
     assert set(real.records) == set(REGISTRY.get(name).nodes)
     # Where a no-lost-update counter is tracked, the node hosting it saw
     # the same authoritative value as the all-local run.
-    sim_counters = sim.records["sim"]["counters"]
-    real_counters = [counter for record in real.records.values()
-                     for counter in record["counters"]]
-    assert real_counters == sim_counters
+    assert real.record.counters == sim.record.counters
 
 
 def test_crashed_node_does_not_hang_the_run():

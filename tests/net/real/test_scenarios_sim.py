@@ -80,7 +80,7 @@ class TestRemoteCounterSim:
     def test_oracles_hold_and_counter_is_exact(self):
         result = run_sim("remote_counter", iterations=3)
         assert result.violations == []
-        [counter] = result.records["sim"]["counters"]
+        [counter] = result.record.counters
         # Every iteration commits exactly one increment, even the ones
         # that recover from the overdraft exception (HANDLED exits still
         # commit via the designated committer).
@@ -107,7 +107,7 @@ class TestRemoteCounterSim:
             ("sim", 0, [])
         assert row["outcomes"] == {"Transfer/recovered": 4,
                                    "Transfer/success": 2}
-        assert row["counters"] == result.records["sim"]["counters"]
+        assert row["counters"] == result.record.counters
         assert row["by_type"] == result.stats["by_type"]
 
 
@@ -115,10 +115,10 @@ class TestCollectRecord:
     def test_local_filter_restricts_quiescence_to_own_thread(self):
         built = REGISTRY.get("remote_counter").build_node({"iterations": 1})
         built.system.kernel.run()
-        full = collect_record(built)
-        assert {snap.thread for snap in full["quiescence"]} == {"W1", "W2"}
-        only_w1 = collect_record(built, local="W1")
-        assert {snap.thread for snap in only_w1["quiescence"]} == {"W1"}
+        full = collect_record(built)["record"]
+        assert {snap.thread for snap in full.quiescence} == {"W1", "W2"}
+        only_w1 = collect_record(built, local="W1")["record"]
+        assert {snap.thread for snap in only_w1.quiescence} == {"W1"}
 
 
 class TestParamValidation:

@@ -16,7 +16,7 @@ from repro.core.action import CAActionDefinition, RoleDefinition
 from repro.core.exception_graph import generate_full_graph
 from repro.core.exceptions import interface, internal
 from repro.core.handlers import HandlerMap, HandlerResult
-from repro.explore.monitor import InvariantMonitor
+from repro.runtime.monitor import InvariantMonitor
 from repro.explore.targets import delay_handler, install_action
 from repro.net.latency import ConstantLatency
 from repro.obs import events as kinds
@@ -187,7 +187,6 @@ def test_metrics_and_monitor_do_not_depend_on_an_ambient_capture():
     assert plain_monitor.check() == seen_monitor.check() == []
     assert plain_monitor.resolutions == seen_monitor.resolutions
     assert plain_monitor.outcomes == seen_monitor.outcomes
-    assert plain_monitor.resolved_map == seen_monitor.resolved_map
 
 
 def test_pre_seam_kinds_are_recorded_field_for_field_and_in_order():

@@ -148,11 +148,6 @@ class TestReal:
 
 
 class TestExplore:
-    def test_enumerate_runs_the_budget(self, capsys):
-        assert main(["explore", "enumerate", "--budget", "5"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["mode"] == "enumerate" and summary["executed"] == 5
-
     def test_corpus_search(self, capsys):
         assert main(["explore", "corpus", "--kinds", "delay",
                      "--budget", "10"]) == 0
@@ -166,10 +161,13 @@ class TestExplore:
                      "--corpus", path, "--budget", "1"]) == 2
         assert "'concurrent_raises'" in capsys.readouterr().err
 
-    def test_enumerate_takes_no_chunk_size(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["explore", "enumerate",
-                                       "--chunk-size", "5"])
+    @pytest.mark.parametrize("removed", ["enumerate", "compare"])
+    def test_the_removed_modes_are_usage_errors(self, removed):
+        # Corpus search is the one explore mode; the enumeration-vs-corpus
+        # claim lives in tests/explore/test_corpus.py::TestCoverageClaim.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["explore", removed])
+        assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,6 +92,23 @@ def test_real_backend_child_skips_the_parent_hub():
     assert "repro.net.real.backend" not in loaded
 
 
+def test_oracle_checked_workloads_load_no_explorer():
+    # The invariant monitor lives in the runtime: a workload judged by the
+    # oracle catalogue pays nothing of the fault-space explorer.
+    loaded = loaded_modules(
+        "repro.workload.scenarios",
+        "from repro.productioncell.workload import "
+        "run_production_cell_point\n"
+        "from repro.workload.sharding import run_scale_point\n"
+        "from repro.workload.transactional import run_transactional_point\n"
+        "repro.workload.scenarios.run_capacity_point(1.0, n_instances=5)\n"
+        "run_transactional_point(1.0, n_instances=5)\n"
+        "run_scale_point(n_instances=8, n_shards=2, offered_load=2.0)\n"
+        "run_production_cell_point(seed=1, n_cycles=2)")
+    assert [name for name in loaded if name == "repro.explore"
+            or name.startswith("repro.explore.")] == []
+
+
 def test_reading_a_trace_loads_no_scenario_engine(tmp_path):
     # ``python -m repro obs summarize`` imports only the trace reader.
     path = tmp_path / "events.jsonl"

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.explore.monitor import InvariantMonitor
+from repro.runtime.monitor import InvariantMonitor
 from repro.net.latency import ConstantLatency
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.system import DistributedCASystem, SystemConfigurationError
