@@ -46,7 +46,6 @@ resolves names and validates parameters here, as a sim sweep does.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import os
@@ -69,6 +68,7 @@ from ..core.registry import (
 )
 from ..explore.generator import STORM_KINDS, FaultPlanGenerator
 from ..explore.targets import get_target
+from ..runtime.system import collector_paused
 from .scenarios import EXPERIMENT1_ITERATIONS, BuiltNode
 
 logger = logging.getLogger(__name__)
@@ -319,22 +319,14 @@ def _run_real_backend(scenario: Scenario, grid: Sequence[GridPoint],
 
 
 def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
-    """The in-process sweep (the byte-identical reference path)."""
-    # Pause the cyclic collector for the sweep: every grid point builds a
-    # short-lived system whose processes/events form reference cycles, and
-    # letting generational GC trigger mid-run costs measurably more than
-    # deferring the cleanup.  Collection resumes (and catches up on its
-    # own schedule) as soon as the sweep returns; GC state never affects
-    # simulated behaviour, so rows are identical either way.
-    was_enabled = gc.isenabled()
-    if was_enabled:
-        gc.disable()
-    try:
+    """The in-process sweep (the byte-identical reference path).
+
+    The cyclic collector is paused for the whole sweep: every grid point
+    builds a short-lived system whose processes and events form cycles.
+    """
+    with collector_paused():
         runner = scenario.resolved_runner
         return [runner(**point) for point in grid]
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _run_traced(scenario: Scenario, grid: Sequence[GridPoint],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .exceptions import ExceptionDescriptor
@@ -108,11 +109,13 @@ class LogEvent(Effect):
 _CAMEL_BOUNDARY = re.compile(r"(?<!^)(?=[A-Z])")
 
 
+@cache
 def handler_name(effect_type: Type[Effect]) -> str:
     """The interpreter method name handling ``effect_type``.
 
     ``SendTo`` dispatches to ``on_send_to``, ``ChargeTime`` to
-    ``on_charge_time`` and so on.
+    ``on_charge_time`` and so on.  Memoised per effect type: every new
+    interpreter binds the same names.
     """
     return "on_" + _CAMEL_BOUNDARY.sub("_", effect_type.__name__).lower()
 

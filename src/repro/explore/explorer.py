@@ -20,6 +20,7 @@ from .. import obs
 from ..core import oracles
 from ..core.oracles import OracleViolation
 from ..runtime.monitor import InvariantMonitor
+from ..runtime.system import collector_paused
 from .generator import DEFAULT_KINDS, FaultPlanGenerator
 from .plan import ExplorationPlan
 from .targets import ExplorationTarget, get_target
@@ -86,45 +87,50 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     primary algorithm's (the differential oracle).  Liveness oracles —
     and the differential comparison, which presumes both runs finished —
     are only required of delivery-preserving plans.
+
+    The cyclic collector is paused for the whole case (build, run, oracles
+    and digest) and resumes between cases, so a sweep never defers more
+    than one case's cyclic garbage.
     """
-    resolved_target = get_target(target)
-    system, monitor, recorder, error = _execute(
-        resolved_target, plan, algorithm)
-    require_liveness = plan.preserves_delivery and error is None
-    violations = monitor.check(require_liveness=require_liveness)
-    if error is not None:
-        violations.append(OracleViolation(
-            oracles.NO_CRASH, f"simulation raised {error}"))
-    completed = all(
-        partition.thread_process is not None
-        and partition.thread_process.triggered
-        for partition in system.partitions.values())
+    with collector_paused():
+        resolved_target = get_target(target)
+        system, monitor, recorder, error = _execute(
+            resolved_target, plan, algorithm)
+        require_liveness = plan.preserves_delivery and error is None
+        violations = monitor.check(require_liveness=require_liveness)
+        if error is not None:
+            violations.append(OracleViolation(
+                oracles.NO_CRASH, f"simulation raised {error}"))
+        completed = all(
+            partition.thread_process is not None
+            and partition.thread_process.triggered
+            for partition in system.partitions.values())
 
-    if plan.preserves_delivery and error is None:
-        for baseline in baselines:
-            # Only the resolutions are compared; skip the trace recorder.
-            _, base_monitor, _, base_error = _execute(
-                resolved_target, plan, baseline, record_trace=False)
-            if base_error is not None:
-                violations.append(OracleViolation(
-                    oracles.DIFFERENTIAL_AGREEMENT,
-                    f"{baseline} raised {base_error} on the same plan"))
-                continue
-            violations.extend(oracles.check_differential_agreement(
-                oracles.resolved_names(monitor.resolutions),
-                oracles.resolved_names(base_monitor.resolutions),
-                algorithm, baseline))
+        if plan.preserves_delivery and error is None:
+            for baseline in baselines:
+                # Only the resolutions are compared; skip the trace recorder.
+                _, base_monitor, _, base_error = _execute(
+                    resolved_target, plan, baseline, record_trace=False)
+                if base_error is not None:
+                    violations.append(OracleViolation(
+                        oracles.DIFFERENTIAL_AGREEMENT,
+                        f"{baseline} raised {base_error} on the same plan"))
+                    continue
+                violations.extend(oracles.check_differential_agreement(
+                    oracles.resolved_names(monitor.resolutions),
+                    oracles.resolved_names(base_monitor.resolutions),
+                    algorithm, baseline))
 
-    digest = trace_digest(canonical_trace(system, recorder))
-    # Auto-dump the flight recorder for any failing case — oracle
-    # violation or crash — so the failure carries its event timeline.
-    flight = None
-    if violations or error is not None:
-        flight = system.observation.flight_dump()
-    return CaseResult(index=index, plan=plan, digest=digest,
-                      completed=completed, violations=violations,
-                      stats=system.network.stats.snapshot(), error=error,
-                      flight=flight)
+        digest = trace_digest(canonical_trace(system, recorder))
+        # Auto-dump the flight recorder for any failing case — oracle
+        # violation or crash — so the failure carries its event timeline.
+        flight = None
+        if violations or error is not None:
+            flight = system.observation.flight_dump()
+        return CaseResult(index=index, plan=plan, digest=digest,
+                          completed=completed, violations=violations,
+                          stats=system.network.stats.snapshot(), error=error,
+                          flight=flight)
 
 
 @dataclass

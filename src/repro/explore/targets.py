@@ -3,7 +3,10 @@
 A target is a deterministic builder: given a fault plan and a schedule
 seed it produces a fully-spawned
 :class:`~repro.runtime.system.DistributedCASystem`.  All randomness lives
-in the plan, so ``(target, plan)`` fixes the run exactly.
+in the plan, so ``(target, plan)`` fixes the run exactly.  A target's
+action definitions (role bodies, handlers, exception graphs) are static,
+so each is built once per process and shared by every case; a build makes
+only the case's system, threads, bindings and programs.
 
 Two targets ship by default:
 
@@ -25,6 +28,7 @@ pieces, and a fault-space sweep never has to load the bench package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.action import CAActionDefinition, RoleDefinition
@@ -102,23 +106,23 @@ def install_action(system: DistributedCASystem,
                          action_program(definition.name, role, iterations))
 
 
-def add_flat_raise(system: DistributedCASystem, action: str,
-                   threads: Sequence[str], roles: Sequence[str],
-                   primitives: Sequence[ExceptionDescriptor],
-                   raise_delays: Sequence[float], idle_delay: float = 0.0,
-                   handler_time: Optional[float] = HANDLER_TIME,
-                   max_level: Optional[int] = None,
-                   iterations: Optional[int] = 1) -> None:
-    """Add one flat raise-storm action (the Experiment 2 shape) to ``system``.
+def flat_raise_definition(action: str, roles: Sequence[str],
+                          primitives: Sequence[ExceptionDescriptor],
+                          raise_delays: Sequence[float],
+                          idle_delay: float = 0.0,
+                          handler_time: Optional[float] = HANDLER_TIME,
+                          max_level: Optional[int] = None
+                          ) -> CAActionDefinition:
+    """The flat raise-storm action definition (the Experiment 2 shape).
 
-    ``threads[i]`` plays ``roles[i]``.  The first ``len(raise_delays)``
-    roles compute for ``raise_delays[i]`` and then raise ``primitives[i]``;
-    the remaining roles compute for ``idle_delay`` and finish normally.
-    The exception graph is the full graph over ``primitives`` (truncated at
-    ``max_level``), and every role handles the resolved exception for
-    ``handler_time`` (``None``: an instantaneous, non-generator handler).
+    The first ``len(raise_delays)`` roles compute for ``raise_delays[i]``
+    and then raise ``primitives[i]``; the remaining roles compute for
+    ``idle_delay`` and finish normally.  The exception graph is the full
+    graph over ``primitives`` (truncated at ``max_level``), and every role
+    handles the resolved exception for ``handler_time`` (``None``: an
+    instantaneous, non-generator handler).  The definition holds no
+    per-system state, so any number of systems may share it.
     """
-    system.add_threads(threads)
     graph = generate_full_graph(primitives, max_level=max_level,
                                 action_name=action)
     if handler_time is None:
@@ -139,11 +143,29 @@ def add_flat_raise(system: DistributedCASystem, action: str,
     bodies = [raising_role(delay, exception)
               for delay, exception in zip(raise_delays, primitives)]
     bodies += [idle_role] * (len(roles) - len(bodies))
-    definition = CAActionDefinition(
+    return CAActionDefinition(
         action,
         [RoleDefinition(role, body, HandlerMap(default_handler=handler))
          for role, body in zip(roles, bodies)],
         internal_exceptions=list(primitives), graph=graph)
+
+
+def add_flat_raise(system: DistributedCASystem, action: str,
+                   threads: Sequence[str], roles: Sequence[str],
+                   primitives: Sequence[ExceptionDescriptor],
+                   raise_delays: Sequence[float], idle_delay: float = 0.0,
+                   handler_time: Optional[float] = HANDLER_TIME,
+                   max_level: Optional[int] = None,
+                   iterations: Optional[int] = 1) -> None:
+    """Add one flat raise-storm action to ``system``.
+
+    ``threads[i]`` plays ``roles[i]``; the action is
+    :func:`flat_raise_definition` over the remaining arguments.
+    """
+    system.add_threads(threads)
+    definition = flat_raise_definition(
+        action, roles, primitives, raise_delays, idle_delay=idle_delay,
+        handler_time=handler_time, max_level=max_level)
     install_action(system, definition, dict(zip(roles, threads)), iterations)
 
 
@@ -169,21 +191,10 @@ ABORT_RESIDUE = internal("abort_residue")
 INNER_FAULT = internal("inner_fault")
 
 
-def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
-                       algorithm: str = "ours") -> DistributedCASystem:
-    """Nested action aborted while its resolution is still in flight.
-
-    ``T1``–``T3`` run ``Outer``; ``T2``/``T3`` enter the nested ``Inner``.
-    ``T2`` raises in ``Inner`` at t=1 and (as the largest exceptional
-    thread) resolves it; its handler is slow, so when ``T1`` raises in
-    ``Outer`` at t=2 both nested participants abort ``Inner`` — ``T3``
-    possibly while the Inner ``Commit`` is still travelling toward it.
-    The abortion handler signals ``abort_residue``, and all three threads
-    recover through the ``abort_residue&outer_fault`` cover.
-    """
-    system = _traced_system(faults, tie_seed, algorithm, abort_time=3.0)
-    system.add_threads(["T1", "T2", "T3"])
-
+@cache
+def _nested_abort_definitions() -> Tuple[CAActionDefinition,
+                                         CAActionDefinition]:
+    """``Inner`` and ``Outer``: built on first use, shared by every case."""
     outer_graph = generate_full_graph([OUTER_FAULT, ABORT_RESIDUE],
                                       action_name="Outer")
     inner_graph = generate_full_graph([INNER_FAULT], action_name="Inner")
@@ -232,7 +243,24 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
          RoleDefinition("a3", nesting_role("b3"),
                         HandlerMap(default_handler=outer_handler))],
         internal_exceptions=[OUTER_FAULT, ABORT_RESIDUE], graph=outer_graph)
+    return inner, outer
 
+
+def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
+                       algorithm: str = "ours") -> DistributedCASystem:
+    """Nested action aborted while its resolution is still in flight.
+
+    ``T1``–``T3`` run ``Outer``; ``T2``/``T3`` enter the nested ``Inner``.
+    ``T2`` raises in ``Inner`` at t=1 and (as the largest exceptional
+    thread) resolves it; its handler is slow, so when ``T1`` raises in
+    ``Outer`` at t=2 both nested participants abort ``Inner`` — ``T3``
+    possibly while the Inner ``Commit`` is still travelling toward it.
+    The abortion handler signals ``abort_residue``, and all three threads
+    recover through the ``abort_residue&outer_fault`` cover.
+    """
+    system = _traced_system(faults, tie_seed, algorithm, abort_time=3.0)
+    system.add_threads(["T1", "T2", "T3"])
+    inner, outer = _nested_abort_definitions()
     system.define_action(inner)
     system.bind("Inner", {"b2": "T2", "b3": "T3"})
     install_action(system, outer, {"a1": "T1", "a2": "T2", "a3": "T3"},
@@ -243,6 +271,15 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
 # ----------------------------------------------------------------------
 # concurrent_raises: the Figure 12 shape
 # ----------------------------------------------------------------------
+@cache
+def _concurrent_definition() -> CAActionDefinition:
+    """``Concurrent``: built on first use, shared by every case."""
+    return flat_raise_definition(
+        "Concurrent", roles=["r1", "r2", "r3"],
+        primitives=[internal(f"fault_{i}") for i in (1, 2, 3)],
+        raise_delays=staggered_raises(3))
+
+
 def build_concurrent_raises(faults: FaultPlan, tie_seed: Optional[int] = None,
                             algorithm: str = "ours") -> DistributedCASystem:
     """Three threads raise different exceptions nearly simultaneously.
@@ -251,10 +288,9 @@ def build_concurrent_raises(faults: FaultPlan, tie_seed: Optional[int] = None,
     built by the same flat-raise scaffold as the Figure 12 scenario.
     """
     system = _traced_system(faults, tie_seed, algorithm, resolution_time=0.1)
-    add_flat_raise(system, "Concurrent", threads=["T1", "T2", "T3"],
-                   roles=["r1", "r2", "r3"],
-                   primitives=[internal(f"fault_{i}") for i in (1, 2, 3)],
-                   raise_delays=staggered_raises(3), iterations=None)
+    system.add_threads(["T1", "T2", "T3"])
+    install_action(system, _concurrent_definition(),
+                   {"r1": "T1", "r2": "T2", "r3": "T3"}, iterations=None)
     return system
 
 

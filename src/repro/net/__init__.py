@@ -9,7 +9,7 @@ configurable message latency (the ``Tmmax`` parameter of the experiments).
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "faults": ["NO_FAULTS", "FaultPlan", "FaultStatistics"],
+    "faults": ["FaultPlan", "FaultStatistics"],
     "latency": [
         "ConstantLatency", "LatencyModel", "PerLinkLatency",
         "TruncatedExponentialLatency", "UniformLatency",

@@ -14,7 +14,7 @@ are violated.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..simkernel.rng import SeededStreams
@@ -90,9 +90,12 @@ class FaultDirective:
 
     def to_dict(self) -> Dict[str, Any]:
         """A compact JSON-serializable form (defaults omitted)."""
-        blank = FaultDirective(kind=self.kind)
-        return {key: value for key, value in asdict(self).items()
-                if key == "kind" or value != getattr(blank, key)}
+        data: Dict[str, Any] = {"kind": self.kind}
+        for key, default in _DIRECTIVE_DEFAULTS:
+            value = getattr(self, key)
+            if value != default:
+                data[key] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultDirective":
@@ -118,6 +121,13 @@ class FaultDirective:
             return f"delay message #{self.n} on {link} by {self.extra:g}"
         return (f"delay {self.type_name} messages on {link} "
                 f"by {self.extra:g}")
+
+
+#: ``(field, declared default)`` of every directive field after ``kind``,
+#: in declaration order (the key order of :meth:`FaultDirective.to_dict`).
+_DIRECTIVE_DEFAULTS: Tuple[Tuple[str, Any], ...] = tuple(
+    (spec.name, spec.default) for spec in fields(FaultDirective)
+    if spec.name != "kind")
 
 
 class FaultPlan:
@@ -439,8 +449,3 @@ class FaultPlan:
         if extra:
             self.stats.delayed += 1
         return True, extra
-
-
-#: A fault plan that never injects anything — the default for experiments
-#: reproducing the paper's figures, which assume a reliable network.
-NO_FAULTS = FaultPlan()

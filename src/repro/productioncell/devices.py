@@ -178,10 +178,6 @@ class RotaryTable(Device):
     def at_robot_position(self) -> bool:
         return self.height == self.HIGH and self.angle == self.ROBOT_ANGLE
 
-    @property
-    def at_feed_position(self) -> bool:
-        return self.height == self.LOW and self.angle == self.FEED_ANGLE
-
 
 class Robot(Device):
     """Rotary robot with two orthogonal extendible arms with electromagnets."""

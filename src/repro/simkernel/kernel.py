@@ -158,11 +158,6 @@ class Kernel:
         """The process currently being resumed, if any."""
         return self._active_process
 
-    @property
-    def tie_jitter_active(self) -> bool:
-        """True when same-(time, priority) ordering is seed-perturbed."""
-        return self._tie_rng is not None
-
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the queue is empty."""
         if not self._queue:

@@ -148,8 +148,3 @@ class Process(Event):
             event = next_event
 
         kernel._active_process = None
-
-
-def events_pending() -> Any:
-    """Return the module-level PENDING sentinel (kept for API compatibility)."""
-    return PENDING

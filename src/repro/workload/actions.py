@@ -28,7 +28,6 @@ from ..core.action import CAActionDefinition, RoleDefinition
 from ..core.exception_graph import generate_full_graph
 from ..core.exceptions import ExceptionDescriptor, internal
 from ..core.handlers import HandlerMap, HandlerResult
-from ..core.registry import ParamSpec, params_from_dataclass
 from ..objects.locks import DeadlockError, LockMode
 from ..simkernel.rng import SeededStreams
 
@@ -115,11 +114,6 @@ class TrafficActionSpec:
         :class:`TransactionalActionSpec`.
         """
         return build_traffic_action(self, driver)
-
-    @classmethod
-    def declared_params(cls) -> Tuple[ParamSpec, ...]:
-        """The overridable fields, as declared-parameter specs."""
-        return params_from_dataclass(cls, skip=("name",))
 
 
 def build_traffic_action(spec: TrafficActionSpec,

@@ -404,12 +404,6 @@ class ShardedPool:
         self.algorithm = algorithm
         self.workers = int(workers)
 
-    @property
-    def capacity_per_shard(self) -> float:
-        """Nominal service capacity of one shard, in instances per
-        (virtual) second: ``pool_size / width / mean_service``."""
-        return self.pool_size / self.width / self.mean_service
-
     # ------------------------------------------------------------------
     def _shard_params(self, spec: ShardSpec) -> Dict[str, Any]:
         return {

@@ -1,6 +1,7 @@
 """Fault directives, exploration plans and the seeded generator."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -21,6 +22,20 @@ class TestFaultDirective:
     def test_dict_omits_defaults(self):
         directive = FaultDirective("crash", node="T1")
         assert directive.to_dict() == {"kind": "crash", "node": "T1"}
+
+    @pytest.mark.parametrize("kind", DIRECTIVE_KINDS)
+    def test_dict_equals_the_asdict_form(self, kind):
+        directive = FaultDirective(kind, source="A", destination="B", n=2,
+                                   extra=0.5, type_name="X", node="C",
+                                   at_time=1.5)
+        blank = FaultDirective(kind)
+        expected = {key: value for key, value in asdict(directive).items()
+                    if key == "kind" or value != getattr(blank, key)}
+        assert list(directive.to_dict().items()) == list(expected.items())
+        assert FaultDirective.from_dict(directive.to_dict()) == directive
+        partial = FaultDirective(kind, destination="B", at_time=0.0)
+        assert list(partial.to_dict().items()) == [
+            ("kind", kind), ("destination", "B"), ("at_time", 0.0)]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown directive kind"):

@@ -26,7 +26,7 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Each re-exporting package and the size of its ``__all__`` (a dropped
 #: re-export shrinks it).
 PACKAGES = {"repro": 9, "repro.analysis": 14, "repro.bench": 32,
-            "repro.core": 61, "repro.explore": 20, "repro.net": 16,
+            "repro.core": 61, "repro.explore": 20, "repro.net": 15,
             "repro.net.real": 5, "repro.objects": 17, "repro.obs": 20,
             "repro.workload": 24}
 
