@@ -66,8 +66,6 @@ from ..core.registry import (
     resolve,
     validate_params,
 )
-from ..explore.generator import STORM_KINDS, FaultPlanGenerator
-from ..explore.targets import get_target
 from ..runtime.system import collector_paused
 from .scenarios import EXPERIMENT1_ITERATIONS, BuiltNode
 
@@ -458,27 +456,6 @@ EXPLORE_GRID = tuple(
      "start": start, "stop": start + EXPLORE_CHUNK_SIZE}
     for start in range(0, EXPLORE_BUDGET, EXPLORE_CHUNK_SIZE))
 
-#: The corpus-search chunk grid: explicit storm-vocabulary plans (crash /
-#: restore waves, drop and corrupt classes included), sampled at a fixed
-#: seed.  Corpus search derives candidates centrally and only fans the
-#: *execution* out, so its scenario takes the plans themselves; the
-#: default grid pins the widened vocabulary's behaviour — including the
-#: liveness-oracle waiver for non-delivery-preserving plans — under the
-#: golden-trace conformance gate.
-EXPLORE_CORPUS_CHUNK = 10
-
-
-def _explore_corpus_grid() -> Tuple[Dict[str, object], ...]:
-    generator = FaultPlanGenerator(
-        EXPLORE_SEED, get_target("nested_abort").threads, kinds=STORM_KINDS)
-    return tuple(
-        {"target": "nested_abort", "start": start,
-         "plans": [generator.sample(start + offset).to_dict()
-                   for offset in range(EXPLORE_CORPUS_CHUNK)]}
-        for start in range(0, 2 * EXPLORE_CORPUS_CHUNK,
-                           EXPLORE_CORPUS_CHUNK))
-
-
 #: The remote-counter grid: an overdraft on every pass but the first, and
 #: a quiet run whose limit is never reached.
 REMOTE_COUNTER_GRID = ({"iterations": 3}, {"iterations": 2, "limit": 10})
@@ -551,10 +528,6 @@ for _scenario in (
     Scenario("explore", "repro.explore.explorer:explore_chunk", EXPLORE_GRID,
              "Fault-space exploration sweep: seeded fault plans + schedule "
              "perturbation, checked against the invariant oracles"),
-    Scenario("explore_corpus", "repro.explore.corpus:run_plans_chunk",
-             _explore_corpus_grid(),
-             "Corpus-search execution chunks: explicit fault plans (full "
-             "storm vocabulary), canonical trace digests per plan"),
     Scenario("remote_counter",
              "repro.net.real.scenarios:remote_counter_point",
              REMOTE_COUNTER_GRID,

@@ -2,7 +2,7 @@
 
 * ``check`` — re-run the conformance cases and fail on digest drift;
 * ``list`` — the case catalogue, the scenario coverage and the registry;
-* ``explore corpus`` — the coverage-guided fault-space search;
+* ``explore run`` — a seeded fault-space sweep, failing plans shrunk;
 * ``obs {summarize,convert,diff}`` — read exported traces;
 * ``real`` — the real-backend smoke matrix on OS processes.
 
@@ -183,30 +183,56 @@ def _write_reproducers(reproducers, directory: str) -> List[str]:
     return paths
 
 
-def cmd_corpus(arguments) -> int:
-    from .explore.corpus import Corpus, CorpusSearch, engine_chunk_runner
+def cmd_run(arguments) -> int:
+    """Sweep ``--budget`` seeded plans; exit 1 on any oracle violation.
 
-    corpus: Optional[Corpus] = None
-    if arguments.corpus and os.path.exists(arguments.corpus):
-        corpus = Corpus.load(arguments.corpus)
-        if corpus.target != arguments.target:
-            print(f"corpus file is for target {corpus.target!r}, "
-                  f"not {arguments.target!r}", file=sys.stderr)
-            return 2
-    run_chunks = engine_chunk_runner() if arguments.parallel else None
-    search = CorpusSearch(target=arguments.target, seed=arguments.seed,
-                          corpus=corpus, kinds=_kinds(arguments.kinds),
-                          chunk_size=arguments.chunk_size,
-                          run_chunks=run_chunks)
-    report = search.run(budget=arguments.budget)
-    if arguments.corpus:
-        search.corpus.save(arguments.corpus)
-    summary = {"mode": "corpus", **report.summary()}
-    if arguments.reproducers and report.reproducers:
+    The sweep runs on the engine's ``explore`` scenario in chunks of
+    ``EXPLORE_CHUNK_SIZE`` plans, and each failing plan is shrunk into a
+    pytest reproducer (one per reduced plan).  Without ``--parallel`` the
+    chunks run in this process outside the engine's sweep-wide collector
+    pause, so each case's cyclic garbage is collected before the next.
+    """
+    import hashlib
+
+    from .bench.engine import EXPLORE_CHUNK_SIZE, run_scenario
+    from .explore import TARGETS, ExplorationPlan
+    from .explore.explorer import explore_chunk
+    from .explore.shrink import shrink_to_reproducers
+
+    if arguments.target not in TARGETS:
+        arguments.error(f"unknown target {arguments.target!r} "
+                        f"(targets: {', '.join(sorted(TARGETS))})")
+    if arguments.budget < 1:
+        arguments.error("--budget must be >= 1")
+    points = [{"target": arguments.target, "seed": arguments.seed,
+               "start": start,
+               "stop": min(start + EXPLORE_CHUNK_SIZE, arguments.budget),
+               "kinds": _kinds(arguments.kinds)}
+              for start in range(0, arguments.budget, EXPLORE_CHUNK_SIZE)]
+    if arguments.parallel:
+        rows = run_scenario("explore", points=points, parallel=True)
+    else:
+        rows = [explore_chunk(**point) for point in points]
+    failing = [ExplorationPlan.from_dict(plan) for row in rows
+               for plan in row["failing_plans"]]
+    reproducers = shrink_to_reproducers(arguments.target, failing)
+    summary = {
+        "target": arguments.target,
+        "seed": arguments.seed,
+        "kinds": arguments.kinds,
+        "executed": sum(row["cases"] for row in rows),
+        "failures": len(failing),
+        "violations": [violation for row in rows
+                       for violation in row["violations"]],
+        "reproducers": len(reproducers),
+        "digest": hashlib.sha256("".join(
+            row["digest"] for row in rows).encode("ascii")).hexdigest(),
+    }
+    if arguments.reproducers and reproducers:
         summary["reproducer_files"] = _write_reproducers(
-            report.reproducers, arguments.reproducers)
+            reproducers, arguments.reproducers)
     _print_json(summary)
-    return 1 if report.failures else 0
+    return 1 if failing else 0
 
 
 def cmd_summarize(arguments) -> int:
@@ -311,20 +337,17 @@ COMMANDS = {
     "list": ("list the cases, the scenario coverage and the registry",
              cmd_list),
     "explore": ("fault-space exploration", {
-        "corpus": (
-            "coverage-guided corpus search", cmd_corpus,
+        "run": (
+            "seeded fault-plan sweep; failing plans shrunk to reproducers",
+            cmd_run,
             _arg("--target", default="nested_abort",
                  help="exploration target (default: nested_abort)"),
             _arg("--seed", type=int, default=2026,
-                 help="search seed (default: 2026)"),
+                 help="sampling seed (default: 2026)"),
             _arg("--budget", type=int, default=200,
                  help="executed runs (default: 200)"),
             _arg("--kinds", choices=sorted(KINDS), default="storm",
                  help="fault vocabulary (default: storm)"),
-            _arg("--chunk-size", type=int, default=25,
-                 help="plans per execution chunk (default: 25)"),
-            _arg("--corpus", metavar="FILE",
-                 help="persisted corpus JSON (loaded, then saved back)"),
             _arg("--reproducers", metavar="DIR",
                  help="write auto-shrunk pytest reproducers here"),
             _arg("--parallel", action="store_true",

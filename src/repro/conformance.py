@@ -98,6 +98,7 @@ def _build_cases() -> Dict[str, ConformanceCase]:
         WIDE_GRAPH_GRID,
         _DEFAULT_FIGURE9_GRID,
     )
+    from .explore.generator import STORM_KINDS
 
     cases: Dict[str, ConformanceCase] = {}
 
@@ -165,14 +166,17 @@ def _build_cases() -> Dict[str, ConformanceCase]:
         note="100 seeded fault plans, canonical trace digests per chunk"))
 
     #: Twenty storm-vocabulary plans (crash/restore waves, drop and
-    #: corrupt classes) through the corpus-search chunk runner: pins the
-    #: widened fault vocabulary's byte-level behaviour, including the
+    #: corrupt classes) through the same explorer sweep: pins the widened
+    #: fault vocabulary's byte-level behaviour, including the
     #: liveness-oracle waiver for non-delivery-preserving plans.
     add(ConformanceCase(
-        "explore_corpus",
-        (("explore_corpus", tuple(REGISTRY.get("explore_corpus").grid)),),
-        note="corpus-search chunks over the full storm vocabulary, "
-             "canonical trace digests per plan"))
+        "explore_storm",
+        (("explore", tuple(
+            {"target": "nested_abort", "seed": EXPLORE_SEED,
+             "start": start, "stop": start + 10, "kinds": STORM_KINDS}
+            for start in (0, 10))),),
+        note="20 seeded storm-vocabulary plans, canonical trace digests "
+             "per chunk"))
 
     #: A small sharded-capacity case: 2 shards × 500 instances, run
     #: sequentially (the reference execution — process-pool runs are

@@ -19,25 +19,15 @@ mechanizes the search over that space:
   case is judged by :func:`repro.core.oracles.check` over the record of
   a :class:`~repro.runtime.monitor.InvariantMonitor`;
 * :mod:`~repro.explore.shrink` — delta-debugging reduction of a failing
-  plan to a minimal reproducer, emitted as a ready-to-paste pytest;
-* :mod:`~repro.explore.mutate` — :class:`PlanMutator`, seeded
-  deterministic mutations of existing plans;
-* :mod:`~repro.explore.corpus` — :class:`CorpusSearch`, coverage-guided
-  generational search steered by trace-digest novelty over a persisted
-  :class:`Corpus` (also the scenario-engine workload ``"explore_corpus"``
-  and the ``python -m repro explore`` command).
+  plan to a minimal reproducer, emitted as a ready-to-paste pytest
+  (``python -m repro explore run --reproducers DIR`` writes them).
 """
 
 from .._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(__name__, {
-    "corpus": [
-        "Corpus", "CorpusEntry", "CorpusSearch", "CorpusSearchReport",
-        "run_plans_chunk",
-    ],
     "explorer": ["CaseResult", "Explorer", "ExplorationReport", "run_case"],
     "generator": ["FaultPlanGenerator"],
-    "mutate": ["PlanMutator"],
     "plan": ["ExplorationPlan"],
     "shrink": ["ShrinkResult", "shrink_plan", "to_pytest_source"],
     "targets": ["TARGETS", "ExplorationTarget"],

@@ -23,13 +23,14 @@ Because runs are deterministic, every candidate evaluation is exact: a
 plan either reproduces the failure or it does not, and the result is a
 minimal reproducer rather than a smaller probability cloud.
 :func:`to_pytest_source` renders the reduced plan as a self-contained
-pytest module, ready to paste into ``tests/`` as a regression.
+pytest module, ready to paste into ``tests/`` as a regression, and
+:func:`shrink_to_reproducers` does both for every failing plan of a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, List, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Sequence
 
 from ..core.oracles import OracleViolation
 from ..net.faults import FaultDirective
@@ -204,3 +205,38 @@ def {test_name}():
     details = "\\n".join(str(v) for v in result.violations)
     assert not result.violations, f"invariant violations:\\n{{details}}"
 '''
+
+
+def shrink_to_reproducers(target_name: str,
+                          plans: Sequence[ExplorationPlan]
+                          ) -> List[Dict[str, Any]]:
+    """Shrink each failing plan into a reproducer record.
+
+    A record holds the plan, the reduced plan, its violations, the pytest
+    source and the reduced run's flight-recorder dump.  Distinct plans
+    often shrink to the same minimal plan; only the first of those is
+    kept, one reproducer per root cause.
+    """
+    from .explorer import Explorer, run_case
+
+    still_failing = Explorer(target_name).predicate()
+    records: List[Dict[str, Any]] = []
+    reduced_seen = set()
+    for plan in plans:
+        result = shrink_plan(plan, still_failing)
+        key = result.reduced.key()
+        if key in reduced_seen:
+            continue
+        reduced_seen.add(key)
+        # One more run of the minimal plan captures its flight-recorder
+        # timeline, which ships next to the ready-to-paste test.
+        final = run_case(target_name, result.reduced)
+        records.append({
+            "plan": plan.to_dict(),
+            "reduced": result.reduced.to_dict(),
+            "violations": [str(v) for v in result.violations],
+            "source": to_pytest_source(target_name, result.reduced,
+                                       result.violations),
+            "flight": final.flight,
+        })
+    return records

@@ -2,7 +2,7 @@
 
 A flight dump is the terminal window of an observation's record log —
 what led up to a failure when an ``InvariantMonitor`` oracle fires, a run
-raises, or the corpus search shrinks a reproducer.  While the full log is
+raises, or ``explore run`` shrinks a reproducer.  While the full log is
 kept (spans or metrics on) the window is simply its last ``capacity``
 records.  The flight-only profile, cheap enough to leave on for every
 explorer run, keeps no full log: its log is a :class:`FlightRecorder`, a

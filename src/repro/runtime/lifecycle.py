@@ -201,16 +201,19 @@ class ActionLifecycle:
                         # An enclosing exception interrupted the handler
                         # ("handling" is abort-interruptible): the nested
                         # action must abort instead of entering the
-                        # signalling phase, where the abort could no longer
-                        # reach it and peers would wait on its proposal
-                        # forever.
+                        # signalling phase, where peers that aborted would
+                        # never send the proposals it waits on.
                         report = yield from self._run_abortion(
                             frame, role_definition, role_context)
                     else:
                         decided = yield from self._run_signalling(
                             frame, handler_result)
-                        report = self._conclude(frame, resolved, decided,
-                                                result)
+                        if decided is None:
+                            report = yield from self._run_abortion(
+                                frame, role_definition, role_context)
+                        else:
+                            report = self._conclude(frame, resolved, decided,
+                                                    result)
         finally:
             partition.frames.remove(frame)
         report.finished_at = partition.kernel.now
@@ -427,6 +430,13 @@ class ActionLifecycle:
                 decided = yield frame.signal_event
             else:
                 decided = frame.signal_coordinator.decided
+        except Interrupt:
+            # An enclosing exception reached the thread after its handler
+            # finished ("signalling" is abort-interruptible).  Peers that
+            # already aborted will never propose, so give the phase up:
+            # ``None`` tells the caller to abort the frame instead.
+            partition.interrupt_requested = False
+            decided = None
         finally:
             partition.status = "idle"
         return decided

@@ -47,8 +47,10 @@ class Partition:
     #: the thread's current activity (the ATC analogue).
     INTERRUPTIBLE = ("primary", "waiting_entry", "waiting_exit")
     #: Statuses additionally interruptible when a nested-action abort is
-    #: required (an enclosing exception stops resolution and handlers too).
-    ABORT_INTERRUPTIBLE = INTERRUPTIBLE + ("awaiting_resolution", "handling")
+    #: required (an enclosing exception stops resolution, handlers and
+    #: signalling too).
+    ABORT_INTERRUPTIBLE = INTERRUPTIBLE + ("awaiting_resolution", "handling",
+                                           "signalling")
 
     def __init__(self, system: "DistributedCASystem", name: str) -> None:
         self.system = system

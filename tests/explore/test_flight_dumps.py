@@ -1,18 +1,17 @@
 """Failing explorer cases auto-dump their flight-recorder timeline.
 
-Reuses the lost-Commit regression vehicle from ``test_rediscovery.py``:
-reverting the PR 2 fix makes the canonical one-directive plan deadlock,
+Reuses the lost-Commit regression vehicle from ``bugbench.py``:
+reverting that fix makes the canonical one-directive plan deadlock,
 which is the cheapest deterministic oracle violation available.
 """
 
 from __future__ import annotations
 
-import pytest
+import json
 
+from bugbench import lost_commit_bug  # noqa: F401 (a fixture)
 from repro import obs
-from repro.cli import _write_reproducers
-from repro.core import effects as fx
-from repro.core.resolution import ResolutionCoordinator
+from repro.cli import _write_reproducers, main
 from repro.explore import ExplorationPlan, Explorer, run_case
 from repro.net.faults import FaultDirective
 from repro.obs import build_spans, read_jsonl
@@ -22,26 +21,6 @@ from repro.obs import build_spans, read_jsonl
 CANONICAL_PLAN = ExplorationPlan(directives=(
     FaultDirective("delay_type", source="T2", destination="T3",
                    type_name="CommitMessage", extra=3.0),))
-
-
-def _legacy_receive_commit(self, message):
-    """The pre-PR2 Commit handling (the lost-Commit race)."""
-    context = self.active_context()
-    if context is None or context.action != message.action:
-        self._trace(f"ignore Commit for {message.action}")
-        return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                            f"{message.action}")]
-    self.le.clear()
-    self.handling[message.action] = message.exception
-    self._trace(f"commit {message.exception.name} in {message.action}")
-    return [fx.HandleResolved(message.action, message.exception,
-                              resolver=message.resolver)]
-
-
-@pytest.fixture
-def lost_commit_bug(monkeypatch):
-    monkeypatch.setattr(ResolutionCoordinator, "_receive_commit",
-                        _legacy_receive_commit)
 
 
 class TestFailingCasesDump:
@@ -88,15 +67,19 @@ class TestFailingCasesDump:
 
 
 class TestReproducerBundling:
-    def test_corpus_reproducers_carry_flight(self, lost_commit_bug):
-        from repro.explore import CorpusSearch
-        search = CorpusSearch(target="nested_abort", seed=2026,
-                              generation_size=5, chunk_size=5, shrink=True)
-        report = search.run(budget=60, stop_on_first_failure=True)
-        assert report.reproducers
-        record = report.reproducers[0]
-        assert record["flight"], "shrunk reproducer lacks its flight dump"
-        assert record["flight"]["events"]
+    def test_explore_run_writes_a_reproducer_with_its_flight(
+            self, lost_commit_bug, tmp_path, capsys):
+        directory = tmp_path / "repros"
+        assert main(["explore", "run", "--kinds", "delay", "--budget", "40",
+                     "--reproducers", str(directory)]) == 1
+        assert json.loads(capsys.readouterr().out)["reproducers"] >= 1
+        source = (directory / "test_reproducer_0.py").read_text()
+        namespace = {}
+        exec(source, namespace)
+        assert len(namespace["PLAN"]) == 1
+        dump = read_jsonl(str(directory / "test_reproducer_0.flight.jsonl"))
+        assert dump[0]["kind"] == "flight.header"
+        assert len(dump) > 1
 
     def test_write_reproducers_bundles_flight_jsonl(self, tmp_path):
         records = [

@@ -13,41 +13,13 @@ re-checked here).
 
 import pytest
 
-from repro.core import effects as fx
+from bugbench import lost_commit_bug  # noqa: F401 (a fixture)
 from repro.core.oracles import EXACTLY_ONE_OUTCOME, NO_STRANDED_THREAD
-from repro.core.resolution import ResolutionCoordinator
 from repro.explore import Explorer, run_case, shrink_plan, to_pytest_source
 
 #: Fixed seed and budget of the acceptance criterion (≤ 500 plans).
 SEED = 2026
 BUDGET = 500
-
-
-def _legacy_receive_commit(self, message):
-    """The pre-PR2 Commit handling (the lost-Commit race).
-
-    A Commit for a non-active action was dropped outright, and a Commit
-    for the active action was obeyed even while that action was being
-    aborted — wiping ``LEi`` and with it the record of the enclosing
-    exception the abortion was resolving.
-    """
-    context = self.active_context()
-    if context is None or context.action != message.action:
-        self._trace(f"ignore Commit for {message.action}")
-        return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                            f"{message.action}")]
-    self.le.clear()
-    self.handling[message.action] = message.exception
-    self._trace(f"commit {message.exception.name} in {message.action}")
-    return [fx.HandleResolved(message.action, message.exception,
-                              resolver=message.resolver)]
-
-
-@pytest.fixture
-def lost_commit_bug(monkeypatch):
-    """Locally revert the PR 2 fix for the duration of one test."""
-    monkeypatch.setattr(ResolutionCoordinator, "_receive_commit",
-                        _legacy_receive_commit)
 
 
 class TestRediscovery:
@@ -70,26 +42,6 @@ class TestRediscovery:
         assert invariants <= {NO_STRANDED_THREAD, EXACTLY_ONE_OUTCOME}
         assert any("program never finished" in v.detail
                    for v in first.violations)
-
-    def test_corpus_search_rediscovers_in_fewer_runs(self, lost_commit_bug):
-        # The acceptance bar: enumeration at seed 2026 first hits the
-        # race at plan 11 (12 executed runs); corpus search must get
-        # there strictly faster.  It does — its deterministic neighbour
-        # sweep retargets bootstrap plan 0's delay onto the T1->T2 link,
-        # which lands in the failure window on the sixth executed run.
-        from repro.explore import CorpusSearch
-        search = CorpusSearch(target="nested_abort", seed=SEED,
-                              generation_size=5, chunk_size=5, shrink=True)
-        report = search.run(budget=60, stop_on_first_failure=True)
-        assert report.first_failure_at is not None
-        assert report.first_failure_at < 11
-        # The violation was novel, so the search auto-shrunk it into a
-        # ready-to-paste reproducer whose reduced plan still fails.
-        assert report.reproducers
-        from repro.explore import ExplorationPlan
-        reduced = ExplorationPlan.from_dict(report.reproducers[0]["reduced"])
-        assert len(reduced) == 1
-        assert run_case("nested_abort", reduced).violations
 
     def test_shrinker_reduces_to_one_directive(self, lost_commit_bug):
         explorer = Explorer(target="nested_abort", seed=SEED, budget=BUDGET,

@@ -1,8 +1,8 @@
 """The widened fault vocabulary, gated: failure storms stay safe.
 
-PR 3's explorer only sampled delivery-preserving delays; the corpus
-search widens the vocabulary to the full failure-storm space of ROADMAP
-item 4 — drop and corrupt classes, node crashes, crash/restore waves —
+The explorer samples delivery-preserving delays by default;
+``kinds=STORM_KINDS`` widens the vocabulary to the full failure-storm
+space — drop and corrupt classes, node crashes, crash/restore waves —
 with the liveness oracles correctly waived (a dropped message legitimately
 strands a thread) and the safety oracles still binding: participants that
 *do* resolve must agree on the covering exception, no participation may
@@ -14,18 +14,20 @@ violation; the widened search's one confirmed catch was the mode-blind
 wait-for-graph rebuild refusing compatible shared-lock requests as
 phantom deadlocks (fixed in ``objects/locks.py``, regression-tested in
 ``tests/objects/test_primitives.py``).  This module pins the clean bill:
-a seeded storm budget runs on every push, and any future violation is
-auto-shrunk into a ready-to-paste reproducer printed with the failure.
+a seeded storm budget runs in the ``explore`` job, and any future
+violation is auto-shrunk into a ready-to-paste reproducer printed with
+the failure.
 """
 
 import pytest
 
-from repro.explore import CorpusSearch, ExplorationPlan, run_case
+from repro.explore import ExplorationPlan, Explorer, run_case
 from repro.explore.generator import STORM_KINDS
+from repro.explore.shrink import shrink_to_reproducers
 from repro.net.faults import FaultDirective
 
-#: Fixed seed and budget of the storm gate (kept modest: the sweep runs
-#: in tier-1 on every push; the nightly workflow runs the big budget).
+#: Fixed seed and budget of the storm gate (kept modest; the nightly
+#: workflow's ``explore run`` steps run the big budget).
 SEED = 2026
 BUDGET = 100
 
@@ -33,23 +35,22 @@ BUDGET = 100
 @pytest.mark.explore
 class TestStormSweep:
     def test_storm_budget_is_violation_free(self):
-        search = CorpusSearch(target="nested_abort", seed=SEED,
-                              kinds=STORM_KINDS, generation_size=25,
-                              chunk_size=25)
-        report = search.run(budget=BUDGET)
-        reproducers = "\n\n".join(record["source"]
-                                  for record in report.reproducers)
-        assert not report.failures, (
-            f"storm search found {len(report.failures)} violating plan(s); "
+        report = Explorer(target="nested_abort", seed=SEED, budget=BUDGET,
+                          kinds=STORM_KINDS).run()
+        failing = [case.plan for case in report.failures]
+        reproducers = "\n\n".join(
+            record["source"]
+            for record in shrink_to_reproducers("nested_abort", failing))
+        assert not failing, (
+            f"storm sweep found {len(failing)} violating plan(s); "
             f"auto-shrunk reproducer(s):\n\n{reproducers}")
         # The budget genuinely explored: a storm sweep that collapsed to
         # a handful of behaviours would gate nothing.
-        assert report.distinct_digests > BUDGET // 2
+        assert len({case.digest for case in report.cases}) > BUDGET // 2
 
     def test_storm_budget_is_violation_free_concurrent_raises(self):
-        report = CorpusSearch(target="concurrent_raises", seed=SEED,
-                              kinds=STORM_KINDS, generation_size=25,
-                              chunk_size=25).run(budget=BUDGET // 2)
+        report = Explorer(target="concurrent_raises", seed=SEED,
+                          budget=BUDGET // 2, kinds=STORM_KINDS).run()
         assert not report.failures
 
 

@@ -148,23 +148,75 @@ class TestReal:
 
 
 class TestExplore:
-    def test_corpus_search(self, capsys):
-        assert main(["explore", "corpus", "--kinds", "delay",
+    def test_a_clean_run_exits_zero(self, capsys):
+        assert main(["explore", "run", "--kinds", "delay",
                      "--budget", "10"]) == 0
-        assert json.loads(capsys.readouterr().out)["mode"] == "corpus"
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["executed"] == 10
+        assert summary["failures"] == 0
 
-    def test_a_corpus_for_another_target_is_refused(self, tmp_path, capsys):
-        from repro.explore import Corpus
-        path = str(tmp_path / "corpus.json")
-        Corpus(target="concurrent_raises").save(path)
-        assert main(["explore", "corpus", "--target", "nested_abort",
-                     "--corpus", path, "--budget", "1"]) == 2
-        assert "'concurrent_raises'" in capsys.readouterr().err
+    def test_parallel_prints_the_sequential_summary(self, capsys):
+        argv = ["explore", "run", "--budget", "30"]
+        assert main(argv) == 0
+        sequential = capsys.readouterr().out
+        assert main(argv + ["--parallel"]) == 0
+        assert capsys.readouterr().out == sequential
 
-    @pytest.mark.parametrize("removed", ["enumerate", "compare"])
+    def test_an_unknown_target_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "run", "--target", "nope"])
+        assert exit_info.value.code == 2
+        assert "'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_a_budget_below_one_is_a_usage_error(self, budget, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "run", "--budget", budget])
+        assert exit_info.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+    def test_a_partial_last_chunk_runs_exactly_the_budget(self, capsys):
+        from repro.bench.engine import EXPLORE_CHUNK_SIZE
+
+        budget = EXPLORE_CHUNK_SIZE + 3
+        assert main(["explore", "run", "--kinds", "delay",
+                     "--budget", str(budget)]) == 0
+        assert json.loads(capsys.readouterr().out)["executed"] == budget
+
+    def test_the_collector_runs_between_sequential_cases(self, monkeypatch,
+                                                         capsys):
+        # Each case pauses the collector only for itself; a sweep-wide
+        # pause would hold every case's cyclic garbage to the end.
+        import gc
+
+        from repro.explore import explorer
+
+        enabled = []
+        run_case = explorer.run_case
+
+        def recording_run_case(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return run_case(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "run_case", recording_run_case)
+        assert main(["explore", "run", "--budget", "3"]) == 0
+        capsys.readouterr()
+        assert enabled == [True] * 3
+
+    def test_the_summary_digest_follows_the_seed(self, capsys):
+        def digest(seed):
+            assert main(["explore", "run", "--budget", "5",
+                         "--seed", str(seed)]) == 0
+            return json.loads(capsys.readouterr().out)["digest"]
+
+        assert digest(1) == digest(1)
+        assert digest(1) != digest(2)
+
+    @pytest.mark.parametrize("removed", ["enumerate", "compare", "corpus"])
     def test_the_removed_modes_are_usage_errors(self, removed):
-        # Corpus search is the one explore mode; the enumeration-vs-corpus
-        # claim lives in tests/explore/test_corpus.py::TestCoverageClaim.
+        # The seeded sweep is the one explore mode: the coverage-guided
+        # corpus found the known bugs no faster than random sampling
+        # (tests/explore/bugbench.py).
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["explore", removed])
         assert exit_info.value.code == 2
@@ -172,7 +224,7 @@ class TestExplore:
 
 @pytest.mark.parametrize("argv", [
     ["repro.conformance", "--check"],
-    ["repro.explore", "corpus"],
+    ["repro.explore", "run"],
     ["repro.obs", "summarize", "events.jsonl"],
 ])
 def test_the_old_entry_points_fail_loudly(argv):
@@ -214,7 +266,9 @@ def documented_commands():
     for name in DOCUMENTS:
         text = (ROOT / name).read_text(encoding="utf-8")
         if name.endswith(".yml"):
-            text = _fold_yaml(text)
+            # Actions substitutes each ${{ expression }} before the shell
+            # runs; the only one on a command line is the seed.
+            text = re.sub(r"\$\{\{[^}]*\}\}", "1", _fold_yaml(text))
         text = re.sub(r"\\\n\s*", " ", text)
         for match in re.finditer(r"python3? -m repro(?![.\w])([^`\n]*)",
                                  text):

@@ -26,14 +26,14 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Each re-exporting package and the size of its ``__all__`` (a dropped
 #: re-export shrinks it).
 PACKAGES = {"repro": 9, "repro.analysis": 14, "repro.bench": 32,
-            "repro.core": 61, "repro.explore": 20, "repro.net": 15,
+            "repro.core": 61, "repro.explore": 14, "repro.net": 15,
             "repro.net.real": 5, "repro.objects": 17, "repro.obs": 20,
             "repro.workload": 24}
 
 SCENARIOS = ["figure9", "figure12_tmmax", "figure12_tres", "large_n",
-             "wide_graph", "graph_microbench", "explore", "explore_corpus",
-             "remote_counter", "churn", "capacity", "mixed_traffic",
-             "transactional", "production_cell", "scale"]
+             "wide_graph", "graph_microbench", "explore", "remote_counter",
+             "churn", "capacity", "mixed_traffic", "transactional",
+             "production_cell", "scale"]
 
 
 def submodules(package):
@@ -111,6 +111,7 @@ def test_registries_do_not_depend_on_what_was_imported():
         "Serve", "Ping", "Crunch", "Flaky", "Transfer"]
     assert fresh["targets"] == ["concurrent_raises", "nested_abort"]
     # Every deferred runner imported first: the same entries.
-    assert registries("repro.explore.corpus", "repro.productioncell.workload",
+    assert registries("repro.explore.explorer",
+                      "repro.productioncell.workload",
                       "repro.workload.sharding",
                       "repro.workload.transactional") == fresh
