@@ -1,9 +1,10 @@
 """The same protocol code on two execution backends.
 
-``repro.net.real`` runs any real-capable scenario of the one registry
-(``repro.bench.engine.REGISTRY``; ``--list`` shows their nodes) either
-all-local on the deterministic sim kernel (``run_sim``) or as one OS
-process per node over TCP sockets with wall-clock pacing (``run_real``).
+Any real-capable scenario of the one registry
+(``repro.bench.engine.REGISTRY``; ``python -m repro list`` shows their
+nodes) runs either all-local on the deterministic sim kernel
+(``repro.bench.scenarios.run_sim``) or as one OS process per node over
+TCP sockets with wall-clock pacing (``repro.real.RealBackend``).
 Parameters are the scenario's declared grid-point parameters, validated
 before anything is built.  This example:
 
@@ -19,7 +20,8 @@ Run with:  PYTHONPATH=src python examples/real_backend.py
 """
 
 from repro.bench import REGISTRY
-from repro.net.real import run_real, run_sim
+from repro.bench.scenarios import run_sim
+from repro.real import RealBackend
 
 
 def show(label, result):
@@ -37,7 +39,7 @@ def main() -> None:
     # -- 1. figure9 on both backends -----------------------------------
     print("figure9 (algorithm=ours, 1 iteration):")
     sim = run_sim("figure9", iterations=1)
-    real = run_real("figure9", iterations=1, time_scale=0.01)
+    real = RealBackend(time_scale=0.01).run("figure9", iterations=1)
     show("sim", sim)
     show("real (3 processes)", real)
     print("  parity:", "outcomes match" if real.outcomes == sim.outcomes
@@ -47,7 +49,7 @@ def main() -> None:
     # Two worker processes run the CA action; the account object lives on
     # the objhost process, reached through RemoteTransaction RPC proxies.
     print("\nremote_counter (2 workers + 1 object host):")
-    real = run_real("remote_counter", iterations=2, time_scale=0.01)
+    real = RealBackend(time_scale=0.01).run("remote_counter", iterations=2)
     show("real (3 processes)", real)
     counter = real.record.counters[0]
     print(f"  host counter: {counter['initial']} -> {counter['final']} "
@@ -55,8 +57,8 @@ def main() -> None:
 
     # -- 3. crash injection --------------------------------------------
     print("\nfigure9 with T3 killed at 0.4s wall time:")
-    real = run_real("figure9", iterations=3, time_scale=0.05,
-                    stall=1.0, kill=("T3", 0.4))
+    real = RealBackend(time_scale=0.05, stall=1.0).run(
+        "figure9", iterations=3, kill=("T3", 0.4))
     show("real, degraded", real)
     print(f"  crashed={real.crashed}  surviving records from "
           f"{sorted(real.records)}")

@@ -15,17 +15,19 @@ Its subpackages:
 * :mod:`repro.net` — the message-passing substrate (nodes, FIFO links,
   latency models, fault injection);
 * :mod:`repro.objects` — external atomic objects with transactions;
-* :mod:`repro.runtime` — the distributed CA-action run-time system;
+* :mod:`repro.runtime` — the distributed CA-action run-time system, its
+  life-cycle event kinds and its run metrics;
 * :mod:`repro.productioncell` — the production-cell case study;
-* :mod:`repro.analysis` — analytic bounds, run metrics and latency
-  histograms;
+* :mod:`repro.analysis` — analytic bounds and latency histograms;
 * :mod:`repro.explore` — the systematic fault-space explorer;
 * :mod:`repro.workload` — traffic generation, admission control and
   capacity measurement over a shared partition pool;
-* :mod:`repro.bench` — experiment harness reproducing the paper's figures.
+* :mod:`repro.bench` — experiment harness reproducing the paper's figures;
+* :mod:`repro.real` — the same scenarios across real OS processes.
 
 The eight names in ``__all__`` (every subpackage above except
-:mod:`repro.productioncell` and :mod:`repro.bench`) are attributes of
+:mod:`repro.productioncell`, :mod:`repro.bench` and :mod:`repro.real`)
+are attributes of
 ``repro`` itself, each imported on first access; import the others by
 their full name.  No subpackage is imported by ``import repro``.
 """

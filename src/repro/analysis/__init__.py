@@ -1,4 +1,5 @@
-"""Analytic bounds (Lemma 1, Theorem 2, message-count formulas) and metrics."""
+"""Analytic bounds (Lemma 1, Theorem 2, message-count formulas) and latency
+histograms; both use only the standard library."""
 
 from .._lazy import attach
 
@@ -17,5 +18,4 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "theorem2_worst_case_messages",
     ],
     "histograms": ["LatencyHistogram"],
-    "metrics": ["ActionOutcome", "RunMetrics"],
 })

@@ -16,9 +16,9 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ],
     "scenarios": [
         "EXPERIMENT1_ITERATIONS", "ExperimentResult", "FIGURE9_BASELINE",
-        "build_churn", "build_experiment1", "build_experiment2",
+        "RealRunResult", "build_churn", "build_experiment1", "build_experiment2",
         "build_wide_graph", "run_churn", "run_complexity_scenario",
         "run_experiment1", "run_experiment2", "run_graph_microbench",
-        "run_wide_graph",
+        "run_sim", "run_wide_graph",
     ],
 })

@@ -39,8 +39,8 @@ Runners must be module-level functions (picklable) for the process-pool
 path; anything else silently degrades to the sequential fallback.
 
 This registry is the only scenario model: a scenario that can also run
-across OS processes (``ScenarioConfig(backend="real")``) declares its
-``nodes`` and a node builder next to its runner, and the real backend
+across OS processes declares its ``nodes`` and a node builder next to its
+runner, and the real backend (:mod:`repro.real`, a layer above this one)
 resolves names and validates parameters here, as a sim sweep does.
 """
 
@@ -96,17 +96,6 @@ class ScenarioConfig:
 
     obs: Optional[obs.ObsConfig] = None
     export_dir: Optional[str] = None
-    #: Execution backend: ``"sim"`` runs grid points on the deterministic
-    #: sim kernel (the default, byte-identical path); ``"real"`` boots one
-    #: OS process per scenario node and runs the same protocol code over
-    #: localhost sockets with wall-clock pacing (see
-    #: :mod:`repro.net.real`).  Real rows are oracle-gated, not
-    #: digest-gated — they carry wall-clock fields and are not
-    #: byte-identical between runs.
-    backend: str = "sim"
-    #: Keyword options for the real backend runner (``time_scale``,
-    #: ``wall_timeout``, ``settle``); ignored on the sim backend.
-    backend_options: Optional[Mapping[str, object]] = None
 
 
 @dataclass(frozen=True)
@@ -256,11 +245,6 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
     errors = scenario.validate_grid(grid)
     if errors:
         raise ParamValidationError(errors)
-    if config is not None and config.backend != "sim":
-        if config.backend != "real":
-            raise ValueError(f"unknown backend {config.backend!r}; "
-                             f"expected 'sim' or 'real'")
-        return _run_real_backend(scenario, grid, config)
     if config is not None and config.obs is not None:
         if parallel and len(grid) > 1:
             logger.warning(
@@ -283,37 +267,6 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
                 "back to the sequential (byte-identical) path for the "
                 "%d-point grid", name, len(grid))
     return _run_sequential(scenario, grid)
-
-
-def _run_real_backend(scenario: Scenario, grid: Sequence[GridPoint],
-                      config: ScenarioConfig) -> List[Row]:
-    """Run grid points of a *real-capable* scenario across OS processes.
-
-    Only scenarios declaring ``nodes`` can run here (the backend refuses
-    the others).  The grid points are the ones a sim sweep takes; each row
-    reports the merged oracle verdict, the ``(action, status)`` conclusion
-    counts, and wall-clock cost.
-    """
-    from ..net.real.backend import RealBackend
-
-    backend = RealBackend(**dict(config.backend_options or {}))
-    rows: List[Row] = []
-    for index, point in enumerate(grid):
-        result = backend.run(scenario.name, **point)
-        if config.export_dir is not None:
-            # Bridged obs events, one JSONL per run — CI uploads these as
-            # the post-mortem artifact when a real run fails its oracles.
-            os.makedirs(config.export_dir, exist_ok=True)
-            path = os.path.join(config.export_dir,
-                                f"{scenario.name}-{index}.events.jsonl")
-            with open(path, "w", encoding="utf-8") as handle:
-                for node, record in sorted(result.records.items()):
-                    for event in record.get("obs_events", ()):
-                        handle.write(json.dumps(
-                            {"node": node, **event}, sort_keys=True,
-                            default=str) + "\n")
-        rows.append(result.row(point))
-    return rows
 
 
 def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
@@ -529,7 +482,7 @@ for _scenario in (
              "Fault-space exploration sweep: seeded fault plans + schedule "
              "perturbation, checked against the invariant oracles"),
     Scenario("remote_counter",
-             "repro.net.real.scenarios:remote_counter_point",
+             "repro.bench.scenarios:remote_counter_point",
              REMOTE_COUNTER_GRID,
              "Two workers increment a counter on a remote object host: "
              "every lock, read, write and commit crosses the RPC layer",

@@ -21,14 +21,18 @@ The builders below construct fully configured
 :class:`~repro.runtime.system.DistributedCASystem` instances for those
 scenarios (plus a generic N-thread scenario used by the message-complexity
 benchmarks) and small runner functions returning the measured quantities.
+A scenario that declares OS-process nodes runs all-local here too
+(:func:`run_sim`), and :func:`assemble_result` judges its node records
+the same way for the real backend (:mod:`repro.real`) that sits above.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import obs
 from ..analysis.bounds import (
@@ -53,12 +57,14 @@ from ..explore.targets import (
     staggered_raises,
 )
 from ..net.latency import ConstantLatency
+from ..net.network import MessageStatistics
 from ..runtime.config import RuntimeConfig
 from ..runtime.report import ActionStatus
 from ..runtime.system import DistributedCASystem
 from ..simkernel.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.oracles import OracleViolation, RunRecord
     from ..runtime.monitor import InvariantMonitor
 
 #: Default loop count of experiment 1 ("executed in a loop (20 times)").
@@ -98,7 +104,7 @@ class BuiltNode:
     What a scenario's node builder (``Scenario.build``) returns: the
     system (observed: its span events are on ``system.observation``) plus
     the monitor whose records the real backend merges across processes
-    (see :mod:`repro.net.real`).
+    (see :mod:`repro.real`).
     """
 
     system: DistributedCASystem
@@ -124,7 +130,7 @@ def new_system(t_msg: float, algorithm: str = "ours",
     latency = ConstantLatency(t_msg)
     if local is None:
         return DistributedCASystem(config, latency=latency, **options)
-    from ..net.real.realnet import RealNetwork
+    from ..net.realnet import RealNetwork
     kernel = Kernel()
     return DistributedCASystem(
         config, kernel=kernel,
@@ -573,6 +579,128 @@ def remote_counter_node(params: Dict[str, object], local: Optional[str],
                         forward) -> BuiltNode:
     """Node builder of ``remote_counter``: :func:`build_remote_counter`."""
     return build_remote_counter(local=local, forward=forward, **params)
+
+
+def remote_counter_point(iterations: int = 3, limit: int = 1,
+                         algorithm: str = "ours", t_msg: float = 0.1,
+                         t_resolution: float = 0.2, t_abort: float = 0.1,
+                         rpc_timeout: float = 60.0) -> Dict[str, Any]:
+    """One all-local run of ``remote_counter``, reported like a real run."""
+    point = {"iterations": iterations, "limit": limit,
+             "algorithm": algorithm, "t_msg": t_msg,
+             "t_resolution": t_resolution, "t_abort": t_abort,
+             "rpc_timeout": rpc_timeout}
+    return run_sim("remote_counter", **point).row(point)
+
+
+# ----------------------------------------------------------------------
+# Judging a node-declared run, on either execution backend
+# ----------------------------------------------------------------------
+@dataclass
+class RealRunResult:
+    """Outcome of one scenario run, identical in shape on both backends."""
+
+    scenario: str
+    backend: str
+    params: Dict[str, Any]
+    #: Oracle violations over :attr:`record` ([] == run passed).
+    violations: List[OracleViolation]
+    #: (action, status) -> number of concluded participations.
+    outcomes: Dict[Tuple[str, str], int]
+    #: Merged message-statistics snapshot.
+    stats: Dict[str, Any]
+    #: The per-node final frames, ``{"record", "stats", "obs_events",
+    #: ...}`` ("sim" is the single key on the sim backend).
+    records: Dict[str, Dict[str, Any]]
+    #: The nodes' oracle records merged in node order: what
+    #: :attr:`violations` judged.
+    record: RunRecord
+    #: Nodes whose process died / connection dropped before finalizing.
+    crashed: List[str] = field(default_factory=list)
+    wall_time: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def row(self, point: Dict[str, Any]) -> Dict[str, Any]:
+        """The run as ``point``'s sweep row: the same keys on both backends."""
+        return {
+            **point,
+            "backend": self.backend,
+            "n_violations": len(self.violations),
+            "violations": [str(violation) for violation in self.violations],
+            "outcomes": {f"{action}/{status}": count
+                         for (action, status), count
+                         in sorted(self.outcomes.items())},
+            "crashed": list(self.crashed),
+            "counters": list(self.record.counters),
+            "by_type": dict(sorted(self.stats["by_type"].items())),
+            "wall_seconds": self.wall_time,
+        }
+
+
+def collect_record(built: BuiltNode,
+                   local: Optional[str] = None) -> Dict[str, Any]:
+    """One node's final frame: its oracle record plus what the hub merges
+    beside it (message statistics, bridged obs events).
+
+    Everything in it is plain picklable data; ``local`` filters the
+    quiescence snapshots to the node's own partition (see
+    :meth:`~repro.runtime.monitor.InvariantMonitor.record`).
+    """
+    system = built.system
+    return {"record": built.monitor.record(local),
+            "stats": system.network.stats.snapshot(),
+            "obs_events": list(system.observation.events or [])}
+
+
+def outcome_counts(frames: List[Dict[str, Any]]
+                   ) -> Dict[Tuple[str, str], int]:
+    """(action, status) conclusion counts from the bridged obs events."""
+    counts: Counter = Counter()
+    for frame in frames:
+        for event in frame["obs_events"]:
+            if event.get("kind") == "action.concluded":
+                counts[(event.get("action"), event.get("status"))] += 1
+    return dict(counts)
+
+
+def assemble_result(scenario: str, backend: str,
+                    records: Dict[str, Dict[str, Any]],
+                    crashed: List[str], wall_time: float,
+                    params: Optional[Dict[str, Any]] = None) -> RealRunResult:
+    """Merge the nodes' final frames and judge them with the oracles."""
+    from ..core import oracles
+
+    frames = [frame for _, frame in sorted(records.items())]
+    merged = oracles.RunRecord.merge(frame["record"] for frame in frames)
+    stats = MessageStatistics()
+    for frame in frames:
+        stats.merge(frame["stats"])
+    return RealRunResult(
+        scenario=scenario, backend=backend, params=dict(params or {}),
+        # A run with injected crashes is allowed to strand participations
+        # (the paper's liveness guarantees assume delivery).
+        violations=oracles.check(merged, require_liveness=not crashed),
+        outcomes=outcome_counts(frames), stats=stats.snapshot(),
+        records=records, record=merged, crashed=sorted(crashed),
+        wall_time=wall_time)
+
+
+def run_sim(name: str, **overrides: Any) -> RealRunResult:
+    """Run a real-capable scenario all-local on the deterministic sim kernel.
+
+    Returns the same :class:`RealRunResult` shape as
+    :meth:`repro.real.RealBackend.run`, which is what the parity tests
+    compare.
+    """
+    from .engine import REGISTRY
+
+    built = REGISTRY.get(name).build_node(overrides)
+    built.system.kernel.run()
+    return assemble_result(name, "sim", {"sim": collect_record(built)},
+                           crashed=[], wall_time=0.0)
 
 
 # ----------------------------------------------------------------------

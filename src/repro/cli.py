@@ -284,7 +284,8 @@ def cmd_real(arguments) -> int:
     """
     import platform
 
-    from .bench.engine import REGISTRY, ScenarioConfig, run_scenario
+    from .bench.engine import REGISTRY
+    from .real.backend import RealBackend
 
     capable = sorted(scenario.name for scenario in REGISTRY
                      if scenario.nodes)
@@ -293,14 +294,18 @@ def cmd_real(arguments) -> int:
     if unknown:
         arguments.error(f"not real-capable: {', '.join(unknown)} "
                         f"(real-capable: {', '.join(capable)})")
-    config = ScenarioConfig(
-        backend="real", export_dir=arguments.obs_dir,
-        backend_options={"time_scale": arguments.time_scale,
-                         "wall_timeout": arguments.wall_timeout})
+    backend = RealBackend(time_scale=arguments.time_scale,
+                          wall_timeout=arguments.wall_timeout)
     points = [{"algorithm": algorithm, "iterations": 1}
               for algorithm in REAL_BACKEND_ALGORITHMS]
-    rows = [{"scenario": name, **row} for name in names
-            for row in run_scenario(name, points=points, config=config)]
+    rows = []
+    for name in names:
+        for index, point in enumerate(points):
+            result = backend.run(name, **point)
+            if arguments.obs_dir is not None:
+                _write_run_events(result, arguments.obs_dir,
+                                  f"{name}-{index}.events.jsonl")
+            rows.append({"scenario": name, **result.row(point)})
     violations = sum(row["n_violations"] for row in rows)
     with open(arguments.output, "w", encoding="utf-8") as handle:
         json.dump({"schema": SCHEMA_VERSION,
@@ -314,6 +319,21 @@ def cmd_real(arguments) -> int:
     print(f"wrote {arguments.output}: {len(rows)} real-backend rows, "
           f"{violations} oracle violations")
     return 1 if violations else 0
+
+
+def _write_run_events(result, directory: str, filename: str) -> None:
+    """One run's bridged obs events as JSONL, each line naming its node.
+
+    CI uploads these as the post-mortem artifact when a real run fails
+    its oracles.
+    """
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, filename), "w",
+              encoding="utf-8") as handle:
+        for node, record in sorted(result.records.items()):
+            for event in record.get("obs_events", ()):
+                handle.write(json.dumps({"node": node, **event},
+                                        sort_keys=True, default=str) + "\n")
 
 
 def _arg(*flags, **options):

@@ -41,23 +41,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .bench.engine import GridPoint, REGISTRY, run_scenario
+from .workload.sharding import VOLATILE_KEYS
 
 #: Bump when the canonical-document layout changes incompatibly (this
 #: invalidates every fixture, so regenerate them in the same commit).
 SCHEMA_VERSION = 1
-
-#: Row keys excluded from canonical documents: wall-clock measurements and
-#: executor identity are the only scenario outputs that legitimately differ
-#: between runs (``scale`` rows carry wall-clock rates plus the worker
-#: count/executor that produced them; the merged virtual-time content is
-#: identical for any executor and stays in the digest).
-VOLATILE_KEYS = frozenset({
-    "wall_seconds",
-    "instances_per_second",
-    "submitted_per_second",
-    "executor",
-    "workers",
-})
 
 #: The resolution algorithms a conformance case can pin: the paper's new
 #: algorithm and the two baselines it is compared against.

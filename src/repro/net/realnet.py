@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Set
 
-from ...simkernel.events import Timeout
-from ...simkernel.kernel import Kernel
-from ..faults import FaultPlan
-from ..latency import LatencyModel
-from ..message import Envelope
-from ..network import Network
+from ..simkernel.events import Timeout
+from ..simkernel.kernel import Kernel
+from .faults import FaultPlan
+from .latency import LatencyModel
+from .message import Envelope
+from .network import Network
 
 #: forwarder(source, destination, payload, send_vt, deliver_vt)
 Forwarder = Callable[[str, str, Any, float, float], None]

@@ -10,9 +10,9 @@ different executors:
 * :class:`~repro.net.network.Network` — the deterministic simulation
   transport (virtual time, seeded tie-breaking, fault plans, conformance
   digests);
-* :class:`~repro.net.real.realnet.RealNetwork` — the same simulation
+* :class:`~repro.net.realnet.RealNetwork` — the same simulation
   network inside one OS process per node, with non-local destinations
-  forwarded over asyncio sockets by the :mod:`repro.net.real` backend
+  forwarded over asyncio sockets by the :mod:`repro.real` backend
   and wall-clock pacing standing in for the virtual clock.
 
 The contract deliberately mirrors what the sim network already provided;

@@ -63,23 +63,24 @@ __getattr__, __dir__, _LAZY = attach(__name__, {
                "write_flight_dump", "summarize_events", "diff_summaries"],
 })
 
-__all__ = ["ObsConfig", "Capture", "capture", "observe_system",
-           "maybe_observe", "enabled", "active", *_LAZY]
+__all__ = ["ObsConfig", "Capture", "capture", "observe_system", "enabled",
+           "active", *_LAZY]
 
-#: The ambient capture (module-level enabled check).  ``None`` means
-#: observability is off and :func:`maybe_observe` costs one global read.
-_ACTIVE: Optional["Capture"] = None
-_ACTIVE_LOCK = threading.Lock()
+#: Serialises installing the ambient capture, which lives in the runtime
+#: (:data:`repro.runtime.system.AMBIENT_CAPTURE`) so that building a system
+#: with observability off calls nothing here.
+_CAPTURE_LOCK = threading.Lock()
 
 
 def enabled() -> bool:
     """True while an ambient :func:`capture` is installed."""
-    return _ACTIVE is not None
+    return active() is not None
 
 
 def active() -> Optional["Capture"]:
     """The ambient capture, if any."""
-    return _ACTIVE
+    from ..runtime import system
+    return system.AMBIENT_CAPTURE
 
 
 def observe_system(system: "DistributedCASystem",
@@ -113,19 +114,6 @@ def observe_system(system: "DistributedCASystem",
             f"system is already observed without {', '.join(missing)}; "
             "one system carries one observation")
     return observation
-
-
-def maybe_observe(system: "DistributedCASystem"
-                  ) -> Optional[SystemObservation]:
-    """Adopt ``system`` into the ambient capture, when one is active.
-
-    Called once from ``DistributedCASystem.__init__``; the disabled
-    path is a single module-global read returning ``None``.
-    """
-    capture_ = _ACTIVE
-    if capture_ is None:
-        return None
-    return capture_.adopt(system)
 
 
 class Capture:
@@ -226,15 +214,15 @@ def capture(config: Optional[ObsConfig] = None) -> Iterator[Capture]:
     Captures do not nest (one ambient scope per process — nesting
     would silently split event streams); entering a second one raises.
     """
-    global _ACTIVE
+    from ..runtime import system
     scope = Capture(config)
-    with _ACTIVE_LOCK:
-        if _ACTIVE is not None:
+    with _CAPTURE_LOCK:
+        if system.AMBIENT_CAPTURE is not None:
             raise RuntimeError("an obs.capture() scope is already active; "
                                "captures do not nest")
-        _ACTIVE = scope
+        system.AMBIENT_CAPTURE = scope
     try:
         yield scope
     finally:
-        with _ACTIVE_LOCK:
-            _ACTIVE = None
+        with _CAPTURE_LOCK:
+            system.AMBIENT_CAPTURE = None

@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import events as kinds
-from .events import category
+from ..runtime import events as kinds
+from ..runtime.events import category
 from .spans import Span, build_spans, span_outcomes
 
 #: Timestamp scale: virtual seconds → trace microseconds.

@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` is the metrics half of the observability
 layer.  It follows the repo's established merge algebra —
 :class:`~repro.analysis.histograms.LatencyHistogram` for distributions,
 and the ``snapshot()`` / ``restore()`` / ``merge()`` triple that
-:class:`~repro.analysis.metrics.RunMetrics`,
+:class:`~repro.runtime.metrics.RunMetrics`,
 :class:`~repro.net.network.MessageStatistics`, and
 :class:`~repro.workload.admission.AdmissionStats` already speak — so
 per-run registries from sharded or repeated runs aggregate exactly:

@@ -52,11 +52,11 @@ from bisect import bisect_left
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from ..runtime.events import (ACTION_ABORTING, ACTION_CONCLUDED,
+                              ACTION_ENTERED, ACTION_RAISED, ACTION_SIGNALLED,
+                              JOB_COMPLETED, KERNEL_STEP, MESSAGE_DELIVERED,
+                              MESSAGE_DROPPED, MESSAGE_SENT, RPC_FAILURE)
 from .config import ObsConfig
-from .events import (ACTION_ABORTING, ACTION_CONCLUDED, ACTION_ENTERED,
-                     ACTION_RAISED, ACTION_SIGNALLED, JOB_COMPLETED,
-                     KERNEL_STEP, MESSAGE_DELIVERED, MESSAGE_DROPPED,
-                     MESSAGE_SENT, RPC_FAILURE)
 from .metrics import MetricsRegistry, Timeline
 from .recorder import FlightRecorder, dump_window
 

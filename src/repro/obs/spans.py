@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from . import events as kinds
+from ..runtime import events as kinds
 
 #: Life-cycle kinds recorded as markers inside an open span: every
 #: action kind but the two that open and close it.

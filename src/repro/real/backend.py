@@ -4,10 +4,11 @@
 ``multiprocessing``'s *spawn* context so children re-import the code
 tree instead of forking kernel state), runs the parent hub, enforces a
 hard wall-clock timeout, and merges the children's ``final`` records
-into one :func:`repro.core.oracles.check`.  :func:`assemble_result` is
-shared with :func:`~repro.net.real.scenarios.run_sim` so both backends
-produce the identical :class:`RealRunResult` shape — the object the
-parity tests compare field by field.
+into one :func:`repro.core.oracles.check`.  It judges them with
+:func:`~repro.bench.scenarios.assemble_result`, as
+:func:`~repro.bench.scenarios.run_sim` does, so both backends produce the
+identical :class:`~repro.bench.scenarios.RealRunResult` shape — the
+object the parity tests compare field by field.
 """
 
 from __future__ import annotations
@@ -16,93 +17,16 @@ import asyncio
 import multiprocessing
 import sys
 import time
-from collections import Counter
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...core import oracles
-from ...core.oracles import OracleViolation, RunRecord
-from ..network import MessageStatistics
+from ..bench.engine import REGISTRY
+from ..bench.scenarios import RealRunResult, assemble_result
 from .host import run_node
 from .hub import Hub
 
 
 class RealBackendError(RuntimeError):
     """The real backend could not complete a run (timeout, dead fleet...)."""
-
-
-@dataclass
-class RealRunResult:
-    """Outcome of one scenario run, identical in shape on both backends."""
-
-    scenario: str
-    backend: str
-    params: Dict[str, Any]
-    #: Oracle violations over :attr:`record` ([] == run passed).
-    violations: List[OracleViolation]
-    #: (action, status) -> number of concluded participations.
-    outcomes: Dict[Tuple[str, str], int]
-    #: Merged message-statistics snapshot.
-    stats: Dict[str, Any]
-    #: The per-node final frames, ``{"record", "stats", "obs_events",
-    #: ...}`` ("sim" is the single key on the sim backend).
-    records: Dict[str, Dict[str, Any]]
-    #: The nodes' oracle records merged in node order: what
-    #: :attr:`violations` judged.
-    record: RunRecord
-    #: Nodes whose process died / connection dropped before finalizing.
-    crashed: List[str] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def row(self, point: Dict[str, Any]) -> Dict[str, Any]:
-        """The run as ``point``'s sweep row: the same keys on both backends."""
-        return {
-            **point,
-            "backend": self.backend,
-            "n_violations": len(self.violations),
-            "violations": [str(violation) for violation in self.violations],
-            "outcomes": {f"{action}/{status}": count
-                         for (action, status), count
-                         in sorted(self.outcomes.items())},
-            "crashed": list(self.crashed),
-            "counters": list(self.record.counters),
-            "by_type": dict(sorted(self.stats["by_type"].items())),
-            "wall_seconds": self.wall_time,
-        }
-
-
-def outcome_counts(frames: List[Dict[str, Any]]
-                   ) -> Dict[Tuple[str, str], int]:
-    """(action, status) conclusion counts from the bridged obs events."""
-    counts: Counter = Counter()
-    for frame in frames:
-        for event in frame["obs_events"]:
-            if event.get("kind") == "action.concluded":
-                counts[(event.get("action"), event.get("status"))] += 1
-    return dict(counts)
-
-
-def assemble_result(scenario: str, backend: str,
-                    records: Dict[str, Dict[str, Any]],
-                    crashed: List[str], wall_time: float,
-                    params: Optional[Dict[str, Any]] = None) -> RealRunResult:
-    frames = [frame for _, frame in sorted(records.items())]
-    merged = RunRecord.merge(frame["record"] for frame in frames)
-    stats = MessageStatistics()
-    for frame in frames:
-        stats.merge(frame["stats"])
-    return RealRunResult(
-        scenario=scenario, backend=backend, params=dict(params or {}),
-        # A run with injected crashes is allowed to strand participations
-        # (the paper's liveness guarantees assume delivery).
-        violations=oracles.check(merged, require_liveness=not crashed),
-        outcomes=outcome_counts(frames), stats=stats.snapshot(),
-        records=records, record=merged, crashed=sorted(crashed),
-        wall_time=wall_time)
 
 
 # ----------------------------------------------------------------------
@@ -128,13 +52,16 @@ class RealBackend:
             **overrides: Any) -> RealRunResult:
         """Run ``scenario``; ``kill=(node, wall_delay)`` injects a crash.
 
-        ``overrides`` is one grid point of the registered scenario; it is
-        validated and defaulted before any process is spawned.
+        ``overrides`` is one grid point of the registered scenario; it and
+        the ``kill`` target are validated, and the point defaulted, before
+        any process is spawned.
         """
-        from ...bench.engine import REGISTRY
-
         spec = REGISTRY.get(scenario)
         spec.require_nodes()
+        if kill is not None and kill[0] not in spec.nodes:
+            raise ValueError(
+                f"kill target {kill[0]!r} is not a node of scenario "
+                f"{spec.name!r} (nodes: {', '.join(spec.nodes)})")
         params = spec.bind_point(overrides)
         return asyncio.run(self._run(spec, params, kill))
 
@@ -204,8 +131,8 @@ class RealBackend:
     async def _kill_later(self, processes: Dict[str, Any], node: str,
                           delay: float) -> None:
         await asyncio.sleep(delay)
-        process = processes.get(node)
-        if process is not None and process.is_alive():
+        process = processes[node]
+        if process.is_alive():
             process.kill()
 
     async def _reap_dead(self, hub: Hub, processes: Dict[str, Any]) -> None:

@@ -6,7 +6,7 @@ the *deterministic sim kernel* paced against the wall clock: an event
 scheduled at virtual time ``t`` executes no earlier than
 ``start + t * time_scale`` seconds of real time.  Between kernel steps
 the process pumps its hub socket with ``select`` — wire messages are
-injected into the local :class:`~repro.net.real.realnet.RealNetwork`
+injected into the local :class:`~repro.net.realnet.RealNetwork`
 honouring the sender's virtual delivery stamp.
 
 The kernel is single-threaded and generator-based, which is exactly why
@@ -100,8 +100,8 @@ def run_node(host: str, port: int, scenario: str, node: str,
     arrives as picklable arguments and the scenario is resolved by name
     in :data:`repro.bench.engine.REGISTRY` inside the child.
     """
-    from ...bench.engine import REGISTRY
-    from .scenarios import collect_record
+    from ..bench.engine import REGISTRY
+    from ..bench.scenarios import collect_record
 
     link = _HubLink(host, port)
     built = REGISTRY.get(scenario).build_node(

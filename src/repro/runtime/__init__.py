@@ -7,30 +7,16 @@ the coordination protocols of :mod:`repro.core` executed over the simulated
 network of :mod:`repro.net`.
 """
 
-from .config import ALGORITHMS, RuntimeConfig
-from .context import ProgramContext, RoleContext
-from .dispatcher import Dispatcher
-from .effects import PartitionEffectInterpreter
-from .frames import ActionFrame, FrameStack, PendingAbort
-from .lifecycle import ActionLifecycle
-from .partition import Partition
-from .report import ActionReport, ActionStatus
-from .system import DistributedCASystem, SystemConfigurationError
+from .._lazy import attach
 
-__all__ = [
-    "ActionFrame",
-    "ActionLifecycle",
-    "ActionReport",
-    "ActionStatus",
-    "ALGORITHMS",
-    "Dispatcher",
-    "DistributedCASystem",
-    "FrameStack",
-    "Partition",
-    "PartitionEffectInterpreter",
-    "PendingAbort",
-    "ProgramContext",
-    "RoleContext",
-    "RuntimeConfig",
-    "SystemConfigurationError",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "config": ["ALGORITHMS", "RuntimeConfig"],
+    "context": ["ProgramContext", "RoleContext"],
+    "dispatcher": ["Dispatcher"],
+    "effects": ["PartitionEffectInterpreter"],
+    "frames": ["ActionFrame", "FrameStack", "PendingAbort"],
+    "lifecycle": ["ActionLifecycle"],
+    "partition": ["Partition"],
+    "report": ["ActionReport", "ActionStatus"],
+    "system": ["DistributedCASystem", "SystemConfigurationError"],
+})

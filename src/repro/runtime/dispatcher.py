@@ -25,9 +25,9 @@ from ..core.messages import (
     ProtocolMessage,
     ToBeSignalledMessage,
 )
-from ..obs import events as kinds
 from ..simkernel.channels import Mailbox
 from ..simkernel.events import Event
+from . import events as kinds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .partition import Partition

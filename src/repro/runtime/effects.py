@@ -20,7 +20,7 @@ from ..core import effects as fx
 from ..core.exceptions import ActionAborted, ExceptionDescriptor
 from ..core.signalling import PerformUndo, SignalOutcome
 from ..objects.transaction import TransactionStatus
-from ..obs import events as kinds
+from . import events as kinds
 from .frames import PendingAbort
 
 if TYPE_CHECKING:  # pragma: no cover

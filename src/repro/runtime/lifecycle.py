@@ -27,8 +27,8 @@ from ..core.messages import EnterActionMessage, ExitReadyMessage
 from ..core.signalling import SignalCoordinator
 from ..core.state import ActionContext, min_thread
 from ..objects.transaction import TransactionStatus
-from ..obs import events as kinds
 from ..simkernel.events import Interrupt
+from . import events as kinds
 from .context import RoleContext
 from .frames import AbortedByEnclosing, ActionFrame
 from .report import ActionReport, ActionStatus

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.exceptions import NO_EXCEPTION
-from ..obs import events as kinds
+from . import events as kinds
 
 
 @dataclass(slots=True)

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core import oracles
 from ..core.oracles import OracleViolation, RunRecord, ThreadQuiescence
 from ..objects.transaction import TransactionStatus
-from ..obs import events as kinds
+from . import events as kinds
 from .system import DistributedCASystem
 
 

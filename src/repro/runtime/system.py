@@ -11,7 +11,7 @@ typical use (see ``examples/quickstart.py``) is:
 The system owns the runtime's one **life-cycle event seam**: every
 protocol point a participant passes is reported by exactly one
 :meth:`DistributedCASystem.emit` call naming an action/signal kind of
-:mod:`repro.obs.events`.  ``system.metrics`` is subscribed from
+:mod:`repro.runtime.events`.  ``system.metrics`` is subscribed from
 construction; the oracle collector
 (:class:`~repro.runtime.monitor.InvariantMonitor`) and an attached
 ``repro.obs`` observation join through :meth:`~DistributedCASystem.subscribe`.
@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
-from .. import obs
-from ..analysis.metrics import RunMetrics
 from ..core.action import ActionRegistry, CAActionDefinition
 from ..core.state import thread_order_key
 from ..net.faults import FaultPlan
@@ -33,7 +31,14 @@ from ..net.network import Network
 from ..objects.transaction import Transaction, TransactionManager
 from ..simkernel.kernel import Kernel
 from .config import RuntimeConfig
+from .metrics import RunMetrics
 from .partition import Partition
+
+#: The ambient observation scope: every system built while it is set is
+#: handed to its ``adopt(system)``.  :func:`repro.obs.capture` sets and
+#: clears it; ``None`` (observability off) costs the constructor one
+#: module-global read.
+AMBIENT_CAPTURE: Optional[Any] = None
 
 
 class SystemConfigurationError(RuntimeError):
@@ -137,9 +142,9 @@ class DistributedCASystem:
         #: called as ``(kind, now, thread, action, instance, data)``.
         self.subscribers: List[Callable[..., None]] = [self.metrics.on_event]
         #: The attached :class:`~repro.obs.observation.SystemObservation`,
-        #: or ``None`` (the default — observability off).  Set either by an
-        #: ambient ``obs.capture()`` scope via the adoption call below, or
-        #: directly through :func:`repro.obs.observe_system`.
+        #: or ``None`` (the default — observability off).  Set either by
+        #: :data:`AMBIENT_CAPTURE` adopting the system below, or directly
+        #: through :func:`repro.obs.observe_system`.
         self.observation = None
         #: Optional hook ``(instance_key, definition) -> Transaction``
         #: consulted by :meth:`transaction_for` before the local
@@ -147,7 +152,9 @@ class DistributedCASystem:
         #: returns remote-object proxies; ``None`` (the default) keeps the
         #: historical all-local path byte-identical.
         self.transaction_factory = None
-        obs.maybe_observe(self)
+        ambient = AMBIENT_CAPTURE
+        if ambient is not None:
+            ambient.adopt(self)
 
     # ------------------------------------------------------------------
     # The life-cycle event seam
@@ -160,7 +167,7 @@ class DistributedCASystem:
              instance: Optional[str], **data) -> None:
         """Report one protocol point of ``thread`` in ``action``/``instance``.
 
-        ``kind`` is an action/signal constant of :mod:`repro.obs.events`;
+        ``kind`` is an action/signal constant of :mod:`repro.runtime.events`;
         ``data`` carries its fields as live objects (exception descriptors,
         status enums) for each subscriber to render as it needs.
         """

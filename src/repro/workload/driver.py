@@ -28,7 +28,7 @@ The driver keeps state for the instances in flight, not for every
 instance served: once a job settles (completed or dropped) it lives on
 only in counters and histograms, and the :class:`Job` itself is freed by
 reference counting unless the caller kept what :meth:`WorkloadDriver.
-submit` returned.  The system's :class:`~repro.analysis.metrics.
+submit` returned.  The system's :class:`~repro.runtime.metrics.
 RunMetrics` likewise counts outcomes instead of listing them.
 
 Everything runs in deterministic virtual time; a ``(system build, seed,
@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.histograms import LatencyHistogram
 from ..core.state import thread_order_key
-from ..obs import events as kinds
+from ..runtime import events as kinds
 from ..runtime.system import DistributedCASystem, SystemConfigurationError
 from ..simkernel.channels import Mailbox
 from ..simkernel.events import Event

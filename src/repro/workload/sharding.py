@@ -29,7 +29,7 @@ scales the *capacity* workload horizontally instead:
 * shard results come back as plain snapshots and merge through the
   already merge-safe telemetry types —
   :meth:`repro.analysis.histograms.LatencyHistogram.merge`,
-  :meth:`repro.analysis.metrics.RunMetrics.merge`,
+  :meth:`repro.runtime.metrics.RunMetrics.merge`,
   :meth:`repro.net.network.MessageStatistics.merge` and
   :meth:`repro.workload.admission.AdmissionStats.merge` — into one
   report carrying both per-shard and merged views.
@@ -50,10 +50,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.histograms import LatencyHistogram
-from ..analysis.metrics import RunMetrics
 from ..net.latency import ConstantLatency
 from ..net.network import MessageStatistics
 from ..runtime.config import RuntimeConfig
+from ..runtime.metrics import RunMetrics
 from ..runtime.monitor import InvariantMonitor
 from ..runtime.system import DistributedCASystem
 from ..simkernel.rng import SeededStreams
@@ -378,7 +378,7 @@ class ShardedPool:
     A shard's memory does not grow with the instances it serves: its
     :class:`~repro.workload.driver.WorkloadDriver` keeps state only for
     the instances in flight and has the shard's
-    :class:`~repro.analysis.metrics.RunMetrics` count outcomes instead of
+    :class:`~repro.runtime.metrics.RunMetrics` count outcomes instead of
     listing them, so the per-shard ``metrics`` snapshot carries counters
     and an empty ``action_outcomes`` list.
     """
@@ -656,17 +656,30 @@ def run_scale_point(n_instances: int, n_shards: int, offered_load: float,
     return row
 
 
+#: Row keys excluded from canonical documents and digests: wall-clock
+#: measurements and executor identity are the only scenario outputs that
+#: legitimately differ between runs (``scale`` rows carry wall-clock rates
+#: plus the worker count/executor that produced them; the merged
+#: virtual-time content is identical for any executor and stays in the
+#: digest).  The conformance canonicaliser strips the same keys.
+VOLATILE_KEYS = frozenset({
+    "wall_seconds",
+    "instances_per_second",
+    "submitted_per_second",
+    "executor",
+    "workers",
+})
+
+
 def merged_snapshot_digest(row: Mapping[str, Any]) -> str:
     """A stable hash over a scale row's deterministic content.
 
-    Strips the same volatile fields as the conformance canonicaliser, so
-    sequential and process-pool executions of one plan hash identically
-    — the check ``tests/workload/test_sharding.py`` runs for workers
+    Strips :data:`VOLATILE_KEYS`, so sequential and process-pool
+    executions of one plan hash identically — the check
+    ``tests/workload/test_sharding.py`` runs for workers
     ∈ {sequential, 2, 4}.
     """
     import hashlib
-
-    from ..conformance import VOLATILE_KEYS
 
     deterministic = {key: value for key, value in row.items()
                      if key not in VOLATILE_KEYS}

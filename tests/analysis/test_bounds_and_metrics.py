@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    ActionOutcome,
-    RunMetrics,
     TimingParameters,
     campbell_randell_reference_messages,
     campbell_randell_resolution_calls,
@@ -19,7 +17,8 @@ from repro.analysis import (
     signalling_messages_worst_case,
     theorem2_worst_case_messages,
 )
-from repro.obs import events as kinds
+from repro.runtime import events as kinds
+from repro.runtime.metrics import ActionOutcome, RunMetrics
 from tests.conftest import feed, feed_outcome
 
 

@@ -22,9 +22,9 @@ import random
 import pytest
 
 from repro.analysis.histograms import LatencyHistogram
-from repro.analysis.metrics import ActionOutcome, RunMetrics
 from repro.net.network import MessageStatistics
-from repro.obs import events as kinds
+from repro.runtime import events as kinds
+from repro.runtime.metrics import ActionOutcome, RunMetrics
 from repro.workload.admission import AdmissionStats
 from tests.conftest import feed, feed_outcome
 

@@ -20,7 +20,7 @@ from repro.core.exception_graph import generate_full_graph
 from repro.core.resolution import CoordinatorBase, ResolutionCoordinator
 from repro.core.exceptions import NO_EXCEPTION
 from repro.net import ConstantLatency
-from repro.obs import events as kinds
+from repro.runtime import events as kinds
 from repro.runtime import DistributedCASystem, RuntimeConfig
 from repro.runtime.report import ActionStatus
 from repro.simkernel import Kernel

@@ -6,7 +6,7 @@ from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
 from repro.explore.trace import TraceRecorder, canonical_trace, trace_digest
 from repro.net.faults import FaultDirective
-from repro.obs.events import KERNEL_STEP
+from repro.runtime.events import KERNEL_STEP
 
 RACE_PLAN = ExplorationPlan(directives=(
     FaultDirective("delay_type", source="T2", destination="T3",

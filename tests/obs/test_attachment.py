@@ -15,9 +15,9 @@ from collections import Counter
 import pytest
 
 from repro import obs
+from repro.bench.scenarios import run_sim
 from repro.net import ConstantLatency
-from repro.net.real import run_sim
-from repro.net.real.realnet import RealNetwork
+from repro.net.realnet import RealNetwork
 from repro.runtime import DistributedCASystem, RuntimeConfig
 from repro.simkernel import Kernel
 from repro.workload import WorkloadDriver

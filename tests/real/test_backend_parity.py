@@ -15,12 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.engine import REGISTRY
-from repro.net.real import RealBackendError, run_real, run_sim
+from repro.bench.scenarios import run_sim
+from repro.real import RealBackend, RealBackendError
 
 pytestmark = pytest.mark.realbackend
 
 #: Fast pacing for CI: 0.01 wall seconds per virtual time unit.
-FAST = {"time_scale": 0.01, "wall_timeout": 90.0}
+FAST = RealBackend(time_scale=0.01, wall_timeout=90.0)
 
 REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.nodes]
 ALGORITHMS = ("ours", "campbell-randell", "romanovsky96")
@@ -30,7 +31,7 @@ ALGORITHMS = ("ours", "campbell-randell", "romanovsky96")
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_parity(name, algorithm):
     sim = run_sim(name, iterations=2, algorithm=algorithm)
-    real = run_real(name, iterations=2, algorithm=algorithm, **FAST)
+    real = FAST.run(name, iterations=2, algorithm=algorithm)
     assert sim.violations == []
     assert real.violations == []
     assert real.outcomes == sim.outcomes
@@ -46,8 +47,8 @@ def test_crashed_node_does_not_hang_the_run():
     # hub's stall window finalizes them, and the liveness oracles are
     # waived (the paper's guarantees assume delivery) while the safety
     # oracles still run — and must hold.
-    result = run_real("figure9", iterations=5, time_scale=0.1,
-                      wall_timeout=60.0, stall=1.5, kill=("T3", 0.6))
+    result = RealBackend(time_scale=0.1, wall_timeout=60.0, stall=1.5).run(
+        "figure9", iterations=5, kill=("T3", 0.6))
     assert result.crashed == ["T3"]
     assert set(result.records) == {"T1", "T2"}
     assert result.violations == []
@@ -58,5 +59,5 @@ def test_wall_timeout_kills_the_fleet():
     # must raise instead of hanging, and must not leak children (the
     # finally block kills them — join() would hang this test otherwise).
     with pytest.raises(RealBackendError, match="wall-clock timeout"):
-        run_real("figure9", iterations=50, time_scale=10.0,
-                 wall_timeout=3.0)
+        RealBackend(time_scale=10.0, wall_timeout=3.0).run(
+            "figure9", iterations=50)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.real.framing import (
+from repro.real.framing import (
     FrameDecoder,
     FramingError,
     MAX_FRAME,

@@ -12,8 +12,8 @@ import asyncio
 
 import pytest
 
-from repro.net.real.framing import FrameDecoder, encode_frame
-from repro.net.real.hub import Hub
+from repro.real.framing import FrameDecoder, encode_frame
+from repro.real.hub import Hub
 
 
 class FakeNode:

@@ -1,11 +1,11 @@
-"""Real-capable scenarios on the sim backend, and the engine wiring.
+"""Real-capable scenarios on the sim backend, and the backend's checks.
 
 These are the fast halves of the backend-parity contract: every scenario
 of the one registry that declares ``nodes`` runs all-local on the
-deterministic kernel through its node builder, and the engine's
-``ScenarioConfig(backend=...)`` routing and parameter validation are
-checked without spawning any process.  The multi-process halves live in
-``test_backend_parity.py`` under the ``realbackend`` marker.
+deterministic kernel through its node builder, and
+:meth:`~repro.real.RealBackend.run` validates its scenario, parameters
+and crash target without spawning any process.  The multi-process halves
+live in ``test_backend_parity.py`` under the ``realbackend`` marker.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import engine
-from repro.bench.engine import REGISTRY, ScenarioConfig, run_scenario
+from repro.bench.engine import REGISTRY, run_scenario
+from repro.bench.scenarios import collect_record, run_sim
 from repro.core.registry import ParamValidationError
-from repro.net.real import RealBackend
-from repro.net.real.framing import FrameDecoder, encode_frame
-from repro.net.real.host import NodeInbox
-from repro.net.real.scenarios import collect_record, run_sim
+from repro.real import RealBackend
+from repro.real.framing import FrameDecoder, encode_frame
+from repro.real.host import NodeInbox
 
 REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.nodes]
 ALGORITHMS = ["ours", "campbell-randell", "romanovsky96"]
@@ -130,9 +130,9 @@ class TestParamValidation:
             raise AssertionError("validation must come before any build")
         monkeypatch.setattr("repro.bench.scenarios.build_experiment1",
                             forbidden)
-        monkeypatch.setattr("repro.net.real.backend.asyncio.run", forbidden)
+        monkeypatch.setattr("repro.real.backend.asyncio.run", forbidden)
         monkeypatch.setattr(
-            "repro.net.real.backend.multiprocessing.get_context", forbidden)
+            "repro.real.backend.multiprocessing.get_context", forbidden)
 
     def test_run_sim_rejects_a_misspelt_parameter(self, no_build):
         with pytest.raises(ParamValidationError,
@@ -147,6 +147,32 @@ class TestParamValidation:
     def test_real_backend_rejects_a_mistyped_value(self, no_build):
         with pytest.raises(ParamValidationError, match="expects int"):
             RealBackend().run("remote_counter", iterations="three")
+
+    def test_only_real_capable_scenarios_run_on_either_backend(
+            self, no_build):
+        with pytest.raises(KeyError, match="not real-capable"):
+            RealBackend().run("capacity", offered_load=1.0)
+        with pytest.raises(KeyError, match="not real-capable"):
+            run_sim("capacity", offered_load=1.0)
+
+
+def test_a_crash_target_outside_the_scenario_starts_no_process(monkeypatch):
+    # A mistyped node used to kill nothing, so the run passed without the
+    # crash it asked for.
+    spawned = []
+
+    class SpawnContext:
+        def Process(self, **options):
+            spawned.append(options["name"])
+            raise AssertionError("the kill target is checked before spawn")
+
+    monkeypatch.setattr("repro.real.backend.multiprocessing.get_context",
+                        lambda method: SpawnContext())
+    with pytest.raises(ValueError, match=r"'T9' is not a node of scenario "
+                                         r"'figure9' \(nodes: T1, T2, T3\)"):
+        RealBackend(wall_timeout=5.0).run("figure9", iterations=1,
+                                          kill=("T9", 0.1))
+    assert spawned == []
 
 
 class TestNodeInbox:
@@ -173,29 +199,3 @@ class TestNodeInbox:
         inbox = NodeInbox(self._Network())
         inbox.handle([{"kind": "finalize"}])
         assert inbox.finalizing and not inbox.started
-
-
-class TestEngineWiring:
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_scenario("figure9", config=ScenarioConfig(backend="fpga"))
-
-    def test_real_backend_requires_a_real_capable_scenario(self):
-        with pytest.raises(KeyError, match="not real-capable"):
-            run_scenario("capacity", config=ScenarioConfig(backend="real"))
-        with pytest.raises(KeyError, match="not real-capable"):
-            run_sim("capacity", offered_load=1.0)
-
-    def test_real_backend_validates_points_like_a_sim_sweep(self):
-        with pytest.raises(ParamValidationError,
-                           match="unknown parameter 'iteratons'"):
-            run_scenario("figure9", points=[{"iteratons": 1}],
-                         config=ScenarioConfig(backend="real"))
-
-    def test_sim_backend_default_leaves_registry_path_untouched(self):
-        rows = run_scenario("figure9",
-                            points=[{"varying": "t_msg", "value": 0.2,
-                                     "iterations": 1}],
-                            config=ScenarioConfig(backend="sim"))
-        assert len(rows) == 1
-        assert "total_time" in rows[0]

@@ -11,7 +11,6 @@ the interface exception ``eps``.
 from collections import Counter
 
 from repro import obs
-from repro.analysis import RunMetrics
 from repro.core.action import CAActionDefinition, RoleDefinition
 from repro.core.exception_graph import generate_full_graph
 from repro.core.exceptions import interface, internal
@@ -19,8 +18,9 @@ from repro.core.handlers import HandlerMap, HandlerResult
 from repro.runtime.monitor import InvariantMonitor
 from repro.explore.targets import delay_handler, install_action
 from repro.net.latency import ConstantLatency
-from repro.obs import events as kinds
+from repro.runtime import events as kinds
 from repro.runtime import DistributedCASystem, RuntimeConfig
+from repro.runtime.metrics import RunMetrics
 
 OUTER_FAULT = internal("outer_fault")
 ABORT_RESIDUE = internal("abort_residue")

@@ -83,21 +83,34 @@ def test_check_rejects_an_unknown_case(capsys):
 class TestReal:
     @pytest.fixture
     def matrix(self, monkeypatch, tmp_path):
-        """Recorded ``run_scenario`` calls; each fake row carries
+        """Recorded backend pacing and runs; each fake result carries
         ``result["violations"]`` oracle violations."""
-        from repro.bench import engine
+        from repro.real import backend
         calls = []
         result = {"violations": 0}
 
-        def fake_run_scenario(name, points, config):
-            # Stands in for the matrix run, so no OS process is started.
-            calls.append((name, points, config.backend, config.export_dir,
-                          config.backend_options))
-            return [{"algorithm": point["algorithm"],
-                     "n_violations": result["violations"]}
-                    for point in points]
+        class FakeResult:
+            # Two nodes' bridged events, listed out of node order.
+            records = {"T2": {"obs_events": [{"kind": "action.entered",
+                                              "t": 0.5}]},
+                       "T1": {"obs_events": [{"kind": "action.entered",
+                                              "t": 0.0},
+                                             {"kind": "action.concluded",
+                                              "t": 1.0}]}}
 
-        monkeypatch.setattr(engine, "run_scenario", fake_run_scenario)
+            def row(self, point):
+                return {**point, "n_violations": result["violations"]}
+
+        class FakeBackend:
+            # Stands in for the OS-process runner: no process is started.
+            def __init__(self, time_scale, wall_timeout):
+                calls.append(("pacing", time_scale, wall_timeout))
+
+            def run(self, name, **point):
+                calls.append((name, point))
+                return FakeResult()
+
+        monkeypatch.setattr(backend, "RealBackend", FakeBackend)
         monkeypatch.chdir(tmp_path)
         return calls, result
 
@@ -106,33 +119,49 @@ class TestReal:
         calls, _ = matrix
         assert main(["real", "--scenario", "remote_counter",
                      "--time-scale", "0.5", "--wall-timeout", "30",
-                     "--obs-dir", "real-obs", "--output", "matrix.json"]) == 0
-        points = [{"algorithm": algorithm, "iterations": 1} for algorithm
-                  in ("ours", "campbell-randell", "romanovsky96")]
-        assert calls == [("remote_counter", points, "real", "real-obs",
-                          {"time_scale": 0.5, "wall_timeout": 30.0})]
+                     "--output", "matrix.json"]) == 0
+        assert calls == [("pacing", 0.5, 30.0)] + [
+            ("remote_counter", {"algorithm": algorithm, "iterations": 1})
+            for algorithm in ("ours", "campbell-randell", "romanovsky96")]
         document = json.loads((tmp_path / "matrix.json").read_text())
         assert sorted(document) == ["backend", "oracle_violations", "python",
                                     "rows", "schema", "time_scale"]
         assert document["schema"] == 1 and document["time_scale"] == 0.5
         assert document["rows"][0] == {"scenario": "remote_counter",
-                                       "algorithm": "ours", "n_violations": 0}
+                                       "algorithm": "ours", "iterations": 1,
+                                       "n_violations": 0}
         assert "3 real-backend rows, 0 oracle violations" in \
             capsys.readouterr().out
+        assert not (tmp_path / "real-obs").exists()
 
     def test_defaults_and_any_violation_fails(self, clean_repro_logger,
                                               matrix, tmp_path, capsys):
         calls, result = matrix
         result["violations"] = 1
         assert main(["real"]) == 1
-        assert [call[0] for call in calls] == ["figure9", "remote_counter"]
-        assert calls[0][3:] == (None, {"time_scale": 0.02,
-                                       "wall_timeout": 120.0})
+        assert calls[0] == ("pacing", 0.02, 120.0)
+        assert [call[0] for call in calls[1:]] == \
+            ["figure9"] * 3 + ["remote_counter"] * 3
         document = json.loads(
             (tmp_path / "BENCH_realbackend.json").read_text())
         assert document["oracle_violations"] == 6
         assert "6 real-backend rows, 6 oracle violations" in \
             capsys.readouterr().out
+
+    def test_obs_dir_gets_one_event_file_per_run(self, clean_repro_logger,
+                                                 matrix, tmp_path):
+        # CI uploads this directory when a real run fails its oracles.
+        assert main(["real", "--scenario", "remote_counter",
+                     "--obs-dir", "real-obs"]) == 0
+        written = sorted(path.name for path in (tmp_path / "real-obs")
+                         .iterdir())
+        assert written == [f"remote_counter-{index}.events.jsonl"
+                           for index in range(3)]
+        lines = [json.loads(line) for line in
+                 (tmp_path / "real-obs" / written[0]).read_text()
+                 .splitlines()]
+        assert [(line["node"], line["t"]) for line in lines] == \
+            [("T1", 0.0), ("T1", 1.0), ("T2", 0.5)]
 
     @pytest.mark.parametrize("scenario", ["capacity", "nope"])
     def test_a_scenario_that_is_not_real_capable_is_a_usage_error(

@@ -36,12 +36,13 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 BUDGET = {
     "repro": 4,
     "repro.cli": 5,
-    "repro.workload.scenarios": 56,
-    "repro.bench.scenarios": 51,
+    "repro.runtime.system": 43,
+    "repro.workload.scenarios": 53,
+    "repro.bench.scenarios": 52,
     "repro.bench.engine": 54,
-    "repro.explore.explorer": 55,
+    "repro.explore.explorer": 54,
     "repro.explore.shrink": 22,
-    "repro.net.real.host": 8,
+    "repro.real.host": 7,
 }
 
 #: Modules no entry point may load at import.
@@ -88,9 +89,18 @@ def test_repro_module_count_stays_within_budget(entry_point):
 def test_real_backend_child_skips_the_parent_hub():
     # A node process imports the host module only; asyncio is the
     # parent hub's, multiprocessing the parent launcher's.
-    loaded = loaded_modules("repro.net.real.host")
+    loaded = loaded_modules("repro.real.host")
     assert "asyncio" not in loaded
-    assert "repro.net.real.backend" not in loaded
+    assert "repro.real.backend" not in loaded
+
+
+def test_the_runtime_loads_nothing_of_the_layers_it_feeds():
+    # Observation adopts a system through the runtime's own ambient slot,
+    # and the run metrics and event kinds are the runtime's: building a
+    # system needs neither obs nor the analytic bounds.
+    loaded = loaded_modules("repro.runtime.system")
+    assert [name for name in loaded if name.startswith(
+        ("repro.obs", "repro.analysis"))] == []
 
 
 def test_oracle_checked_workloads_load_no_explorer():

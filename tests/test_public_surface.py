@@ -25,10 +25,10 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 #: Each re-exporting package and the size of its ``__all__`` (a dropped
 #: re-export shrinks it).
-PACKAGES = {"repro": 9, "repro.analysis": 14, "repro.bench": 32,
+PACKAGES = {"repro": 9, "repro.analysis": 12, "repro.bench": 34,
             "repro.core": 61, "repro.explore": 14, "repro.net": 15,
-            "repro.net.real": 5, "repro.objects": 17, "repro.obs": 20,
-            "repro.workload": 24}
+            "repro.objects": 17, "repro.obs": 19, "repro.real": 2,
+            "repro.runtime": 15, "repro.workload": 24}
 
 SCENARIOS = ["figure9", "figure12_tmmax", "figure12_tres", "large_n",
              "wide_graph", "graph_microbench", "explore", "remote_counter",

@@ -181,7 +181,7 @@ class TestLifecycleHygiene:
         is freed by reference counting; object counts, not byte sizes,
         so the check holds on every interpreter version.
         """
-        from repro.analysis.metrics import ActionOutcome
+        from repro.runtime.metrics import ActionOutcome
         from repro.workload.driver import Job
 
         system = build_system()

@@ -6,8 +6,8 @@ import logging
 import pytest
 
 from repro.bench.engine import REGISTRY, run_scenario
-from repro.conformance import VOLATILE_KEYS
 from repro.workload.sharding import (
+    VOLATILE_KEYS,
     GlobalAdmissionController,
     ShardPlan,
     ShardedPool,
