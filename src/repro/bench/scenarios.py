@@ -121,7 +121,7 @@ def new_system(t_msg: float, algorithm: str = "ours",
     """A system with constant message latency ``t_msg`` (the paper's Tmmax).
 
     All-local on the sim network by default (``options`` pass ``faults`` /
-    ``kernel`` / ``keep_trace`` through).  With ``local`` set, this
+    ``kernel`` through).  With ``local`` set, this
     process is node ``local`` of a real-backend run: the network delivers
     locally only to that node and hands everything else to ``forward``.
     """

@@ -141,10 +141,10 @@ def _build_cases() -> Dict[str, ConformanceCase]:
         note="counter behind an RPC object host, ours + both baselines"))
 
     #: A 100-plan explorer sweep: each row's ``digest`` field is already a
-    #: hash over the canonical kernel/network/coordinator traces of its 25
-    #: plans, so this case pins the schedule- and byte-level behaviour of
-    #: the kernel itself (the other cases pin row-level outputs).  The
-    #: explorer's differential oracles run both baselines internally.
+    #: hash over the canonical traces (record logs, kernel steps included)
+    #: of its 25 plans, so this case pins the schedule- and byte-level
+    #: behaviour of the kernel itself (the other cases pin row-level
+    #: outputs).  It runs ``ours`` alone: no baseline, so no differential.
     add(ConformanceCase(
         "explore_100",
         (("explore", tuple(

@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ],
     "effects": [
         "AbortNested", "ChargeTime", "Effect", "HandleResolved",
-        "InformObjects", "InterruptRole", "LogEvent", "SendTo",
+        "InformObjects", "InterruptRole", "SendTo",
         "count_messages", "sends",
     ],
     "exception_graph": [

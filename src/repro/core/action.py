@@ -16,7 +16,8 @@ exception graph, the external objects, and nesting.  The dynamic behaviour
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set)
 
 from .exception_graph import ExceptionGraph
 from .exceptions import (
@@ -199,6 +200,10 @@ class ActionRegistry:
 
     def __len__(self) -> int:
         return len(self._actions)
+
+    def __iter__(self) -> Iterator[str]:
+        """The registered action names, in registration order."""
+        return iter(self._actions)
 
     def children_of(self, name: str) -> List[CAActionDefinition]:
         """All registered actions that declare ``name`` as their parent."""

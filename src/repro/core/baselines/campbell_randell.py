@@ -119,9 +119,8 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
     def receive(self, message: ProtocolMessage) -> List[fx.Effect]:
         if isinstance(message, (CRForwardMessage, CRResolvedMessage,
                                 CRConfirmMessage)):
-            misdirected = self._guard_round_message(message, kind="CR")
-            if misdirected is not None:
-                return misdirected
+            if self._guard_round_message(message):
+                return []
         if isinstance(message, CRForwardMessage):
             return self._receive_forward(message)
         if isinstance(message, CRResolvedMessage):
@@ -130,7 +129,7 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
             return self._receive_confirm(message)
         if isinstance(message, CommitMessage):
             # The CR scheme has no Commit; tolerate and ignore.
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit (CR mode)")]
+            return []
         return super().receive(message)
 
     # ------------------------------------------------------------------
@@ -163,7 +162,7 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
         context = self.active_context()
         if context is None or not self.sa.contains(message.action):
             self.retained.append(message)
-            return [fx.LogEvent(f"{self.thread_id} retained CR forward")]
+            return []
         known_before = set(self.le.exceptions_for(message.action))
         self._record(message.action, message.origin, message.exception,
                      instance=getattr(message, "instance", ""))
@@ -214,7 +213,6 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
         self.resolution_calls += 1
         resolved = context.resolve(raised)
         self._own_announced[action] = resolved
-        self._trace(f"CR resolve -> {resolved.name} in {action}")
         effects: List[fx.Effect] = [
             fx.ChargeTime("resolution", 1),
             fx.SendTo(context.others(self.thread_id),
@@ -245,7 +243,6 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
         final = context.resolve(set(announced.values()))
         self._own_confirmed[action] = final
         self._confirms.setdefault(action, set()).add(self.thread_id)
-        self._trace(f"CR confirm {final.name} in {action}")
         effects: List[fx.Effect] = [
             fx.SendTo(context.others(self.thread_id),
                    CRConfirmMessage(action, self.thread_id, final,
@@ -269,5 +266,4 @@ class CampbellRandellCoordinator(ResolutionCoordinator):
         final = self._own_confirmed[action]
         self.le.clear()
         self.handling[action] = final
-        self._trace(f"CR handle {final.name} in {action}")
         return [fx.HandleResolved(action, final, resolver=self.thread_id)]

@@ -77,15 +77,14 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
     # ------------------------------------------------------------------
     def receive(self, message: ProtocolMessage) -> List[fx.Effect]:
         if isinstance(message, (AgreementMessage, ConfirmMessage)):
-            misdirected = self._guard_round_message(message, kind="R96")
-            if misdirected is not None:
-                return misdirected
+            if self._guard_round_message(message):
+                return []
         if isinstance(message, AgreementMessage):
             return self._receive_agreement(message)
         if isinstance(message, ConfirmMessage):
             return self._receive_confirm(message)
         if isinstance(message, CommitMessage):
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit (R96 mode)")]
+            return []
         return super().receive(message)
 
     # ------------------------------------------------------------------
@@ -108,7 +107,6 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
         self.resolution_calls += 1
         resolved = context.resolve(raised)
         self._own_agreement[action] = resolved
-        self._trace(f"R96 agree {resolved.name} in {action}")
         effects: List[fx.Effect] = [
             fx.ChargeTime("resolution", 1),
             fx.SendTo(context.others(self.thread_id),
@@ -137,7 +135,6 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
         final = context.resolve(set(agreements.values()))
         self._own_confirmed[action] = final
         self._confirms.setdefault(action, set()).add(self.thread_id)
-        self._trace(f"R96 confirm {final.name} in {action}")
         effects: List[fx.Effect] = [
             fx.SendTo(context.others(self.thread_id),
                    ConfirmMessage(action, self.thread_id, final,
@@ -161,5 +158,4 @@ class Romanovsky96Coordinator(ResolutionCoordinator):
         final = self._own_confirmed[action]
         self.le.clear()
         self.handling[action] = final
-        self._trace(f"R96 handle {final.name} in {action}")
         return [fx.HandleResolved(action, final, resolver=self.thread_id)]

@@ -99,13 +99,6 @@ class ChargeTime(Effect):
     count: int = 1
 
 
-@dataclass(frozen=True, slots=True)
-class LogEvent(Effect):
-    """Diagnostic trace entry (never affects behaviour)."""
-
-    text: str
-
-
 _CAMEL_BOUNDARY = re.compile(r"(?<!^)(?=[A-Z])")
 
 

@@ -33,8 +33,7 @@ X = exceptional, S = suspended):
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from . import effects as fx
 from .exceptions import ExceptionDescriptor, RaisedRecord
@@ -84,13 +83,6 @@ class CoordinatorBase:
         self.pending_abort_target: Optional[str] = None
         #: Resolving exception currently being handled, per action.
         self.handling: Dict[str, ExceptionDescriptor] = {}
-        #: Trace of state transitions for debugging, tests and canonical
-        #: replay traces.  Unbounded here; a runtime that serves arbitrarily
-        #: many instances bounds it with :meth:`bound_trace`.
-        self.trace: Any = []
-        #: Transitions ever traced (exceeds ``len(trace)`` once a bounded
-        #: trace has evicted entries).
-        self.transitions = 0
         #: Count of local invocations of the resolution procedure.
         self.resolution_calls = 0
 
@@ -105,7 +97,6 @@ class CoordinatorBase:
                 f"{self.thread_id} is not a participant of {context.action}")
         self.sa.push(context)
         self.state = ThreadState.NORMAL
-        self._trace(f"enter {context.action}")
         return self._replay_retained(context)
 
     def leave_action(self, action: str, success: bool) -> List[fx.Effect]:
@@ -123,7 +114,6 @@ class CoordinatorBase:
         self._drop_retained(action, top.instance)
         self._clear_action_state(action)
         self.state = ThreadState.NORMAL if success else ThreadState.EXCEPTIONAL
-        self._trace(f"leave {action} ({'success' if success else 'failure'})")
         return []
 
     def abandon_instance(self, instance: str) -> None:
@@ -139,12 +129,8 @@ class CoordinatorBase:
         if not instance:
             return
         self.finished_instances.add(instance)
-        before = len(self.retained)
         self.retained = [m for m in self.retained
                          if getattr(m, "instance", "") != instance]
-        if len(self.retained) != before:
-            self._trace(f"drop retained for abandoned {instance}")
-        self._trace(f"abandon {instance}")
 
     def _clear_action_state(self, action: str) -> None:
         """Hook: drop any per-action protocol state when the action is left.
@@ -212,12 +198,9 @@ class CoordinatorBase:
                 parked.append(message)
                 continue
             staleness = self._message_staleness(message, context)
-            if staleness == "stale":
-                self._trace("drop stale retained for "
-                            f"{getattr(message, 'instance', '')}")
-            elif staleness == "other":
+            if staleness == "other":
                 parked.append(message)
-            else:
+            elif staleness == "current":
                 pending.append(message)
         self.retained = parked
         effects: List[fx.Effect] = []
@@ -244,39 +227,27 @@ class CoordinatorBase:
             return "other"
         return "current"
 
-    def _guard_round_message(self, message,
-                             kind: str = "round") -> Optional[List[fx.Effect]]:
+    def _guard_round_message(self, message) -> bool:
         """Instance hygiene for algorithm-specific round messages.
 
-        Returns ``None`` when the message belongs to the current instance
-        and should be processed.  A message stamped for a finished
-        instance is dropped; one stamped for a different, not-yet-finished
-        occurrence of an action this thread is currently in is retained
+        Returns ``False`` when the message belongs to the current instance
+        and should be processed, ``True`` when it was set aside here.  A
+        message stamped for a finished instance is dropped; one stamped
+        for a different, not-yet-finished occurrence of an action this
+        thread is currently in is retained
         (``_replay_retained`` feeds retained messages back through
         :meth:`receive` when that occurrence is entered).  The baselines'
         extra rounds (CR forward/resolved/confirm, R96 agreement/confirm)
         share this rule so their instance handling cannot diverge.
         """
         if self._message_staleness(message) == "stale":
-            self._trace(f"drop stale {kind} message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale {kind} "
-                                f"message for {message.instance}")]
+            return True
         target = self.sa.find(message.action)
         if target is not None and \
                 self._message_staleness(message, target) == "other":
             self.retained.append(message)
-            self._trace(f"retain {kind} message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained {kind} message "
-                                f"for {message.instance}")]
-        return None
-
-    def bound_trace(self, capacity: int) -> None:
-        """Keep only the most recent ``capacity`` transitions from now on."""
-        self.trace = deque(self.trace, maxlen=capacity)
-
-    def _trace(self, text: str) -> None:
-        self.transitions += 1
-        self.trace.append(f"{self.thread_id}: {text}")
+            return True
+        return False
 
     def _record(self, action: str, thread: str,
                 exception: Optional[ExceptionDescriptor],
@@ -313,7 +284,6 @@ class ResolutionCoordinator(CoordinatorBase):
         self.state = ThreadState.EXCEPTIONAL
         self._record(action, self.thread_id, exception,
                      instance=context.instance)
-        self._trace(f"raise {exception.name} in {action}")
 
         effects: List[fx.Effect] = [
             fx.SendTo(context.others(self.thread_id),
@@ -346,25 +316,19 @@ class ResolutionCoordinator(CoordinatorBase):
         if staleness == "stale":
             # The instance this message belongs to has already ended here;
             # retaining it would leak it (or poison a later instance).
-            self._trace(f"drop stale message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale message "
-                             f"for {message.instance}")]
+            return []
 
         if target_context is None:
             # "retain the Exception or Suspended message till Ti enters A*"
             self.retained.append(message)
-            self._trace(f"retain message for {target_action}")
-            return [fx.LogEvent(f"{self.thread_id} retained message for "
-                             f"{target_action}")]
+            return []
 
         if staleness == "other":
             # Stamped for a different occurrence of this action name that
             # has not ended here (e.g. the sender already re-entered it):
             # park it for that instance.
             self.retained.append(message)
-            self._trace(f"retain message for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained message for "
-                             f"{message.instance}")]
+            return []
 
         exception = (message.exception
                      if isinstance(message, ExceptionMessage) else None)
@@ -385,7 +349,6 @@ class ResolutionCoordinator(CoordinatorBase):
             self.state = ThreadState.SUSPENDED
             self._record(target_action, self.thread_id, None,
                          instance=target_context.instance)
-            self._trace(f"suspend in {target_action}")
             effects.append(fx.InterruptRole(target_action,
                                          exception if exception is not None
                                          else ExceptionDescriptor("suspended-peer")))
@@ -399,23 +362,17 @@ class ResolutionCoordinator(CoordinatorBase):
     def _receive_commit(self, message: CommitMessage) -> List[fx.Effect]:
         context = self.active_context()
         if self._message_staleness(message) == "stale":
-            self._trace(f"drop stale Commit for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} dropped stale Commit "
-                             f"for {message.instance}")]
+            return []
         if context is None or not self.sa.contains(message.action):
             # The action was never entered or has already ended on this
             # thread; a Commit for it is stale and safe to drop.
-            self._trace(f"ignore Commit for {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                             f"{message.action}")]
+            return []
         if self._message_staleness(message,
                                    self.sa.find(message.action)) == "other":
             # A Commit stamped for a different, not-yet-finished occurrence
             # of this action name: park it for that instance.
             self.retained.append(message)
-            self._trace(f"retain Commit for {message.instance}")
-            return [fx.LogEvent(f"{self.thread_id} retained Commit for "
-                             f"{message.instance}")]
+            return []
         if context.action != message.action:
             # The action is on the stack but not active — e.g. the Commit
             # arrived while this thread is still aborting nested actions
@@ -424,9 +381,7 @@ class ResolutionCoordinator(CoordinatorBase):
             # like Exception/Suspended messages, and replay it when the
             # action becomes active again (see abortion_completed).
             self.retained.append(message)
-            self._trace(f"retain Commit for {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} retained Commit for "
-                             f"{message.action}")]
+            return []
         if self.pending_abort_target is not None:
             # The Commit is for the active action, but that action is being
             # aborted by an enclosing exception: the resolution it announces
@@ -434,12 +389,9 @@ class ResolutionCoordinator(CoordinatorBase):
             # holds the enclosing action's records ("remove all elements
             # except <A*, Tj, Ej>"), and wiping them would lose the very
             # exception the abortion is resolving.
-            self._trace(f"ignore Commit for aborting {message.action}")
-            return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                             f"aborting {message.action}")]
+            return []
         self.le.clear()
         self.handling[message.action] = message.exception
-        self._trace(f"commit {message.exception.name} in {message.action}")
         return [fx.HandleResolved(message.action, message.exception,
                                resolver=message.resolver)]
 
@@ -454,14 +406,12 @@ class ResolutionCoordinator(CoordinatorBase):
                     self._is_strictly_higher(target_action,
                                              self.pending_abort_target):
                 self.pending_abort_target = target_action
-                self._trace(f"extend abort target to {target_action}")
-            return [fx.LogEvent(f"{self.thread_id} already aborting")]
+            return []
 
         nested = self.sa.actions_between_top_and(target_action)
         self.pending_abort_target = target_action
         # "remove all elements except <A*, Tj, Ej> in LEi"
         self.le.keep_only(record)
-        self._trace(f"abort nested {nested} up to {target_action}")
         return [
             fx.InterruptRole(self.active_action_name() or target_action,
                           cause if cause is not None
@@ -496,7 +446,6 @@ class ResolutionCoordinator(CoordinatorBase):
             # The abort target was extended while the runtime was aborting;
             # keep aborting the remaining chain.
             remaining = self.sa.actions_between_top_and(target)
-            self._trace(f"continue aborting {remaining} up to {target}")
             effects.append(fx.AbortNested(tuple(remaining), resume_action=target,
                                        cause=raised))
             return effects
@@ -506,7 +455,6 @@ class ResolutionCoordinator(CoordinatorBase):
             self.state = ThreadState.EXCEPTIONAL
             self._record(target, self.thread_id, raised,
                          instance=context.instance)
-            self._trace(f"abortion handler raised {raised.name} in {target}")
             effects.append(fx.SendTo(context.others(self.thread_id),
                                   ExceptionMessage(target, self.thread_id,
                                                    raised,
@@ -516,7 +464,6 @@ class ResolutionCoordinator(CoordinatorBase):
             self.state = ThreadState.SUSPENDED
             self._record(target, self.thread_id, None,
                          instance=context.instance)
-            self._trace(f"suspended after abortion in {target}")
             effects.append(fx.SendTo(context.others(self.thread_id),
                                   SuspendedMessage(target, self.thread_id,
                                                    instance=context.instance)))
@@ -567,8 +514,6 @@ class ResolutionCoordinator(CoordinatorBase):
         resolved = context.resolve(raised)
         self.le.clear()
         self.handling[action] = resolved
-        self._trace(f"resolve {sorted(e.name for e in raised)} -> "
-                    f"{resolved.name} in {action}")
         return [
             fx.ChargeTime("resolution", 1),
             fx.SendTo(context.others(self.thread_id),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .effects import Effect, LogEvent, SendTo
+from .effects import Effect, SendTo
 from .exceptions import (
     ExceptionDescriptor,
     ExceptionKind,
@@ -82,7 +82,6 @@ class SignalCoordinator:
         self._early: Dict[str, ExceptionDescriptor] = {}
         self._own_proposal: Optional[ExceptionDescriptor] = None
         self.messages_sent = 0
-        self.trace: List[str] = []
 
     # ------------------------------------------------------------------
     def propose(self, exception: Optional[ExceptionDescriptor]) -> List[Effect]:
@@ -98,7 +97,6 @@ class SignalCoordinator:
         proposal = exception if exception is not None else NO_EXCEPTION
         self._own_proposal = proposal
         self.proposals[self.thread_id] = proposal
-        self.trace.append(f"propose {proposal.name} (round {self.round_number})")
 
         others = self.context.others(self.thread_id)
         self.messages_sent += len(others)
@@ -114,26 +112,23 @@ class SignalCoordinator:
     def receive(self, message: ToBeSignalledMessage) -> List[Effect]:
         """Process a ``toBeSignalled`` message from a peer."""
         if message.action != self.context.action:
-            return [LogEvent(f"{self.thread_id} ignored toBeSignalled for "
-                             f"{message.action}")]
+            return []
         if message.instance and self.context.instance and \
                 message.instance != self.context.instance:
             # A proposal from a different instance of the same action name
             # (e.g. delayed past the end of its own instance) must not be
             # counted into this instance's agreement.
-            return [LogEvent(f"{self.thread_id} ignored toBeSignalled for "
-                             f"instance {message.instance}")]
+            return []
         if message.round_number != self.round_number:
             # A round-2 message can only arrive after this thread also moved
             # to round 2 (FIFO + the round is entered by everyone before any
             # round-2 proposal is sent); an old round-1 duplicate is ignored.
             if message.round_number < self.round_number:
-                return [LogEvent(f"{self.thread_id} ignored stale proposal")]
+                return []
             # Early round-2 message: remember it for when we enter round 2.
             self._early.setdefault(message.thread, message.exception)
             return []
         self.proposals[message.thread] = message.exception
-        self.trace.append(f"recv {message.exception.name} from {message.thread}")
         return self._maybe_decide()
 
     def peer_failed(self, thread: str) -> List[Effect]:
@@ -143,7 +138,6 @@ class SignalCoordinator:
         failure exception and ƒ is then recorded in listSignal_i."
         """
         self.proposals[thread] = FAILURE
-        self.trace.append(f"peer {thread} treated as failure")
         return self._maybe_decide()
 
     def undo_completed(self, successful: bool) -> List[Effect]:
@@ -184,7 +178,6 @@ class SignalCoordinator:
 
     def _decide(self, exception: ExceptionDescriptor) -> List[Effect]:
         self.decided = exception
-        self.trace.append(f"decide {exception.name}")
         return [SignalOutcome(self.context.action, exception)]
 
     def _enter_undo_round(self) -> List[Effect]:
@@ -192,5 +185,4 @@ class SignalCoordinator:
         self.round_number = 2
         self._own_proposal = None
         self.proposals, self._early = self._early, {}
-        self.trace.append("enter undo round")
         return [PerformUndo(self.context.action)]

@@ -12,8 +12,9 @@ mechanizes the search over that space:
 * :mod:`~repro.explore.generator` — :class:`FaultPlanGenerator`, seeded
   sampling of plans from the drop/corrupt/delay/crash vocabulary;
 * :mod:`~repro.explore.targets` — the scenario systems under exploration;
-* :mod:`~repro.explore.trace` — byte-identical canonical traces and
-  digests for deterministic replay checking;
+* :mod:`~repro.explore.trace` — each case's canonical trace, rendered
+  from the ``repro.obs`` record log its case attaches, and its digest
+  for deterministic replay checking;
 * :mod:`~repro.explore.explorer` — :class:`Explorer`, the budgeted sweep
   (also exposed as the scenario-engine workload ``"explore"``); every
   case is judged by :func:`repro.core.oracles.check` over the record of
@@ -31,5 +32,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "plan": ["ExplorationPlan"],
     "shrink": ["ShrinkResult", "shrink_plan", "to_pytest_source"],
     "targets": ["TARGETS", "ExplorationTarget"],
-    "trace": ["TraceRecorder", "canonical_trace", "trace_digest"],
+    "trace": ["canonical_trace", "trace_digest"],
 })

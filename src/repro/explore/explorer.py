@@ -24,7 +24,7 @@ from ..runtime.system import collector_paused
 from .generator import DEFAULT_KINDS, FaultPlanGenerator
 from .plan import ExplorationPlan
 from .targets import ExplorationTarget, get_target
-from .trace import TraceRecorder, canonical_trace, trace_digest
+from .trace import CASE_PROFILE, canonical_trace, trace_digest
 
 
 @dataclass
@@ -56,16 +56,15 @@ class CaseResult:
 
 
 def _execute(target: ExplorationTarget, plan: ExplorationPlan,
-             algorithm: str, record_trace: bool = True):
-    """One run; returns ``(system, monitor, recorder, error)``."""
+             algorithm: str, profile: obs.ObsConfig = CASE_PROFILE):
+    """One run; returns ``(system, monitor, error)``."""
     system = target.build(plan.make_fault_plan(), tie_seed=plan.tie_seed,
                           algorithm=algorithm)
     monitor = InvariantMonitor(system)
-    recorder = TraceRecorder(system) if record_trace else None
-    # Always-on flight recorder: a bounded ring (no unbounded event list,
-    # no metrics) so every failing case ships its terminal event window.
-    # Under an ambient obs.capture() this is the capture's observation.
-    obs.observe_system(system, obs.ObsConfig.flight_only())
+    # The case's one record of the run: its record log is the canonical
+    # trace, its flight ring the dump a failing case carries.  Under an
+    # ambient obs.capture() this is the capture's observation, widened.
+    obs.observe_system(system, profile)
     error: Optional[str] = None
     try:
         # Run to queue exhaustion rather than ``run_to_completion``: a
@@ -74,7 +73,7 @@ def _execute(target: ExplorationTarget, plan: ExplorationPlan,
         system.run()
     except Exception as exc:  # noqa: BLE001 — anything the sim surfaces
         error = f"{type(exc).__name__}: {exc}"
-    return system, monitor, recorder, error
+    return system, monitor, error
 
 
 def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
@@ -94,8 +93,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     """
     with collector_paused():
         resolved_target = get_target(target)
-        system, monitor, recorder, error = _execute(
-            resolved_target, plan, algorithm)
+        system, monitor, error = _execute(resolved_target, plan, algorithm)
         require_liveness = plan.preserves_delivery and error is None
         violations = monitor.check(require_liveness=require_liveness)
         if error is not None:
@@ -108,9 +106,10 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
 
         if plan.preserves_delivery and error is None:
             for baseline in baselines:
-                # Only the resolutions are compared; skip the trace recorder.
-                _, base_monitor, _, base_error = _execute(
-                    resolved_target, plan, baseline, record_trace=False)
+                # Only the resolutions are compared: no canonical trace.
+                _, base_monitor, base_error = _execute(
+                    resolved_target, plan, baseline,
+                    obs.ObsConfig.flight_only())
                 if base_error is not None:
                     violations.append(OracleViolation(
                         oracles.DIFFERENTIAL_AGREEMENT,
@@ -121,7 +120,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
                     oracles.resolved_names(base_monitor.resolutions),
                     algorithm, baseline))
 
-        digest = trace_digest(canonical_trace(system, recorder))
+        digest = trace_digest(canonical_trace(system))
         # Auto-dump the flight recorder for any failing case — oracle
         # violation or crash — so the failure carries its event timeline.
         flight = None

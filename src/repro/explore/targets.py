@@ -174,13 +174,12 @@ def staggered_raises(count: int) -> List[float]:
     return [NORMAL_COMPUTATION_TIME + 0.001 * index for index in range(count)]
 
 
-def _traced_system(faults: FaultPlan, tie_seed: Optional[int],
+def _target_system(faults: FaultPlan, tie_seed: Optional[int],
                    algorithm: str, **charges: float) -> DistributedCASystem:
-    """A 0.1-latency system under ``faults`` that keeps its full trace."""
+    """A 0.1-latency system under ``faults`` and schedule seed ``tie_seed``."""
     return DistributedCASystem(RuntimeConfig(algorithm=algorithm, **charges),
                                latency=ConstantLatency(0.1), faults=faults,
-                               kernel=Kernel(tie_seed=tie_seed),
-                               keep_trace=True)
+                               kernel=Kernel(tie_seed=tie_seed))
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +257,7 @@ def build_nested_abort(faults: FaultPlan, tie_seed: Optional[int] = None,
     The abortion handler signals ``abort_residue``, and all three threads
     recover through the ``abort_residue&outer_fault`` cover.
     """
-    system = _traced_system(faults, tie_seed, algorithm, abort_time=3.0)
+    system = _target_system(faults, tie_seed, algorithm, abort_time=3.0)
     system.add_threads(["T1", "T2", "T3"])
     inner, outer = _nested_abort_definitions()
     system.define_action(inner)
@@ -284,10 +283,10 @@ def build_concurrent_raises(faults: FaultPlan, tie_seed: Optional[int] = None,
                             algorithm: str = "ours") -> DistributedCASystem:
     """Three threads raise different exceptions nearly simultaneously.
 
-    The paper's Experiment 2 application (one pass, full network trace)
-    built by the same flat-raise scaffold as the Figure 12 scenario.
+    The paper's Experiment 2 application (one pass) built by the same
+    flat-raise scaffold as the Figure 12 scenario.
     """
-    system = _traced_system(faults, tie_seed, algorithm, resolution_time=0.1)
+    system = _target_system(faults, tie_seed, algorithm, resolution_time=0.1)
     system.add_threads(["T1", "T2", "T3"])
     install_action(system, _concurrent_definition(),
                    {"r1": "T1", "r2": "T2", "r3": "T3"}, iterations=None)

@@ -16,7 +16,7 @@ benchmarks (Theorem 2, Section 3.2.3) read.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..simkernel.events import Timeout
@@ -165,16 +165,9 @@ class Network(Transport):
     #: kernel's seeded tie perturbation is active (see :meth:`send`).
     FIFO_EPSILON = 1e-9
 
-    #: Ring size for the default (bounded) envelope trace.  Any consumer
-    #: that needs every envelope of an arbitrarily long run — the
-    #: explorer's canonical traces, conformance digests — must construct
-    #: the network with ``keep_trace=True``.
-    TRACE_CAPACITY = 4096
-
     def __init__(self, kernel: Kernel,
                  latency: Optional[LatencyModel] = None,
-                 faults: Optional[FaultPlan] = None,
-                 keep_trace: bool = False) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         self.kernel = kernel
         self.latency = latency or ConstantLatency(0.0)
         self.faults = faults or FaultPlan()
@@ -183,12 +176,6 @@ class Network(Transport):
         #: Last scheduled delivery time per directed link, used to enforce
         #: FIFO even under non-deterministic latency.
         self._link_clock: Dict[tuple, float] = {}
-        #: Envelope trace in send order.  Bounded by default so long
-        #: capacity runs stay flat in memory; ``keep_trace=True`` retains
-        #: everything for replay checking and canonical digests.
-        self.keep_trace = keep_trace
-        self.trace: Any = ([] if keep_trace
-                           else deque(maxlen=self.TRACE_CAPACITY))
         #: The attached observation sink (``repro.obs``), or ``None`` when
         #: observability is off — the hot path then pays one None check.
         self._obs = None
@@ -240,7 +227,6 @@ class Network(Transport):
         stats.by_type[type(payload).__name__] += 1
         link = (source, destination)
         stats.by_link[link] += 1
-        self.trace.append(envelope)
         obs = self._obs
         if obs is not None:
             obs.message_sent(envelope)

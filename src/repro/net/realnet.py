@@ -48,7 +48,6 @@ class RealNetwork(Network):
         now = self.kernel._now
         envelope = Envelope(source, destination, payload, now)
         self.stats.record_sent(envelope)
-        self.trace.append(envelope)
         obs = self._obs
         if obs is not None:
             obs.message_forwarded(envelope)

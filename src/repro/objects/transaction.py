@@ -21,8 +21,6 @@ from ..simkernel.kernel import Kernel
 from .atomic_object import AtomicObject, IntegrityError, UndoFailure
 from .locks import LockManager, LockMode
 
-_transaction_ids = itertools.count(1)
-
 
 class TransactionStatus(Enum):
     """Life-cycle states of a transaction."""
@@ -170,6 +168,9 @@ class TransactionManager:
         self._objects: Dict[str, AtomicObject] = {}
         self.active: Dict[str, Transaction] = {}
         self.finished: List[Transaction] = []
+        #: Transaction ids count per manager, so a run's ids (and the
+        #: lock events that carry them) do not depend on what ran before.
+        self._next_id = itertools.count(1).__next__
 
     @property
     def now(self) -> float:
@@ -202,7 +203,7 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def begin(self, action_name: str) -> Transaction:
         """Start a new transaction on behalf of ``action_name``."""
-        transaction_id = f"txn-{next(_transaction_ids)}"
+        transaction_id = f"txn-{self._next_id()}"
         transaction = Transaction(self, transaction_id, action_name)
         self.active[transaction_id] = transaction
         return transaction

@@ -22,9 +22,10 @@ Two ways to turn it on:
       cap.write_chrome_trace("capacity.trace.json")
 
 * **Direct** — :func:`observe_system` attaches one observation to an
-  already-built system (the explorer does this for its always-on
-  flight recorder).  A system carries one observation: on a system the
-  ambient capture already adopted, the call returns the capture's.
+  already-built system (the explorer does this for every case: its
+  canonical trace and flight dumps are read from the record log).  A
+  system carries one observation: on a system the ambient capture
+  already adopted, the call returns the capture's, widened if need be.
 
 When nothing is captured, the module is a strict no-op: systems carry
 ``observation = None``, every instrumentation site short-circuits on
@@ -40,6 +41,7 @@ traces; see :mod:`repro.obs.export` for the file formats.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import threading
 from typing import Any, Dict, Iterator, List, Optional, TYPE_CHECKING
 
@@ -66,6 +68,9 @@ __getattr__, __dir__, _LAZY = attach(__name__, {
 __all__ = ["ObsConfig", "Capture", "capture", "observe_system", "enabled",
            "active", *_LAZY]
 
+#: The :class:`ObsConfig` flags that switch a collector on.
+_COLLECTORS = ("spans", "metrics", "flight_recorder", "kernel_steps")
+
 #: Serialises installing the ambient capture, which lives in the runtime
 #: (:data:`repro.runtime.system.AMBIENT_CAPTURE`) so that building a system
 #: with observability off calls nothing here.
@@ -89,8 +94,10 @@ def observe_system(system: "DistributedCASystem",
 
     An already-observed system keeps its observation (a second one would
     take over the network and lock sinks while both stayed subscribed to
-    the life-cycle seam) — or this raises, if that observation lacks a
-    collector ``config`` asks for.
+    the life-cycle seam).  If that observation lacks a collector
+    ``config`` asks for, it is widened to both configs' collectors while
+    it has recorded nothing yet — so the explorer's per-case profile
+    composes with an ambient capture — and this raises once it has.
     """
     config = config or ObsConfig()
     observation = system.observation
@@ -102,17 +109,20 @@ def observe_system(system: "DistributedCASystem",
         locks = getattr(system.transactions, "locks", None)
         if locks is not None:
             locks._obs = observation
-        if config.kernel_steps:
-            system.kernel.add_tracer(observation.kernel_step)
-        return observation
-    missing = [name for name in ("spans", "metrics", "flight_recorder",
-                                 "kernel_steps")
-               if getattr(config, name)
-               and not getattr(observation.config, name)]
-    if missing:
-        raise RuntimeError(
-            f"system is already observed without {', '.join(missing)}; "
-            "one system carries one observation")
+    else:
+        missing = [name for name in _COLLECTORS
+                   if getattr(config, name)
+                   and not getattr(observation.config, name)]
+        if not missing:
+            return observation
+        if observation.recorded:
+            raise RuntimeError(
+                f"system is already observed without {', '.join(missing)}; "
+                "one system carries one observation")
+        observation._widen(dataclasses.replace(
+            observation.config, **dict.fromkeys(missing, True)))
+    if observation.config.kernel_steps:
+        system.kernel.tracer = observation.kernel_step
     return observation
 
 

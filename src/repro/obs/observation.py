@@ -15,7 +15,8 @@ single attribute-is-None check.
 fields are what the event was reported with — the life-cycle payload
 dict as emitted, a message's routing fields and payload type name, a
 job's instance and action — and ``layout`` names the reader that turns
-the record into its event dict.  Records hold no envelope, job or
+the record into its event dict (a message record also carries its
+envelope's corruption mark).  Records hold no envelope, job or
 kernel event, so a record of plain values is one the garbage collector
 stops tracking.  The only other work on the hot path is one float
 compare against the next timeline tick; at a tick the network totals,
@@ -140,13 +141,16 @@ def _life_cycle(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
 
 def _message(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
     """A ``message.*`` record; without ``flows`` it carries its own id."""
-    t, kind, _, source, destination, payload_type, sequence = record[:7]
+    (t, kind, _, source, destination, payload_type, sequence,
+     corrupted) = record[:8]
     event: Dict[str, Any] = {
         "t": t, "kind": MESSAGE_SENT if kind == _FORWARDED else kind,
         "src": source, "dst": destination, "type": payload_type,
         "seq": record[-1] if flows is None else flows.seq(kind, sequence)}
     if kind == MESSAGE_DROPPED:
-        event["reason"] = record[7]
+        event["reason"] = record[8]
+    if corrupted:
+        event["corrupted"] = True
     return event
 
 
@@ -184,6 +188,14 @@ def _kernel_step(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
 _READERS = (_life_cycle, _message, _rpc_failure, _job, _lock, _kernel_step)
 
 
+#: Layout -> the format of its :meth:`SystemObservation.record_lines`
+#: line: every field of the record, a message's flow id for its envelope
+#: number and its drop reason (or nothing) last.
+_LINE_FORMATS = ("%.9f %s %d %s %s %s %r", "%.9f %s %d %s %s %s %d %s%s",
+                 "%.9f %s %d %s %s %s", "%.9f %s %d %s %s %r",
+                 "%.9f %s %d %s %s %s %r", "%.9f %s %d %d %d %s")
+
+
 def _render(records, flows: Optional[_Flows]) -> List[Dict[str, Any]]:
     return [_READERS[record[2]](record, flows) for record in records]
 
@@ -211,7 +223,7 @@ def _fold(log: List[tuple], registry: MetricsRegistry) -> None:
                 name = "messages_delivered_total"
             elif kind == MESSAGE_DROPPED:
                 name, labels = "messages_dropped_total", (("reason",
-                                                           record[7]),)
+                                                           record[8]),)
             else:
                 name = "messages_sent_total"
                 labels = (("link", f"{record[3]}->{record[4]}"),)
@@ -274,6 +286,22 @@ class SystemObservation:
         #: among the link series).
         self._driver_at: Optional[int] = None
 
+    @property
+    def recorded(self) -> int:
+        """Records offered so far (evicted ones included)."""
+        return (self._flight.observed if self._flight is not None
+                else len(self._log))
+
+    def _widen(self, config: ObsConfig) -> None:
+        """Re-open this observation with ``config``; only before it records.
+
+        The sinks already point at this object, so widening in place
+        keeps them; a registered driver's gauges are kept too.
+        """
+        driver_at, admission = self._driver_at, self._admission
+        self.__init__(self.system, config)
+        self._driver_at, self._admission = driver_at, admission
+
     def _ring_append(self, record: tuple) -> None:
         """Flight-only recording: message flow ids are fixed now."""
         if record[2] == _MESSAGE:
@@ -319,7 +347,7 @@ class SystemObservation:
         now = self._kernel._now
         self._append((now, MESSAGE_SENT, _MESSAGE, envelope.source,
                       envelope.destination, type(envelope.payload).__name__,
-                      envelope.sequence))
+                      envelope.sequence, envelope.corrupted))
         if now >= self._next_tick:
             self._tick(now)
 
@@ -328,7 +356,7 @@ class SystemObservation:
         now = self._kernel._now
         self._append((now, _FORWARDED, _MESSAGE, envelope.source,
                       envelope.destination, type(envelope.payload).__name__,
-                      envelope.sequence))
+                      envelope.sequence, envelope.corrupted))
         if now >= self._next_tick:
             self._tick(now)
 
@@ -336,7 +364,7 @@ class SystemObservation:
         now = self._kernel._now
         self._append((now, MESSAGE_DELIVERED, _MESSAGE, envelope.source,
                       envelope.destination, type(envelope.payload).__name__,
-                      envelope.sequence))
+                      envelope.sequence, envelope.corrupted))
         if now >= self._next_tick:
             self._tick(now)
 
@@ -344,7 +372,7 @@ class SystemObservation:
         now = self._kernel._now
         self._append((now, MESSAGE_DROPPED, _MESSAGE, envelope.source,
                       envelope.destination, type(envelope.payload).__name__,
-                      envelope.sequence, reason))
+                      envelope.sequence, envelope.corrupted, reason))
         if now >= self._next_tick:
             self._tick(now)
 
@@ -390,7 +418,7 @@ class SystemObservation:
     # ------------------------------------------------------------------
     def kernel_step(self, when: float, priority: int, eid: int,
                     event: Any) -> None:
-        """Step-tracer hook (registered via ``Kernel.add_tracer``)."""
+        """The kernel's step hook (installed as ``Kernel.tracer``)."""
         self._append((when, KERNEL_STEP, _KERNEL_STEP, priority, eid,
                       type(event).__name__))
 
@@ -407,6 +435,29 @@ class SystemObservation:
     def events(self) -> Optional[List[Dict[str, Any]]]:
         """The recorded events, oldest first (``None`` unless spans are on)."""
         return self._rendered() if self.config.spans else None
+
+    def record_lines(self) -> List[str]:
+        """Every record of the whole log as one text line, oldest first.
+
+        What :attr:`events` holds — message flow ids in place of the
+        process-global envelope numbers, life-cycle values in plain form,
+        times to the nanosecond — without building the dicts (the
+        explorer digests every case).
+        """
+        flows = _Flows()
+        lines: List[str] = []
+        append = lines.append
+        for record in self._log:
+            layout = record[2]
+            if layout == _MESSAGE:
+                record = (*record[:6], flows.seq(record[1], record[6]),
+                          record[7],
+                          " " + record[8] if len(record) > 8 else "")
+            elif layout == _LIFE_CYCLE:
+                record = (*record[:6], [(key, _plain(value)) for key, value
+                                        in record[6].items()])
+            append(_LINE_FORMATS[layout] % record)
+        return lines
 
     def flight_dump(self) -> Optional[Dict[str, Any]]:
         """The flight recorder's dump, or None when the ring is off."""
@@ -484,6 +535,4 @@ class SystemObservation:
         return registry
 
     def __repr__(self) -> str:
-        recorded = (self._flight.observed if self._flight is not None
-                    else len(self._log))
-        return f"<SystemObservation records={recorded} {self.config!r}>"
+        return f"<SystemObservation records={self.recorded} {self.config!r}>"

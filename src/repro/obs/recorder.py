@@ -4,8 +4,8 @@ A flight dump is the terminal window of an observation's record log —
 what led up to a failure when an ``InvariantMonitor`` oracle fires, a run
 raises, or ``explore run`` shrinks a reproducer.  While the full log is
 kept (spans or metrics on) the window is simply its last ``capacity``
-records.  The flight-only profile, cheap enough to leave on for every
-explorer run, keeps no full log: its log is a :class:`FlightRecorder`, a
+records.  The flight-only profile, cheap enough to leave on for any
+run, keeps no full log: its log is a :class:`FlightRecorder`, a
 ``deque(maxlen=...)`` whose append is O(1) and evicts the oldest record,
 so memory stays bounded no matter how long the run.
 """
@@ -15,9 +15,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, List
 
-#: Default ring capacity.  Explorer targets emit a few hundred events
-#: per run, so the default usually captures the whole run; larger sims
-#: keep the most recent window.
+#: Default window.  An explorer case records a few hundred events, kernel
+#: steps included, so the default usually captures the whole run; larger
+#: sims keep the most recent window.
 DEFAULT_CAPACITY = 512
 
 

@@ -70,6 +70,8 @@ class Dispatcher:
         while True:
             envelope = yield inbox.get()
             pending = dispatch_sync(envelope.payload, envelope.corrupted)
+            # Wait for the next message holding no reference to this one.
+            del envelope
             if pending is not None:
                 yield from pending
 

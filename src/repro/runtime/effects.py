@@ -128,9 +128,6 @@ class PartitionEffectInterpreter(fx.EffectInterpreter):
                 frame.signal_coordinator.undo_completed(successful))
         return None
 
-    def on_log_event(self, effect: fx.LogEvent) -> None:
-        self.partition.log.append(effect.text)
-
     def on_unknown(self, effect: fx.Effect) -> None:  # pragma: no cover
         self.partition.log.append(f"unknown effect {effect!r}")
 

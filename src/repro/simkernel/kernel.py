@@ -76,74 +76,20 @@ class Kernel:
                             if self._tie_rng is not None else None)
         self.tie_seed = tie_seed
         #: Optional step hook called as ``tracer(when, priority, eid, event)``
-        #: just before each event's callbacks run (used by the fault-space
-        #: explorer's trace recorder; must itself be deterministic).  A hook
-        #: that raises is logged and disabled — it never kills the run (and
-        #: never defuses the traced event).  Assign directly for one hook, or
-        #: use :meth:`add_tracer`/:meth:`remove_tracer` to chain several.
+        #: just before each event's callbacks run (``repro.obs`` installs
+        #: one per observed system to record kernel steps; it must itself
+        #: be deterministic).  A hook that raises is logged and disabled —
+        #: it never kills the run (and never defuses the traced event).
         self.tracer: Optional[StepTracer] = None
-        self._tracers: List[StepTracer] = []
-
-    # ------------------------------------------------------------------
-    # Step tracers
-    # ------------------------------------------------------------------
-    def add_tracer(self, hook: StepTracer) -> None:
-        """Attach ``hook`` alongside any already-installed step tracer.
-
-        A single hook is installed directly (the hot loop sees exactly
-        the old single-slot cost); two or more are fanned out through
-        one composite closure.  A pre-existing directly-assigned
-        :attr:`tracer` is adopted into the chain.
-        """
-        if not self._tracers and self.tracer is not None:
-            self._tracers.append(self.tracer)
-        self._tracers.append(hook)
-        self._bind_tracers()
-
-    def remove_tracer(self, hook: StepTracer) -> None:
-        """Detach ``hook``; unknown hooks are ignored."""
-        if hook in self._tracers:
-            self._tracers.remove(hook)
-            self._bind_tracers()
-        elif self.tracer is hook:
-            self.tracer = None
-
-    def _bind_tracers(self) -> None:
-        if not self._tracers:
-            self.tracer = None
-        elif len(self._tracers) == 1:
-            self.tracer = self._tracers[0]
-        else:
-            hooks = tuple(self._tracers)
-
-            def fan_out(when: float, priority: int, eid: int,
-                        event: Any) -> None:
-                for hook in hooks:
-                    try:
-                        hook(when, priority, eid, event)
-                    except Exception:
-                        self._tracer_failed(hook)
-
-            self.tracer = fan_out
 
     def _tracer_failed(self, hook: StepTracer) -> None:
-        """Disable a step hook that raised (logged once per hook).
-
-        Each hook can fail at most once — it is removed here — so the
-        ``logging`` call below cannot spam per event.
-        """
+        """Disable a step hook that raised (so it is logged only once)."""
         import logging
 
         logging.getLogger(__name__).exception(
             "step tracer %r raised; disabling it", hook)
-        if hook in self._tracers:
-            self._tracers.remove(hook)
-            self._bind_tracers()
-        else:
-            # A directly-assigned hook (or a stale composite): clear the
-            # slot outright rather than risk re-raising every step.
+        if self.tracer is hook:
             self.tracer = None
-            self._tracers.clear()
 
     # ------------------------------------------------------------------
     # Clock and introspection

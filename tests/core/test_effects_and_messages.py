@@ -14,7 +14,7 @@ from repro.core import (
     internal,
     sends,
 )
-from repro.core.effects import AbortNested, ChargeTime, LogEvent, SendTo
+from repro.core.effects import AbortNested, ChargeTime, InformObjects, SendTo
 from repro.core.exceptions import (
     ActionAborted,
     ActionFailure,
@@ -40,7 +40,7 @@ class TestEffects:
     def test_sends_and_count_messages_helpers(self):
         effects = [
             SendTo(("T1", "T2"), ExceptionMessage("A", "T3", FAULT)),
-            LogEvent("noise"),
+            InformObjects("A", FAULT),
             SendTo(("T1",), CommitMessage("A", "T3", FAULT)),
             ChargeTime("resolution"),
         ]

@@ -51,12 +51,9 @@ def _legacy_receive_commit(self, message):
     """
     context = self.active_context()
     if context is None or context.action != message.action:
-        self._trace(f"ignore Commit for {message.action}")
-        return [fx.LogEvent(f"{self.thread_id} ignored Commit for "
-                            f"{message.action}")]
+        return []
     self.le.clear()
     self.handling[message.action] = message.exception
-    self._trace(f"commit {message.exception.name} in {message.action}")
     return [fx.HandleResolved(message.action, message.exception,
                               resolver=message.resolver)]
 
@@ -69,8 +66,7 @@ def _dropping_receive_report(self, message):
     dropped, where the algorithm says to retain it until entry."""
     if self.sa.find(message.action) is None and \
             self._message_staleness(message) != "stale":
-        return [fx.LogEvent(f"{self.thread_id} dropped early report for "
-                            f"{message.action}")]
+        return []
     return _receive_report(self, message)
 
 

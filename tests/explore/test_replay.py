@@ -1,10 +1,14 @@
 """Deterministic replay: same (seed, plan) → byte-identical runs."""
 
+import json
+
+import pytest
+
 from repro import obs
 from repro.bench.engine import run_scenario
 from repro.explore import ExplorationPlan, run_case
 from repro.explore.targets import get_target
-from repro.explore.trace import TraceRecorder, canonical_trace, trace_digest
+from repro.explore.trace import CASE_PROFILE, canonical_trace, trace_digest
 from repro.net.faults import FaultDirective
 from repro.runtime.events import KERNEL_STEP
 
@@ -16,9 +20,9 @@ RACE_PLAN = ExplorationPlan(directives=(
 def _run_once(plan, target="nested_abort"):
     system = get_target(target).build(plan.make_fault_plan(),
                                       tie_seed=plan.tie_seed)
-    recorder = TraceRecorder(system)
+    obs.observe_system(system, CASE_PROFILE)
     system.run()
-    return canonical_trace(system, recorder), system.network.stats.snapshot()
+    return canonical_trace(system), system.network.stats.snapshot()
 
 
 class TestByteIdenticalReplay:
@@ -44,23 +48,47 @@ class TestByteIdenticalReplay:
         assert run_case("nested_abort", RACE_PLAN).digest == \
             run_case("nested_abort", RACE_PLAN).digest
 
-    def test_recorder_shares_the_kernel_tracer_with_a_full_capture(self):
-        # The recorder used to assign ``kernel.tracer`` outright, displacing
-        # the capture's kernel-step hook installed at system construction.
+    @pytest.mark.parametrize("config", [
+        obs.ObsConfig.flight_only(), obs.ObsConfig(), obs.ObsConfig.full()],
+        ids=["flight_only", "default", "full"])
+    def test_recorder_shares_the_kernel_tracer_with_a_full_capture(
+            self, config):
+        # The case's observation is the capture's, widened to the record
+        # log the canonical trace reads: whatever the capture's profile,
+        # the case neither raises nor changes its digest.
         uncaptured = run_case("nested_abort", RACE_PLAN)
-        with obs.capture(obs.ObsConfig.full()) as captured:
+        with obs.capture(config) as captured:
             observed = run_case("nested_abort", RACE_PLAN)
         steps = [event for event in captured.events()
                  if event["kind"] == KERNEL_STEP]
         assert len(steps) > 0
         assert observed.digest == uncaptured.digest
 
-    def test_trace_covers_kernel_network_and_coordinators(self):
-        trace_text, _ = _run_once(RACE_PLAN)
-        assert "== kernel ==" in trace_text
-        assert "== network ==" in trace_text
+    def test_canonical_trace_refuses_a_partial_record_log(self):
+        system = get_target("nested_abort").build(
+            RACE_PLAN.make_fault_plan(), tie_seed=None)
+        obs.observe_system(system, obs.ObsConfig.flight_only())
+        system.run()
+        with pytest.raises(RuntimeError, match="whole record log"):
+            canonical_trace(system)
+
+    def test_canonical_trace_refuses_an_unobserved_system(self):
+        system = get_target("nested_abort").build(
+            RACE_PLAN.make_fault_plan(), tie_seed=None)
+        system.run()
+        assert system.observation is None
+        with pytest.raises(RuntimeError, match="CASE_PROFILE"):
+            canonical_trace(system)
+
+    def test_trace_covers_kernel_messages_and_life_cycle(self):
+        trace_text, stats = _run_once(RACE_PLAN)
+        lines = trace_text.split("\n")
+        assert lines[0] == "actions Inner Outer"
+        kinds = {line.split(" ")[1] for line in lines[1:-1]}
+        assert {"kernel.step", "message.sent", "message.delivered",
+                "action.entered", "action.resolved"} <= kinds
         assert "CommitMessage" in trace_text
-        assert "== statistics ==" in trace_text
+        assert json.loads(lines[-1]) == stats
 
 
 class TestEngineSweepDeterminism:

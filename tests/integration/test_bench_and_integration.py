@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.analysis import (
     lemma1_completion_bound,
     messages_all_exceptions,
@@ -25,6 +26,7 @@ from repro.bench.reporting import (
 )
 from repro.bench.scenarios import HANDLER_TIME, NORMAL_COMPUTATION_TIME
 from repro.runtime import ActionStatus
+from repro.runtime.events import MESSAGE_DELIVERED
 
 
 # ----------------------------------------------------------------------
@@ -198,18 +200,19 @@ class TestCrossChecks:
         assert measured <= bound
 
     def test_network_fifo_assumption_holds_during_experiments(self):
+        # Flow ids number the sends in send order, so per link the
+        # delivered ids must come out in increasing order.
         system = build_experiment2(0.7, 0.2)
+        observation = obs.observe_system(system, obs.ObsConfig(metrics=False))
         system.run_to_completion()
         deliveries = {}
-        for envelope in system.network.trace:
-            if envelope.deliver_time is None:
-                continue
-            link = (envelope.source, envelope.destination)
-            deliveries.setdefault(link, []).append(
-                (envelope.sequence, envelope.deliver_time))
-        for link, entries in deliveries.items():
-            times = [t for _seq, t in sorted(entries)]
-            assert times == sorted(times), f"FIFO violated on {link}"
+        for event in observation.events:
+            if event["kind"] == MESSAGE_DELIVERED:
+                link = (event["src"], event["dst"])
+                deliveries.setdefault(link, []).append(event["seq"])
+        assert len(deliveries) > 1
+        for link, flows in deliveries.items():
+            assert flows == sorted(flows), f"FIFO violated on {link}"
 
     def test_every_raised_exception_is_eventually_resolved_or_covered(self):
         system = build_experiment1(0.3, 0.2, 0.1, iterations=3)

@@ -77,10 +77,12 @@ class TestCoordinatorInstanceTracking:
     def test_message_for_finished_instance_is_dropped(self):
         coordinator, _ = self._coordinator_in("A#1")
         coordinator.leave_action("A", success=True)
-        coordinator.receive(ExceptionMessage("A", "T2", internal("e"),
-                                             instance="A#1"))
+        effects = coordinator.receive(ExceptionMessage(
+            "A", "T2", internal("e"), instance="A#1"))
+        # Dropped: neither retained nor recorded, and nothing to do.
+        assert effects == []
         assert coordinator.retained == []
-        assert any("stale" in line for line in coordinator.trace)
+        assert len(coordinator.le) == 0
 
     def test_leave_action_preserves_future_instance_messages(self):
         # A message parked for a future occurrence (the peer already

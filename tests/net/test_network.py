@@ -202,9 +202,9 @@ class TestFaults:
         faults = FaultPlan()
         faults.corrupt_nth_message("A", "B", 1)
         kernel, network, a, b = make_network(faults=faults)
-        a.send("B", "data")
+        envelope = a.send("B", "data")
         kernel.run()
-        assert network.trace[0].corrupted
+        assert envelope.corrupted
         assert faults.stats.corrupted == 1
 
     def test_probabilistic_drop_all(self):

@@ -210,3 +210,9 @@ class TestOneWayFailureReporting:
         assert len(failures) == 1
         assert failures[0]["procedure"] == "fail"
         assert "RuntimeError" in failures[0]["error"]
+        # The record line carries the same fields, the error text last.
+        failure_lines = [line for line in network._obs.record_lines()
+                         if " rpc.failure " in line]
+        assert failure_lines == [
+            f"{failures[0]['t']:.9f} rpc.failure 2 beta fail "
+            f"{failures[0]['error']}"]

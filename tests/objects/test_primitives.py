@@ -191,6 +191,14 @@ class TestTransactionRoundTrips:
         assert not manager.locks.is_locked("acct")
         assert txn in manager.finished and not manager.active
 
+    def test_transaction_ids_count_per_manager(self):
+        # Ids (and the lock records that carry them) must not depend on
+        # how many transactions earlier managers in the process began.
+        first, second = self.make_manager(), self.make_manager()
+        assert [first.begin("T").transaction_id for _ in range(3)] == [
+            "txn-1", "txn-2", "txn-3"]
+        assert second.begin("T").transaction_id == "txn-1"
+
     def test_abort_rolls_back_and_releases_locks(self):
         manager = self.make_manager()
         txn = manager.begin("T")

@@ -37,9 +37,45 @@ class TestOneObservationPerSystem:
 
     def test_a_missing_collector_fails_loudly(self):
         system = new_system()
+        system.add_threads(["A", "B"])
         obs.observe_system(system, obs.ObsConfig.flight_only())
+        system.network.send("A", "B", "ping")
         with pytest.raises(RuntimeError, match="without spans, metrics"):
             obs.observe_system(system, obs.ObsConfig())
+
+    def test_an_observation_that_recorded_nothing_is_widened(self):
+        system = new_system()
+        system.add_threads(["A", "B"])
+        first = obs.observe_system(system, obs.ObsConfig.flight_only(32))
+        widened = obs.observe_system(system, obs.ObsConfig.full())
+        assert widened is first is system.network._obs
+        assert system.subscribers.count(first.on_event) == 1
+        # Both configs' collectors; the first one's ring size.
+        assert widened.config == obs.ObsConfig(kernel_steps=True,
+                                               flight_capacity=32)
+        assert system.kernel.tracer == widened.kernel_step
+        system.network.send("A", "B", "ping")
+        system.run()
+        kinds = [event["kind"] for event in widened.events]
+        assert kinds[0] == "message.sent"
+        assert "kernel.step" in kinds and "message.delivered" in kinds
+
+    def test_observing_twice_installs_one_step_hook(self):
+        # The kernel has one step-hook slot: a second observe_system
+        # (widening or not) must not record each step twice.
+        def steps(times):
+            system = new_system()
+            system.add_threads(["A", "B"])
+            config = obs.ObsConfig(metrics=False, kernel_steps=True)
+            for _ in range(times):
+                observation = obs.observe_system(system, config)
+            system.network.send("A", "B", "ping")
+            system.run()
+            return [event for event in observation.events
+                    if event["kind"] == "kernel.step"]
+
+        once = steps(1)
+        assert once and steps(2) == once
 
     def test_an_adopted_node_build_keeps_feeding_the_ambient_capture(self):
         # run_sim builds its nodes through bench.scenarios.observed_node,
@@ -114,11 +150,11 @@ class TestEnvelopeFlowIds:
         assert finishes == [0, 0, 0]
 
     def test_injected_deliveries_never_borrow_a_sends_flow_id(self):
-        # The bounded network trace lets go of the oldest forwarded
-        # envelopes, so their id() values are free for injected ones.
+        # Nothing keeps a forwarded envelope, so its id() value is free
+        # for an injected one at once.
         system, network, _ = self.real_network()
         observation = obs.observe_system(system, obs.ObsConfig())
-        for index in range(network.TRACE_CAPACITY + 2000):
+        for index in range(6000):
             network.send("A", "B", index)
         for index in range(3000):
             network.inject("B", "A", index, deliver_vt=0.0)

@@ -12,12 +12,16 @@ when read, so each one — the event stream, the flight dumps, the merged
 metrics snapshot, the Prometheus exposition and the (single-system)
 Chrome trace — must come out exactly as the dict recorder wrote it: same
 values, same keys, same key order.
+
+One golden was written later, from the tree that defines it:
+``explore_flight_only.json``, when the explorer's per-case observation
+became the record log its canonical trace is read from (a flight-only
+capture is widened to that log, kernel steps included).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -25,7 +29,6 @@ import sys
 import pytest
 
 from repro import obs
-from repro.objects import transaction
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
@@ -54,9 +57,10 @@ def _capacity_full():
     run_capacity_point(offered_load=2.0, n_instances=3, seed=7)
 
 
-#: name -> (capture config, run).  The flight-only ring is small enough
-#: that deliveries outlive the eviction of their sends; the full run's
-#: kernel steps overflow its ring, so both dump paths truncate.
+#: name -> (capture config, run).  The explorer widens its flight-only
+#: capture to the case's whole record log with kernel steps, and a
+#: 32-event window of that log holds deliveries whose sends it lost; the
+#: full run's kernel steps overflow its ring too, so both dumps truncate.
 RUNS = {
     "mixed_traffic": (obs.ObsConfig(), _mixed_traffic),
     "transactional": (obs.ObsConfig(), _transactional),
@@ -68,19 +72,10 @@ RUNS = {
 
 
 def artefacts(name: str) -> dict:
-    """Every read-side output of one captured run, as JSON-shaped data.
-
-    Transaction ids come from a process-wide counter; it restarts for the
-    run, so the ids in lock events do not depend on what ran before.
-    """
+    """Every read-side output of one captured run, as JSON-shaped data."""
     config, run = RUNS[name]
-    saved = transaction._transaction_ids
-    transaction._transaction_ids = itertools.count(1)
-    try:
-        with obs.capture(config) as cap:
-            run()
-    finally:
-        transaction._transaction_ids = saved
+    with obs.capture(config) as cap:
+        run()
     assert len(cap.observations) == 1
     return json.loads(json.dumps({
         "events": cap.events(),
@@ -107,6 +102,18 @@ def test_artefacts_equal_the_dict_recorders(name):
         # Equal as values and in key order: the JSON text is identical.
         assert json.dumps(actual[artefact]) == \
             json.dumps(expected[artefact]), artefact
+
+
+def test_a_run_records_the_same_events_twice_in_one_process():
+    # Transaction ids are counted per transaction manager, so the lock
+    # events of a run do not depend on what ran before it.
+    runs = []
+    for _ in range(2):
+        with obs.capture() as cap:
+            _transactional()
+        runs.append(cap.events())
+    assert any(event["kind"].startswith("lock.") for event in runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_the_pinned_runs_exercise_what_they_claim():

@@ -21,7 +21,7 @@ import pytest
 from repro import obs
 from repro.bench.engine import REGISTRY, run_scenario
 from repro.bench.scenarios import run_wide_graph
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, FaultPlan
 from repro.runtime import DistributedCASystem, RuntimeConfig
 from repro.workload.scenarios import run_capacity_point, run_mixed_traffic
 from repro.workload.transactional import run_transactional_point
@@ -128,6 +128,94 @@ class TestTimeline:
         assert observation.metrics is None
         assert observation.events is None
         assert observation.flight_dump()["observed"] == 2
+
+    def test_a_flight_ring_keeps_the_flow_of_an_evicted_send(self):
+        system = self.system()
+        observation = obs.observe_system(system, obs.ObsConfig.flight_only(3))
+        for index in range(3):
+            system.network.send("A", "B", index)
+        system.run()
+        dump = observation.flight_dump()
+        assert dump["observed"] == 6 and dump["truncated"]
+        # The sends left the ring; their deliveries still name them.
+        assert [(event["kind"], event["seq"]) for event in dump["events"]] \
+            == [("message.delivered", flow) for flow in (1, 2, 3)]
+
+
+class TestRecordLines:
+    @staticmethod
+    def run(corrupt_second=False):
+        faults = FaultPlan()
+        if corrupt_second:
+            faults.corrupt_nth_message("A", "B", 2)
+        system = DistributedCASystem(RuntimeConfig(),
+                                     latency=ConstantLatency(0.05),
+                                     faults=faults)
+        system.add_threads(["A", "B"])
+        observation = obs.observe_system(system, obs.ObsConfig(metrics=False))
+        for index in range(3):
+            system.network.send("A", "B", index)
+        system.run()
+        return observation
+
+    def test_only_a_corrupted_envelope_carries_the_mark(self):
+        events = self.run(corrupt_second=True).events
+        marked = [(event["kind"], event["seq"]) for event in events
+                  if "corrupted" in event]
+        # Corruption happens after the send is recorded: the delivery
+        # of the second message is the one record that carries it.
+        assert marked == [("message.delivered", 2)]
+        assert all(event["corrupted"] is True for event in events
+                   if "corrupted" in event)
+        assert not any("corrupted" in event for event in self.run().events)
+
+    def test_lines_follow_the_events_not_the_process(self):
+        # Envelope numbers are process-global; the lines carry flow ids,
+        # so two equal runs give equal lines.
+        first, second = self.run(), self.run()
+        lines = first.record_lines()
+        assert lines == second.record_lines()
+        assert len(lines) == len(first.events) == 6
+        assert [line.split(" ")[1] for line in lines] == \
+            [event["kind"] for event in first.events]
+        assert lines[0] == "0.000000000 message.sent 1 A B int 1 False"
+        corrupted = self.run(corrupt_second=True).record_lines()
+        assert [line for line in corrupted if line not in lines] == [
+            "0.050000000 message.delivered 1 A B int 2 True"]
+
+
+    def test_every_layout_renders_one_line_per_event(self):
+        # Life-cycle, message, job, lock and kernel-step records: each
+        # line is its event's time to the nanosecond, kind and fields.
+        with obs.capture(obs.ObsConfig(metrics=False,
+                                       kernel_steps=True)) as cap:
+            run_transactional_point(n_instances=6, n_accounts=2,
+                                    offered_load=3.0, seed=5)
+        (observation,) = cap.observations
+        lines, events = observation.record_lines(), observation.events
+        assert len(lines) == len(events)
+        assert [line.split(" ")[:2] for line in lines] == \
+            [[f"{event['t']:.9f}", event["kind"]] for event in events]
+        layouts = {line.split(" ")[2] for line in lines}
+        assert layouts == {"0", "1", "3", "4", "5"}
+        assert "0.605904448 lock.granted 4 acct000 txn-1 shared {}" in lines
+
+    def test_a_dropped_message_line_ends_with_its_reason(self):
+        faults = FaultPlan()
+        faults.drop_nth_message("A", "B", 1)
+        system = DistributedCASystem(RuntimeConfig(),
+                                     latency=ConstantLatency(0.05),
+                                     faults=faults)
+        system.add_threads(["A", "B"])
+        observation = obs.observe_system(system, obs.ObsConfig(metrics=False))
+        system.network.send("A", "B", "lost")
+        system.network.send("A", "B", "kept")
+        system.run()
+        assert observation.record_lines() == [
+            "0.000000000 message.sent 1 A B str 1 False",
+            "0.000000000 message.dropped 1 A B str 1 False fault",
+            "0.000000000 message.sent 1 A B str 2 False",
+            "0.050000000 message.delivered 1 A B str 2 False"]
 
 
 def test_systems_of_one_capture_are_separate_chrome_processes():

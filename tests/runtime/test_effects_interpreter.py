@@ -1,5 +1,7 @@
 """Tests for the EffectInterpreter interface and the partition interpreter."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core import effects as fx
@@ -10,6 +12,13 @@ from tests.conftest import make_simple_system
 FAULT = internal("fault")
 
 
+@dataclass(frozen=True, slots=True)
+class Note(fx.Effect):
+    """A test-only effect carrying a label (handled by ``on_note``)."""
+
+    text: str
+
+
 # ----------------------------------------------------------------------
 # The abstract dispatch machinery (core.effects.EffectInterpreter)
 # ----------------------------------------------------------------------
@@ -18,7 +27,7 @@ class TestHandlerNaming:
         assert fx.handler_name(fx.SendTo) == "on_send_to"
         assert fx.handler_name(fx.ChargeTime) == "on_charge_time"
         assert fx.handler_name(fx.AbortNested) == "on_abort_nested"
-        assert fx.handler_name(fx.LogEvent) == "on_log_event"
+        assert fx.handler_name(Note) == "on_note"
 
 
 class Recorder(fx.EffectInterpreter):
@@ -35,7 +44,7 @@ class Recorder(fx.EffectInterpreter):
     def finish_batch(self, batch):
         self.finished_batches.append(list(batch))
 
-    def on_log_event(self, effect):
+    def on_note(self, effect):
         self.events.append(("log", effect.text))
         self.batch.append(effect.text)
 
@@ -47,13 +56,13 @@ class Recorder(fx.EffectInterpreter):
 class TestDispatch:
     def test_effects_dispatch_in_order(self):
         recorder = Recorder()
-        list(recorder.execute([fx.LogEvent("a"), fx.LogEvent("b")]))
+        list(recorder.execute([Note("a"), Note("b")]))
         assert recorder.events == [("log", "a"), ("log", "b")]
 
     def test_generator_handlers_are_delegated_to(self):
         recorder = Recorder()
         yielded = list(recorder.execute([fx.ChargeTime("resolution"),
-                                         fx.LogEvent("after")]))
+                                         Note("after")]))
         assert yielded == ["resolution"]
         assert recorder.events == [("charge", "resolution"), ("log", "after")]
 
@@ -64,18 +73,18 @@ class TestDispatch:
 
     def test_batch_finishes_after_all_effects(self):
         recorder = Recorder()
-        list(recorder.execute([fx.LogEvent("x"), fx.LogEvent("y")]))
+        list(recorder.execute([Note("x"), Note("y")]))
         assert recorder.finished_batches == [["x", "y"]]
 
     def test_nested_execute_uses_its_own_batch(self):
         class Nesting(Recorder):
             def on_charge_time(self, effect):
-                yield from self.execute([fx.LogEvent("inner")])
+                yield from self.execute([Note("inner")])
 
         interpreter = Nesting()
-        list(interpreter.execute([fx.LogEvent("before"),
+        list(interpreter.execute([Note("before"),
                                   fx.ChargeTime("resolution"),
-                                  fx.LogEvent("outer")]))
+                                  Note("outer")]))
         # The inner batch completed (and finished) before the outer one,
         # and the outer batch kept collecting after the nested call.
         assert interpreter.finished_batches == [
@@ -87,9 +96,9 @@ class TestDispatch:
         # ChargeTime); completing in any order must not mix their batches.
         recorder = Recorder()
         first = recorder.execute([fx.ChargeTime("resolution"),
-                                  fx.LogEvent("first-tail")])
+                                  Note("first-tail")])
         second = recorder.execute([fx.ChargeTime("resolution"),
-                                   fx.LogEvent("second-tail")])
+                                   Note("second-tail")])
         next(first)                      # both suspend mid-batch
         next(second)
         list(first)                      # first completes while second waits
@@ -103,7 +112,7 @@ class TestDispatch:
 
         interpreter = Failing()
         with pytest.raises(RuntimeError):
-            list(interpreter.execute([fx.LogEvent("x"),
+            list(interpreter.execute([Note("x"),
                                       fx.SendTo(("T2",), object())]))
         assert interpreter.finished_batches == []
 
@@ -127,7 +136,7 @@ class BatchLogger(fx.EffectInterpreter):
     def finish_batch(self, batch):
         self.finished.append((self._number(batch), list(batch)))
 
-    def on_log_event(self, effect):
+    def on_note(self, effect):
         self.calls.append(("log", effect.text, self._number(self.batch)))
         self.batch.append(effect.text)
 
@@ -137,9 +146,9 @@ class BatchLogger(fx.EffectInterpreter):
 
     def on_interrupt_role(self, effect):       # a handler that nests a batch
         self.calls.append(("nest", effect.action, self._number(self.batch)))
-        return self.interpret([fx.LogEvent("inner-1"),
+        return self.interpret([Note("inner-1"),
                                fx.ChargeTime(effect.action),
-                               fx.LogEvent("inner-2")])
+                               Note("inner-2")])
 
 
 def drive_execute(interpreter, effects):
@@ -151,10 +160,10 @@ def drive_interpret(interpreter, effects):
     return [] if waiting is None else list(waiting)
 
 
-SYNCHRONOUS = [fx.LogEvent("a"), fx.LogEvent("b"), fx.LogEvent("c")]
-WAITS_MID_BATCH = [fx.LogEvent("a"), fx.ChargeTime("resolution"),
-                   fx.LogEvent("b")]
-NESTED = [fx.LogEvent("a"), fx.InterruptRole("A", FAULT), fx.LogEvent("b")]
+SYNCHRONOUS = [Note("a"), Note("b"), Note("c")]
+WAITS_MID_BATCH = [Note("a"), fx.ChargeTime("resolution"),
+                   Note("b")]
+NESTED = [Note("a"), fx.InterruptRole("A", FAULT), Note("b")]
 
 
 class TestSynchronousEntryMatchesExecute:
@@ -198,10 +207,10 @@ class TestSynchronousEntryMatchesExecute:
                              ids=["execute", "interpret"])
     def test_two_suspended_batches_interleave_without_mixing(self, start):
         interpreter = BatchLogger()
-        first = start(interpreter, [fx.LogEvent("1a"), fx.ChargeTime("x"),
-                                    fx.LogEvent("1b")])
-        second = start(interpreter, [fx.LogEvent("2a"), fx.ChargeTime("y"),
-                                     fx.LogEvent("2b")])
+        first = start(interpreter, [Note("1a"), fx.ChargeTime("x"),
+                                    Note("1b")])
+        second = start(interpreter, [Note("2a"), fx.ChargeTime("y"),
+                                     Note("2b")])
         assert next(first) == "x"            # both suspended mid-batch
         assert next(second) == "y"
         assert list(first) == [] and list(second) == []
@@ -230,9 +239,28 @@ def run_effects(partition, effects):
 
 
 class TestPartitionInterpreter:
-    def test_log_event_appends_to_partition_log(self, partition):
-        run_effects(partition, [fx.LogEvent("hello")])
-        assert "hello" in partition.log
+    def test_an_unknown_effect_is_logged(self, partition):
+        run_effects(partition, [Note("hello")])
+        assert partition.log == [f"unknown effect {Note('hello')!r}"]
+
+    @pytest.mark.parametrize("target, algorithm", [
+        ("nested_abort", "ours"), ("concurrent_raises", "ours"),
+        ("concurrent_raises", "campbell-randell"),
+        ("concurrent_raises", "romanovsky96")])
+    def test_the_core_emits_only_effects_the_partition_handles(
+            self, target, algorithm):
+        # Every effect the coordinators build (the baselines' included)
+        # has a handler: none reaches the partition log as unknown.
+        from repro.explore.targets import get_target
+        from repro.net.faults import FaultPlan
+
+        faults = FaultPlan()
+        faults.corrupt_nth_message("T1", "T2", 1)
+        built = get_target(target).build(faults, algorithm=algorithm)
+        built.run()
+        assert built.network.stats.sent > 0
+        assert not [line for partition in built.partitions.values()
+                    for line in partition.log if "unknown effect" in line]
 
     def test_send_to_reaches_the_network(self, system, partition):
         message = SuspendedMessage("A", "T1")

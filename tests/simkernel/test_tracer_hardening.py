@@ -1,9 +1,9 @@
-"""Regression tests for step-tracer chaining and fault isolation.
+"""Regression tests for step-tracer fault isolation.
 
-A step tracer is observation plumbing; it must never be able to kill a
-simulation.  These tests pin the chaining semantics of
-``add_tracer``/``remove_tracer`` and the raise-once-then-disabled
-hardening on both the ``step()`` and ``run()`` execution paths.
+The kernel's step hook is observation plumbing (``repro.obs`` installs
+one per observed system); it must never be able to kill a simulation.
+These tests pin the raise-once-then-disabled hardening on both the
+``step()`` and ``run()`` execution paths.
 """
 
 from __future__ import annotations
@@ -25,54 +25,59 @@ def run_ticks(kernel: Kernel, count: int = 3) -> None:
     kernel.run()
 
 
-class TestTracerChaining:
-    def test_single_hook_is_bound_directly(self):
+class TestStepHookSlot:
+    def test_an_assigned_hook_sees_each_step_once_in_order(self):
         kernel = Kernel()
         seen = []
-        hook = lambda when, priority, eid, event: seen.append(eid)
-        kernel.add_tracer(hook)
-        # One hook pays the old single-slot cost: no composite wrapper.
-        assert kernel.tracer is hook
-        run_ticks(kernel)
-        assert seen
+        kernel.tracer = lambda when, priority, eid, event: seen.append(
+            (when, eid))
+        run_ticks(kernel, count=4)
+        whens = [when for when, _ in seen]
+        eids = [eid for _, eid in seen]
+        assert whens == sorted(whens) and whens[-1] == kernel.now == 4.0
+        assert len(set(eids)) == len(eids) == len(seen) > 4
 
-    def test_two_hooks_fan_out_in_order(self):
+    def test_a_hook_can_be_attached_and_detached_mid_run(self):
+        # The slot is re-read per event: a process may fill it and clear
+        # it while the run is under way.
         kernel = Kernel()
-        calls = []
-        kernel.add_tracer(lambda *args: calls.append("first"))
-        kernel.add_tracer(lambda *args: calls.append("second"))
-        assert kernel.tracer is not None
-        run_ticks(kernel, count=1)
-        assert calls[:2] == ["first", "second"]
-        assert calls.count("first") == calls.count("second")
+        seen = []
 
-    def test_directly_assigned_hook_is_adopted_into_the_chain(self):
-        kernel = Kernel()
-        calls = []
-        kernel.tracer = lambda *args: calls.append("direct")
-        kernel.add_tracer(lambda *args: calls.append("added"))
-        run_ticks(kernel, count=1)
-        assert "direct" in calls and "added" in calls
-        assert calls.index("direct") < calls.index("added")
+        def hook(when, priority, eid, event):
+            seen.append(when)
 
-    def test_remove_rebinds_the_survivor_directly(self):
-        kernel = Kernel()
-        keep = lambda *args: None
-        drop = lambda *args: None
-        kernel.add_tracer(keep)
-        kernel.add_tracer(drop)
-        kernel.remove_tracer(drop)
-        assert kernel.tracer is keep
-        kernel.remove_tracer(keep)
-        assert kernel.tracer is None
+        def toggling(kernel):
+            yield kernel.timeout(1.0)
+            kernel.tracer = hook
+            yield kernel.timeout(1.0)
+            yield kernel.timeout(1.0)
+            kernel.tracer = None
+            yield kernel.timeout(1.0)
 
-    def test_remove_handles_unknown_and_directly_assigned_hooks(self):
+        kernel.process(toggling(kernel))
+        kernel.run()
+        assert seen and set(seen) <= {2.0, 3.0}
+        assert kernel.now == 4.0 and kernel.tracer is None
+
+    def test_a_failing_hook_that_replaced_itself_keeps_its_successor(
+            self, kernel_log):
+        # Only the hook that raised is disabled: if it had already put
+        # another hook in the slot, that one stays and keeps firing.
         kernel = Kernel()
-        kernel.remove_tracer(lambda *args: None)  # never installed: no-op
-        direct = lambda *args: None
-        kernel.tracer = direct
-        kernel.remove_tracer(direct)
-        assert kernel.tracer is None
+        successor_calls = []
+
+        def successor(when, priority, eid, event):
+            successor_calls.append(eid)
+
+        def handing_over(when, priority, eid, event):
+            kernel.tracer = successor
+            raise RuntimeError("observer bug")
+
+        kernel.tracer = handing_over
+        run_ticks(kernel, count=3)
+        assert kernel.tracer is successor
+        assert len(successor_calls) > 1
+        assert len(kernel_log) == 1
 
 
 class _RecordingHandler(logging.Handler):
@@ -113,7 +118,7 @@ class TestTracerHardening:
     def test_raising_hook_is_disabled_not_fatal_in_run(self, kernel_log):
         kernel = Kernel()
         calls = []
-        kernel.add_tracer(self.make_raising(calls))
+        kernel.tracer = self.make_raising(calls)
         run_ticks(kernel, count=5)  # must not raise
         # Called exactly once, then disabled — and logged exactly once.
         assert len(calls) == 1
@@ -125,7 +130,7 @@ class TestTracerHardening:
     def test_raising_hook_is_disabled_not_fatal_in_step(self):
         kernel = Kernel()
         calls = []
-        kernel.add_tracer(self.make_raising(calls))
+        kernel.tracer = self.make_raising(calls)
         kernel.process(ticks(kernel, 3))
         with pytest.raises(EmptySchedule):
             while True:
@@ -133,26 +138,12 @@ class TestTracerHardening:
         assert len(calls) == 1
         assert kernel.tracer is None
 
-    def test_healthy_hooks_survive_a_failing_sibling(self, kernel_log):
-        kernel = Kernel()
-        healthy_calls = []
-        bad_calls = []
-        kernel.add_tracer(self.make_raising(bad_calls))
-        kernel.add_tracer(lambda *args: healthy_calls.append(args))
-        run_ticks(kernel, count=3)
-        assert len(bad_calls) == 1
-        assert len(kernel_log) == 1
-        # The healthy hook kept firing for every step, including the one
-        # on which its sibling blew up.
-        assert len(healthy_calls) > 1
-        assert healthy_calls[0] is not None
-
     def test_tracer_failure_does_not_defuse_the_traced_event(self):
         # The traced event's own outcome must be unaffected: a failing
         # process still surfaces its exception to run() even when the
         # tracer died on the very same step.
         kernel = Kernel()
-        kernel.add_tracer(self.make_raising([]))
+        kernel.tracer = self.make_raising([])
 
         def failing(kernel):
             yield kernel.timeout(1.0)

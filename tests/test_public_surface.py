@@ -26,7 +26,7 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Each re-exporting package and the size of its ``__all__`` (a dropped
 #: re-export shrinks it).
 PACKAGES = {"repro": 9, "repro.analysis": 12, "repro.bench": 34,
-            "repro.core": 61, "repro.explore": 14, "repro.net": 15,
+            "repro.core": 60, "repro.explore": 13, "repro.net": 15,
             "repro.objects": 17, "repro.obs": 19, "repro.real": 2,
             "repro.runtime": 15, "repro.workload": 24}
 

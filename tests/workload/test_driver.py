@@ -175,12 +175,13 @@ class TestLifecycleHygiene:
         assert driver._by_instance == {}
 
     def test_a_settled_instance_leaves_nothing_behind(self):
-        """No Job, no ActionOutcome and no per-transaction dict survive.
+        """No Job, ActionOutcome, Envelope or per-transaction dict survives.
 
         The cyclic collector is off during the run, so whatever is freed
         is freed by reference counting; object counts, not byte sizes,
         so the check holds on every interpreter version.
         """
+        from repro.net.message import Envelope
         from repro.runtime.metrics import ActionOutcome
         from repro.workload.driver import Job
 
@@ -195,7 +196,7 @@ class TestLifecycleHygiene:
         try:
             report = driver.run(OpenLoopPoisson(rate=4.0, count=300))
             alive = [type(obj) for obj in gc.get_objects()
-                     if isinstance(obj, (Job, ActionOutcome))]
+                     if isinstance(obj, (Job, ActionOutcome, Envelope))]
         finally:
             if enabled:
                 gc.enable()
