@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import TimingParameters, lemma1_completion_bound
 from repro.bench import run_experiment1
 from repro.bench.reporting import format_table
-from repro.bench.scenarios import HANDLER_TIME, NORMAL_COMPUTATION_TIME
+from repro.worlds import HANDLER_TIME, NORMAL_COMPUTATION_TIME
 
 #: Extra slack for the parts of the run the bound does not model: the entry
 #: barrier of the outermost action and the signalling phase after handling.

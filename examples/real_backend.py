@@ -33,8 +33,8 @@ def show(label, result):
 
 def main() -> None:
     print("real-capable scenarios:", ", ".join(
-        f"{scenario.name} (nodes {'/'.join(scenario.nodes)})"
-        for scenario in REGISTRY if scenario.nodes), "\n")
+        f"{scenario.name} (nodes {'/'.join(scenario.real_world().nodes)})"
+        for scenario in REGISTRY if scenario.world), "\n")
 
     # -- 1. figure9 on both backends -----------------------------------
     print("figure9 (algorithm=ours, 1 iteration):")

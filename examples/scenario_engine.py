@@ -26,10 +26,10 @@ def main() -> None:
     for scenario in sorted(REGISTRY, key=lambda s: s.name):
         print(f"  {scenario.name:16s} {len(scenario.grid):3d} points  "
               f"{scenario.description}")
-        if scenario.nodes:
+        if scenario.world:
             # Also runs across OS processes: see examples/real_backend.py.
             print(f"  {'':16s} real-capable, nodes "
-                  f"{', '.join(scenario.nodes)}")
+                  f"{', '.join(scenario.real_world().nodes)}")
 
     # -- 1. a paper figure, sequential vs parallel ---------------------
     points = figure9_grid("t_msg", values=[0.2, 0.6, 1.0], iterations=2)

@@ -21,8 +21,8 @@ rows are wall-clock throughout, and ``wide_graph`` rows carry one
 wall-clock field, ``wall_seconds``.)
 
 The built-in scenarios are one table at the end of this module; each
-names its runner (and node builder) by ``"module:function"`` reference,
-imported on first use, so importing the engine loads no workload code::
+names its runner by ``"module:function"`` reference, imported on first
+use, so importing the engine loads no workload code::
 
     REGISTRY.add(Scenario("capacity", "repro.workload.scenarios:"
                           "run_capacity_point", CAPACITY_GRID))
@@ -39,9 +39,9 @@ Runners must be module-level functions (picklable) for the process-pool
 path; anything else silently degrades to the sequential fallback.
 
 This registry is the only scenario model: a scenario that can also run
-across OS processes declares its ``nodes`` and a node builder next to its
-runner, and the real backend (:mod:`repro.real`, a layer above this one)
-resolves names and validates parameters here, as a sim sweep does.
+across OS processes names its world (:data:`repro.worlds.WORLDS`), and
+the real backend (:mod:`repro.real`, a layer above this one) resolves
+names and validates parameters here, as a sim sweep does.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from ..core.registry import (
     validate_params,
 )
 from ..runtime.system import collector_paused
-from .scenarios import EXPERIMENT1_ITERATIONS, BuiltNode
+from ..worlds import EXPERIMENT1_ITERATIONS, WORLDS, World
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +75,6 @@ logger = logging.getLogger(__name__)
 GridPoint = Mapping[str, object]
 #: One result row.
 Row = Dict[str, object]
-#: ``build(params, local, forward)``: the world of node ``local`` (wire
-#: sends go to ``forward``), or of the whole system when ``local`` is None.
-NodeBuilder = Callable[[Dict[str, object], Optional[str], object], BuiltNode]
 
 
 @dataclass(frozen=True)
@@ -103,19 +100,18 @@ class Scenario:
     """A named, sweepable workload.
 
     ``runner`` (a function, or its ``"module:function"`` reference) runs
-    one grid point; its signature declares :attr:`params`.  ``nodes``
-    and ``build`` (a node builder, given either way) make the scenario
-    *real-capable*: the real backend boots one OS process per name in
-    ``nodes`` and each calls ``build`` for its own node (see
-    :data:`NodeBuilder`).
+    one grid point; its signature declares :attr:`params`.  ``world``
+    (a name in :data:`repro.worlds.WORLDS`) makes the scenario
+    *real-capable*: a grid point, bound here, is also that world's
+    parameters, and the real backend boots one OS process per node of
+    the world, each building its own node.
     """
 
     name: str
     runner: Union[Callable[..., Row], str]
     grid: Tuple[GridPoint, ...]
     description: str = ""
-    nodes: Tuple[str, ...] = ()
-    build: Union[NodeBuilder, str, None] = None
+    world: str = ""
 
     @cached_property
     def _resolved(self) -> Tuple[Callable[..., Row], Tuple[ParamSpec, ...],
@@ -161,19 +157,12 @@ class Scenario:
         bound.update(point)
         return bound
 
-    def require_nodes(self) -> None:
-        """Raise ``KeyError`` unless the scenario is real-capable."""
-        if not self.nodes:
-            raise KeyError(
-                f"scenario {self.name!r} is not real-capable: it declares "
-                f"no nodes and no node builder")
-
-    def build_node(self, point: GridPoint, local: Optional[str] = None,
-                   forward=None) -> BuiltNode:
-        """Build node ``local`` (all-local when None) for grid ``point``."""
-        self.require_nodes()
-        build = resolve(f"scenario {self.name!r}", self.build)
-        return build(self.bind_point(point), local, forward)
+    def real_world(self) -> World:
+        """The world the scenario runs; ``KeyError`` unless it names one."""
+        if not self.world:
+            raise KeyError(f"scenario {self.name!r} is not real-capable: "
+                           f"it names no world")
+        return WORLDS.get(self.world)
 
     def describe_params(self) -> str:
         """One-line rendering of the declared params (``--list`` output)."""
@@ -186,16 +175,14 @@ class ScenarioRegistry(Registry[Scenario]):
     kind = "scenario"
 
     def register(self, name: str, grid: Sequence[GridPoint] = (),
-                 description: str = "", nodes: Sequence[str] = (),
-                 build: Optional[NodeBuilder] = None):
+                 description: str = ""):
         """Decorator: register the decorated runner under ``name``."""
         def decorate(runner: Callable[..., Row]) -> Callable[..., Row]:
             self.add(Scenario(
                 name=name, runner=runner,
                 grid=tuple(dict(point) for point in grid),
                 description=description or (runner.__doc__ or "").strip()
-                .split("\n")[0],
-                nodes=tuple(nodes), build=build))
+                .split("\n")[0]))
             return runner
         return decorate
 
@@ -205,9 +192,6 @@ class ScenarioRegistry(Registry[Scenario]):
         A runner function resolves here, so a plugin's mistyped grid fails
         at registration, not mid-sweep; a reference resolves on first use.
         """
-        if bool(scenario.nodes) != (scenario.build is not None):
-            raise ValueError(f"scenario {scenario.name!r}: nodes and a node "
-                             f"builder must be declared together")
         if callable(scenario.runner):
             scenario.params  # resolving checks the default grid
         return super().add(scenario)
@@ -457,9 +441,7 @@ for _scenario in (
     Scenario("figure9", "repro.bench.scenarios:figure9_point",
              _DEFAULT_FIGURE9_GRID,
              "Figure 9/10 sensitivity sweep (three threads, nested abort, "
-             "20 iterations)",
-             nodes=("T1", "T2", "T3"),
-             build="repro.bench.scenarios:figure9_node"),
+             "20 iterations)", world="figure9"),
     Scenario("figure12_tmmax", "repro.bench.scenarios:figure12_tmmax_point",
              tuple({"t_msg": value} for value in FIGURE12_TMMAX_GRID),
              "Figure 12 left half: ours vs Campbell-Randell, varying Tmmax"),
@@ -486,8 +468,7 @@ for _scenario in (
              REMOTE_COUNTER_GRID,
              "Two workers increment a counter on a remote object host: "
              "every lock, read, write and commit crosses the RPC layer",
-             nodes=("W1", "W2", "objhost"),
-             build="repro.bench.scenarios:remote_counter_node"),
+             world="remote_counter"),
     Scenario("churn", "repro.bench.scenarios:run_churn", CHURN_GRID,
              "Multi-action churn: many concurrent top-level CA actions "
              "sharing the network"),

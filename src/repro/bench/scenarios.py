@@ -20,10 +20,12 @@ Two application systems are described in Section 5:
 The builders below construct fully configured
 :class:`~repro.runtime.system.DistributedCASystem` instances for those
 scenarios (plus a generic N-thread scenario used by the message-complexity
-benchmarks) and small runner functions returning the measured quantities.
-A scenario that declares OS-process nodes runs all-local here too
-(:func:`run_sim`), and :func:`assemble_result` judges its node records
-the same way for the real backend (:mod:`repro.real`) that sits above.
+benchmarks) and small runner functions returning the measured quantities;
+Experiment 1's system and the shared scaffold come from
+:mod:`repro.worlds`.  A scenario that names a world runs it all-local
+here too (:func:`run_sim`), and :func:`assemble_result` judges its node
+records the same way for the real backend (:mod:`repro.real`) that sits
+above.
 """
 
 from __future__ import annotations
@@ -40,38 +42,18 @@ from ..analysis.bounds import (
     messages_single_exception,
     theorem2_worst_case_messages,
 )
-from ..core.action import CAActionDefinition, RoleDefinition
-from ..core.exception_graph import (
-    ExceptionGraph,
-    generate_full_graph,
-    graph_statistics,
-)
+from ..core.exception_graph import generate_full_graph, graph_statistics
 from ..core.exceptions import internal
-from ..core.handlers import HandlerMap, HandlerResult
-from ..explore.targets import (
-    HANDLER_TIME,
-    NORMAL_COMPUTATION_TIME,
-    add_flat_raise,
-    delay_handler,
-    install_action,
-    staggered_raises,
-)
-from ..net.latency import ConstantLatency
 from ..net.network import MessageStatistics
-from ..runtime.config import RuntimeConfig
 from ..runtime.report import ActionStatus
 from ..runtime.system import DistributedCASystem
-from ..simkernel.kernel import Kernel
+from ..worlds import (EXPERIMENT1_ITERATIONS, FIGURE9_BASELINE,
+                      NORMAL_COMPUTATION_TIME, BuiltNode, add_flat_raise,
+                      build_experiment1, figure9_timing, new_system,
+                      staggered_raises)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.oracles import OracleViolation, RunRecord
-    from ..runtime.monitor import InvariantMonitor
-
-#: Default loop count of experiment 1 ("executed in a loop (20 times)").
-EXPERIMENT1_ITERATIONS = 20
-
-#: Baseline parameter values (the first row of each Figure 9 column).
-FIGURE9_BASELINE = {"t_msg": 0.2, "t_abort": 0.1, "t_resolution": 0.3}
 
 #: The parameter Figure 12 holds fixed while it varies the other.
 FIGURE12_FIXED_TRES = 0.3
@@ -97,53 +79,23 @@ class ExperimentResult:
         return self.total_time / max(1, self.iterations)
 
 
-@dataclass
-class BuiltNode:
-    """One node's (or the all-local sim run's) constructed world.
-
-    What a scenario's node builder (``Scenario.build``) returns: the
-    system (observed: its span events are on ``system.observation``) plus
-    the monitor whose records the real backend merges across processes
-    (see :mod:`repro.real`).
-    """
-
-    system: DistributedCASystem
-    monitor: InvariantMonitor
-
-
 # ----------------------------------------------------------------------
-# The scaffold every builder shares
+# What every runner shares: a scenario's world, a finished run's totals
 # ----------------------------------------------------------------------
-def new_system(t_msg: float, algorithm: str = "ours",
-               t_resolution: float = 0.0, t_abort: float = 0.0,
-               local: Optional[str] = None, forward=None,
-               **options) -> DistributedCASystem:
-    """A system with constant message latency ``t_msg`` (the paper's Tmmax).
-
-    All-local on the sim network by default (``options`` pass ``faults`` /
-    ``kernel`` through).  With ``local`` set, this
-    process is node ``local`` of a real-backend run: the network delivers
-    locally only to that node and hands everything else to ``forward``.
+def observed_node(scenario: str, point: Dict[str, Any],
+                  local: Optional[str] = None, forward=None) -> BuiltNode:
+    """The world of real-capable ``scenario`` at grid ``point``, observed:
+    node ``local`` of a real-backend run (wire sends go to ``forward``),
+    or the whole system when ``local`` is None.  The point is validated
+    against the scenario's runner before anything is built.
     """
-    config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution,
-                           abort_time=t_abort)
-    latency = ConstantLatency(t_msg)
-    if local is None:
-        return DistributedCASystem(config, latency=latency, **options)
-    from ..net.realnet import RealNetwork
-    kernel = Kernel()
-    return DistributedCASystem(
-        config, kernel=kernel,
-        network=RealNetwork(kernel, latency, local={local}, forward=forward))
+    from .engine import REGISTRY
 
-
-def observed_node(system: DistributedCASystem) -> BuiltNode:
-    """Attach the monitor and span observation a node's record comes from."""
-    from ..runtime.monitor import InvariantMonitor
-
-    monitor = InvariantMonitor(system)
-    obs.observe_system(system, _NODE_OBS)
-    return BuiltNode(system, monitor)
+    spec = REGISTRY.get(scenario)
+    built = spec.real_world().build(**spec.bind_point(point), local=local,
+                                    forward=forward)
+    obs.observe_system(built.system, _NODE_OBS)
+    return built
 
 
 def run_totals(system: DistributedCASystem) -> Dict[str, object]:
@@ -166,82 +118,6 @@ def _run_experiment(system: DistributedCASystem,
 # ----------------------------------------------------------------------
 # Experiment 1: nested action aborted by an enclosing exception
 # ----------------------------------------------------------------------
-def build_experiment1(t_msg: float, t_abort: float, t_resolution: float,
-                      iterations: int = EXPERIMENT1_ITERATIONS,
-                      algorithm: str = "ours",
-                      local: Optional[str] = None,
-                      forward=None) -> DistributedCASystem:
-    """Build the Figure 9/10 application system.
-
-    Threads ``T1``–``T3`` participate in the containing action ``Outer``;
-    ``T2`` and ``T3`` additionally enter the nested action ``Inner``.  Each
-    iteration: T1 raises ``outer_fault`` in ``Outer`` while T2/T3 are inside
-    ``Inner``; the nested action is aborted; the abortion handlers signal
-    ``abort_residue``; both exceptions are resolved into their covering
-    exception, which every thread handles.
-
-    ``local``/``forward`` build one node of a real-backend run (see
-    :func:`new_system` and :func:`install_action`).
-    """
-    system = new_system(t_msg, algorithm, t_resolution, t_abort,
-                        local=local, forward=forward)
-    system.add_threads(["T1", "T2", "T3"])
-    system.create_object("plant", {"state": "idle", "processed": 0})
-
-    outer_fault = internal("outer_fault")
-    abort_residue = internal("abort_residue")
-    outer_graph = generate_full_graph([outer_fault, abort_residue],
-                                      action_name="Outer")
-
-    def resolving_handler(ctx):
-        yield ctx.delay(HANDLER_TIME)
-        ctx.write("plant", "state", "repaired")
-        return HandlerResult.success()
-
-    def abortion_handler(ctx):
-        return HandlerResult.signal(abort_residue)
-
-    def inner_role(ctx):
-        # Long-running cooperative work, interrupted by the outer exception.
-        yield ctx.delay(50.0 * NORMAL_COMPUTATION_TIME)
-        return "inner-done"
-
-    inner = CAActionDefinition(
-        "Inner",
-        [RoleDefinition(role, inner_role,
-                        HandlerMap(abortion_handler=abortion_handler,
-                                   default_handler=resolving_handler))
-         for role in ("b1", "b2")],
-        graph=ExceptionGraph("Inner"), parent="Outer")
-
-    def raising_role(ctx):
-        yield ctx.delay(NORMAL_COMPUTATION_TIME)
-        ctx.raise_exception(outer_fault)
-
-    def nesting_role(role_name):
-        def body(ctx):
-            yield ctx.delay(0.1)
-            report = yield from ctx.perform_nested("Inner", role_name)
-            return report
-        return body
-
-    outer = CAActionDefinition(
-        "Outer",
-        [RoleDefinition(role, body,
-                        HandlerMap(default_handler=resolving_handler))
-         for role, body in (("a1", raising_role),
-                            ("a2", nesting_role("b1")),
-                            ("a3", nesting_role("b2")))],
-        internal_exceptions=[outer_fault, abort_residue], graph=outer_graph,
-        external_objects=["plant"])
-
-    system.define_action(inner)
-    system.bind("Inner", {"b1": "T2", "b2": "T3"})
-    install_action(system, outer, {"a1": "T1", "a2": "T2", "a3": "T3"},
-                   iterations, local)
-    return system
-
-
 def run_experiment1(t_msg: float, t_abort: float, t_resolution: float,
                     iterations: int = EXPERIMENT1_ITERATIONS,
                     algorithm: str = "ours") -> ExperimentResult:
@@ -251,35 +127,19 @@ def run_experiment1(t_msg: float, t_abort: float, t_resolution: float,
                           algorithm), iterations)
 
 
-def _figure9_timing(varying: str, value: float) -> Dict[str, float]:
-    """Experiment 1's three durations: ``varying`` swept, others baseline."""
-    if varying not in FIGURE9_BASELINE:
-        raise ValueError(f"unknown parameter {varying!r}")
-    return {**FIGURE9_BASELINE, varying: value}
-
-
 def figure9_point(varying: str = "t_msg",
                   value: float = FIGURE9_BASELINE["t_msg"],
                   iterations: int = EXPERIMENT1_ITERATIONS,
                   algorithm: str = "ours") -> Dict[str, float]:
     """One Figure 9 grid point: sweep ``varying``, others at baseline."""
     result = run_experiment1(iterations=iterations, algorithm=algorithm,
-                             **_figure9_timing(varying, value))
+                             **figure9_timing(varying, value))
     return {
         varying: value,
         "total_time": result.total_time,
         "time_per_iteration": result.time_per_iteration,
         "protocol_messages": result.protocol_messages,
     }
-
-
-def figure9_node(params: Dict[str, object], local: Optional[str],
-                 forward) -> BuiltNode:
-    """Node builder of ``figure9``: Experiment 1, one process per thread."""
-    return observed_node(build_experiment1(
-        iterations=params["iterations"], algorithm=params["algorithm"],
-        local=local, forward=forward,
-        **_figure9_timing(params["varying"], params["value"])))
 
 
 # ----------------------------------------------------------------------
@@ -499,88 +359,6 @@ def run_wide_graph(n_threads: int = 8, n_primitives: int = 12,
 # ----------------------------------------------------------------------
 # Remote counter: external atomic objects behind an RPC object host
 # ----------------------------------------------------------------------
-def build_remote_counter(iterations: int = 3, limit: int = 1,
-                         algorithm: str = "ours", t_msg: float = 0.1,
-                         t_resolution: float = 0.2, t_abort: float = 0.1,
-                         rpc_timeout: float = 60.0,
-                         local: Optional[str] = None,
-                         forward=None) -> BuiltNode:
-    """Workers ``W1``/``W2`` increment a counter hosted on ``objhost``.
-
-    Every object access crosses the RPC layer — locks, reads, writes,
-    commit — in *both* backends, so the sim run exercises exactly the
-    code path the real processes do.  ``W1`` reads the counter under an
-    exclusive lock, writes ``value + 1``, and raises ``overdraft`` once
-    the value it read reaches ``limit`` (deterministic from the
-    authoritative host state); the resolved exception is handled by
-    both workers and the action still commits.
-    """
-    from ..net.rpc import RpcEndpoint
-    from ..objects.remote import ObjectHostService, install_remote_objects
-
-    system = new_system(t_msg, algorithm, t_resolution, t_abort,
-                        local=local, forward=forward)
-    network = system.network
-    system.add_threads(["W1", "W2"])
-
-    hosts_object = local is None or local == "objhost"
-    if hosts_object:
-        # The endpoint keeps the service (its registered procedures) alive.
-        system.create_object("acct", {"value": 0})
-        ObjectHostService(RpcEndpoint(network.add_node("objhost"), network),
-                          system.transactions)
-
-    # drain=False: the partition dispatcher owns the inbox and routes RPC
-    # payloads to the endpoint (see Dispatcher).
-    endpoints = {worker: RpcEndpoint(network.node(worker), network,
-                                     drain=False)
-                 for worker in ("W1", "W2")
-                 if local is None or local == worker}
-    if endpoints:
-        designated = endpoints[local if local in endpoints else "W1"]
-        install_remote_objects(
-            system, lambda _instance_key: designated, "objhost",
-            timeout=rpc_timeout)
-
-    overdraft = internal("overdraft")
-    handled = delay_handler(0.1)
-
-    def u1_body(ctx):
-        txn = ctx.transaction
-        yield txn.lock("acct")
-        value = yield txn.read("acct", "value")
-        txn.write("acct", "value", value + 1)
-        yield ctx.delay(0.2)
-        if value >= limit:
-            ctx.raise_exception(overdraft)
-        return value
-
-    def u2_body(ctx):
-        yield ctx.delay(0.4)
-        return "ok"
-
-    transfer = CAActionDefinition(
-        "Transfer",
-        [RoleDefinition("u1", u1_body, HandlerMap(default_handler=handled)),
-         RoleDefinition("u2", u2_body, HandlerMap(default_handler=handled))],
-        internal_exceptions=[overdraft],
-        graph=generate_full_graph([overdraft], action_name="Transfer"),
-        external_objects=["acct"])
-    install_action(system, transfer, {"u1": "W1", "u2": "W2"}, iterations,
-                   local)
-    built = observed_node(system)
-    if hosts_object:
-        # The no-lost-update oracle runs where the authoritative copy is.
-        built.monitor.track_counter("acct", "value")
-    return built
-
-
-def remote_counter_node(params: Dict[str, object], local: Optional[str],
-                        forward) -> BuiltNode:
-    """Node builder of ``remote_counter``: :func:`build_remote_counter`."""
-    return build_remote_counter(local=local, forward=forward, **params)
-
-
 def remote_counter_point(iterations: int = 3, limit: int = 1,
                          algorithm: str = "ours", t_msg: float = 0.1,
                          t_resolution: float = 0.2, t_abort: float = 0.1,
@@ -695,9 +473,7 @@ def run_sim(name: str, **overrides: Any) -> RealRunResult:
     :meth:`repro.real.RealBackend.run`, which is what the parity tests
     compare.
     """
-    from .engine import REGISTRY
-
-    built = REGISTRY.get(name).build_node(overrides)
+    built = observed_node(name, overrides)
     built.system.kernel.run()
     return assemble_result(name, "sim", {"sim": collect_record(built)},
                            crashed=[], wall_time=0.0)

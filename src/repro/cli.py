@@ -102,7 +102,7 @@ def registry_listing() -> List[str]:
     """Every scenario and traffic action: what ``list`` ends with.
 
     Name, grid size, description, declared parameters and — for
-    real-capable scenarios — the OS-process nodes.
+    real-capable scenarios — the OS-process nodes of their world.
     """
     from .bench.engine import REGISTRY
     from .workload.registry import ACTIONS
@@ -114,9 +114,9 @@ def registry_listing() -> List[str]:
         if scenario.description:
             lines.append(f"      {scenario.description}")
         lines.append(f"      params: {scenario.describe_params()}")
-        if scenario.nodes:
-            lines.append(f"      nodes: {', '.join(scenario.nodes)} "
-                         f"(runs on the real backend)")
+        if scenario.world:
+            nodes = ", ".join(scenario.real_world().nodes)
+            lines.append(f"      nodes: {nodes} (runs on the real backend)")
     lines.append("")
     lines.append(f"Traffic actions ({len(ACTIONS)}):")
     for name in ACTIONS.names():
@@ -195,13 +195,14 @@ def cmd_run(arguments) -> int:
     import hashlib
 
     from .bench.engine import EXPLORE_CHUNK_SIZE, run_scenario
-    from .explore import TARGETS, ExplorationPlan
+    from .explore import ExplorationPlan
     from .explore.explorer import explore_chunk
     from .explore.shrink import shrink_to_reproducers
+    from .worlds import WORLDS
 
-    if arguments.target not in TARGETS:
+    if arguments.target not in WORLDS:
         arguments.error(f"unknown target {arguments.target!r} "
-                        f"(targets: {', '.join(sorted(TARGETS))})")
+                        f"(worlds: {', '.join(WORLDS.names())})")
     if arguments.budget < 1:
         arguments.error("--budget must be >= 1")
     points = [{"target": arguments.target, "seed": arguments.seed,
@@ -288,7 +289,7 @@ def cmd_real(arguments) -> int:
     from .real.backend import RealBackend
 
     capable = sorted(scenario.name for scenario in REGISTRY
-                     if scenario.nodes)
+                     if scenario.world)
     names = arguments.scenario or capable
     unknown = sorted(set(names) - set(capable))
     if unknown:
@@ -361,7 +362,7 @@ COMMANDS = {
             "seeded fault-plan sweep; failing plans shrunk to reproducers",
             cmd_run,
             _arg("--target", default="nested_abort",
-                 help="exploration target (default: nested_abort)"),
+                 help="world to explore (default: nested_abort)"),
             _arg("--seed", type=int, default=2026,
                  help="sampling seed (default: 2026)"),
             _arg("--budget", type=int, default=200,

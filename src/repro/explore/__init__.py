@@ -8,10 +8,10 @@ mechanizes the search over that space:
 
 * :mod:`~repro.explore.plan` — :class:`ExplorationPlan`, a serializable
   ``(fault directives, schedule-perturbation seed)`` pair; every run is a
-  pure function of ``(target, plan)``;
+  pure function of ``(world, plan)``, the world one of
+  :data:`repro.worlds.WORLDS`;
 * :mod:`~repro.explore.generator` — :class:`FaultPlanGenerator`, seeded
   sampling of plans from the drop/corrupt/delay/crash vocabulary;
-* :mod:`~repro.explore.targets` — the scenario systems under exploration;
 * :mod:`~repro.explore.trace` — each case's canonical trace, rendered
   from the ``repro.obs`` record log its case attaches, and its digest
   for deterministic replay checking;
@@ -31,6 +31,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     "generator": ["FaultPlanGenerator"],
     "plan": ["ExplorationPlan"],
     "shrink": ["ShrinkResult", "shrink_plan", "to_pytest_source"],
-    "targets": ["TARGETS", "ExplorationTarget"],
     "trace": ["canonical_trace", "trace_digest"],
 })

@@ -1,6 +1,6 @@
-"""The fault-space explorer: budgeted sweeps of ``(target, plan)`` runs.
+"""The fault-space explorer: budgeted sweeps of ``(world, plan)`` runs.
 
-One *case* is one deterministic run: build the target with the plan's
+One *case* is one deterministic run: build the world with the plan's
 fault plan and schedule seed, run to quiescence, evaluate the oracle
 catalogue, and digest the canonical trace.  :class:`Explorer` sweeps a
 seeded budget of generated plans; :func:`explore_chunk` is the
@@ -19,11 +19,10 @@ from typing import Any, Dict, List, Optional, Sequence
 from .. import obs
 from ..core import oracles
 from ..core.oracles import OracleViolation
-from ..runtime.monitor import InvariantMonitor
 from ..runtime.system import collector_paused
+from ..worlds import WORLDS, World
 from .generator import DEFAULT_KINDS, FaultPlanGenerator
 from .plan import ExplorationPlan
-from .targets import ExplorationTarget, get_target
 from .trace import CASE_PROFILE, canonical_trace, trace_digest
 
 
@@ -55,12 +54,17 @@ class CaseResult:
         return "\n".join(lines)
 
 
-def _execute(target: ExplorationTarget, plan: ExplorationPlan,
+def _world(target) -> World:
+    """``target`` itself, or the world of :data:`WORLDS` it names."""
+    return target if isinstance(target, World) else WORLDS.get(target)
+
+
+def _execute(world: World, plan: ExplorationPlan,
              algorithm: str, profile: obs.ObsConfig = CASE_PROFILE):
     """One run; returns ``(system, monitor, error)``."""
-    system = target.build(plan.make_fault_plan(), tie_seed=plan.tie_seed,
-                          algorithm=algorithm)
-    monitor = InvariantMonitor(system)
+    built = world.build(faults=plan.make_fault_plan(),
+                        tie_seed=plan.tie_seed, algorithm=algorithm)
+    system = built.system
     # The case's one record of the run: its record log is the canonical
     # trace, its flight ring the dump a failing case carries.  Under an
     # ambient obs.capture() this is the capture's observation, widened.
@@ -73,12 +77,12 @@ def _execute(target: ExplorationTarget, plan: ExplorationPlan,
         system.run()
     except Exception as exc:  # noqa: BLE001 — anything the sim surfaces
         error = f"{type(exc).__name__}: {exc}"
-    return system, monitor, error
+    return system, built.monitor, error
 
 
 def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
              baselines: Sequence[str] = (), index: int = -1) -> CaseResult:
-    """Run one ``(target, plan)`` case and evaluate every oracle.
+    """Run one ``(world, plan)`` case and evaluate every oracle.
 
     ``baselines`` names additional algorithms (e.g.
     ``"campbell-randell"``, ``"romanovsky96"``) to run the same plan
@@ -92,8 +96,8 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
     than one case's cyclic garbage.
     """
     with collector_paused():
-        resolved_target = get_target(target)
-        system, monitor, error = _execute(resolved_target, plan, algorithm)
+        world = _world(target)
+        system, monitor, error = _execute(world, plan, algorithm)
         require_liveness = plan.preserves_delivery and error is None
         violations = monitor.check(require_liveness=require_liveness)
         if error is not None:
@@ -108,7 +112,7 @@ def run_case(target, plan: ExplorationPlan, algorithm: str = "ours",
             for baseline in baselines:
                 # Only the resolutions are compared: no canonical trace.
                 _, base_monitor, base_error = _execute(
-                    resolved_target, plan, baseline,
+                    world, plan, baseline,
                     obs.ObsConfig.flight_only())
                 if base_error is not None:
                     violations.append(OracleViolation(
@@ -163,7 +167,7 @@ class ExplorationReport:
 
 
 class Explorer:
-    """A seeded, budgeted sweep over generated plans for one target."""
+    """A seeded, budgeted sweep over generated plans for one world."""
 
     def __init__(self, target="nested_abort", seed: int = 0,
                  budget: int = 100,
@@ -176,14 +180,14 @@ class Explorer:
                  generator: Optional[FaultPlanGenerator] = None) -> None:
         if budget < 1:
             raise ValueError("budget must be >= 1")
-        self.target = get_target(target)
+        self.target = _world(target)
         self.seed = int(seed)
         self.budget = budget
         self.algorithm = algorithm
         self.baselines = tuple(baselines)
         self.stop_on_first_failure = stop_on_first_failure
         self.generator = generator or FaultPlanGenerator(
-            self.seed, self.target.threads, kinds=kinds,
+            self.seed, self.target.nodes, kinds=kinds,
             max_directives=max_directives,
             jitter_probability=jitter_probability)
 

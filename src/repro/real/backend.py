@@ -57,31 +57,32 @@ class RealBackend:
         any process is spawned.
         """
         spec = REGISTRY.get(scenario)
-        spec.require_nodes()
-        if kill is not None and kill[0] not in spec.nodes:
+        nodes = spec.real_world().nodes
+        if kill is not None and kill[0] not in nodes:
             raise ValueError(
                 f"kill target {kill[0]!r} is not a node of scenario "
-                f"{spec.name!r} (nodes: {', '.join(spec.nodes)})")
+                f"{spec.name!r} (nodes: {', '.join(nodes)})")
         params = spec.bind_point(overrides)
-        return asyncio.run(self._run(spec, params, kill))
+        return asyncio.run(self._run(spec.name, nodes, params, kill))
 
     # ------------------------------------------------------------------
-    async def _run(self, spec, params: Dict[str, Any],
+    async def _run(self, name: str, nodes: Tuple[str, ...],
+                   params: Dict[str, Any],
                    kill: Optional[Tuple[str, float]]) -> RealRunResult:
         loop = asyncio.get_running_loop()
         started_at = time.monotonic()
-        hub = Hub(spec.nodes, settle=self.settle, stall=self.stall)
+        hub = Hub(nodes, settle=self.settle, stall=self.stall)
         server = await asyncio.start_server(hub.handle_client,
                                             "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         context = multiprocessing.get_context("spawn")
         processes = {}
-        for node in spec.nodes:
+        for node in nodes:
             process = context.Process(
                 target=_child_main,
-                args=("127.0.0.1", port, spec.name, node, params,
+                args=("127.0.0.1", port, name, node, params,
                       self.time_scale, list(sys.path)),
-                daemon=True, name=f"repro-{spec.name}-{node}")
+                daemon=True, name=f"repro-{name}-{node}")
             process.start()
             processes[node] = process
         reaper = loop.create_task(self._reap_dead(hub, processes))
@@ -90,7 +91,7 @@ class RealBackend:
                                    timeout=self.wall_timeout)
         except asyncio.TimeoutError:
             raise RealBackendError(
-                f"real backend run of {spec.name!r} exceeded the "
+                f"real backend run of {name!r} exceeded the "
                 f"{self.wall_timeout}s wall-clock timeout "
                 f"(done={sorted(hub.done)}, dead={sorted(hub.dead)}, "
                 f"finals={sorted(hub.finals)})")
@@ -105,9 +106,9 @@ class RealBackend:
                 process.join(timeout=5)
         if not hub.finals:
             raise RealBackendError(
-                f"no node of {spec.name!r} returned a final record "
+                f"no node of {name!r} returned a final record "
                 f"(dead={sorted(hub.dead)})")
-        return assemble_result(spec.name, "real", hub.finals, sorted(hub.dead),
+        return assemble_result(name, "real", hub.finals, sorted(hub.dead),
                                time.monotonic() - started_at, params=params)
 
     # ------------------------------------------------------------------

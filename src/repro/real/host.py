@@ -1,7 +1,7 @@
 """Child-process entry point of the real backend.
 
-Each node process builds its view of the scenario (its registered node
-builder, see :mod:`repro.bench.engine`), connects to the parent hub, and runs
+Each node process builds its own node of the scenario's world (see
+:mod:`repro.worlds`), connects to the parent hub, and runs
 the *deterministic sim kernel* paced against the wall clock: an event
 scheduled at virtual time ``t`` executes no earlier than
 ``start + t * time_scale`` seconds of real time.  Between kernel steps
@@ -100,12 +100,11 @@ def run_node(host: str, port: int, scenario: str, node: str,
     arrives as picklable arguments and the scenario is resolved by name
     in :data:`repro.bench.engine.REGISTRY` inside the child.
     """
-    from ..bench.engine import REGISTRY
-    from ..bench.scenarios import collect_record
+    from ..bench.scenarios import collect_record, observed_node
 
     link = _HubLink(host, port)
-    built = REGISTRY.get(scenario).build_node(
-        params, node,
+    built = observed_node(
+        scenario, params, node,
         lambda src, dst, payload, send_vt, deliver_vt:
         link.send({"kind": "msg", "src": src, "dst": dst,
                    "payload": payload, "send_vt": send_vt,

@@ -1,8 +1,8 @@
 """The one flat-raise scaffold behind the Experiment 2 family.
 
 ``build_experiment2``, ``build_wide_graph``, ``run_complexity_scenario``,
-each ``build_churn`` group and the explorer's ``concurrent_raises`` target
-are calls to :func:`repro.bench.scenarios.add_flat_raise` with different
+each ``build_churn`` group and the ``concurrent_raises`` world are calls
+to :func:`repro.worlds.add_flat_raise` with different
 constants.  The values pinned here were measured on the hand-written
 builders the scaffold replaced: traces must not move.  The two explorer
 digests were re-pinned once, when the canonical trace came to be read
@@ -10,17 +10,15 @@ from the record log (a new rendering of the same runs).
 """
 
 from repro.bench.scenarios import (
-    add_flat_raise,
-    new_system,
     run_complexity_scenario,
     run_experiment2,
     run_totals,
     run_wide_graph,
-    staggered_raises,
 )
 from repro.core.exceptions import internal
 from repro.explore import ExplorationPlan, run_case
 from repro.explore.explorer import explore_chunk
+from repro.worlds import add_flat_raise, new_system, staggered_raises
 
 
 def test_family_reproduces_the_hand_written_builders():

@@ -1,6 +1,6 @@
 """What an explored case does not pay for again.
 
-A target's action definitions are built once per process and shared by
+A world's action definitions are built once per process and shared by
 every case (sharing is safe only while a run never mutates them, so the
 graph versions are pinned here), and the cyclic collector is paused for
 each case and left exactly as the case found it.
@@ -11,14 +11,14 @@ from dataclasses import replace
 
 import pytest
 
-import repro.explore.targets as targets
+import repro.worlds as worlds
 from repro.bench.engine import _run_sequential
 from repro.core import oracles
 from repro.explore import ExplorationPlan, run_case
-from repro.explore.targets import get_target
 from repro.net.faults import FaultDirective, FaultPlan
+from repro.worlds import WORLDS
 
-#: The actions each target registers.
+#: The actions each world with cached definitions registers.
 ACTIONS = {"nested_abort": ("Inner", "Outer"),
            "concurrent_raises": ("Concurrent",)}
 
@@ -31,7 +31,7 @@ DELAYED = ExplorationPlan(
 
 
 def registered(target):
-    system = get_target(target).build(FaultPlan())
+    system = WORLDS.get(target).build(faults=FaultPlan()).system
     return [system.registry.get(name) for name in ACTIONS[target]]
 
 
@@ -64,13 +64,13 @@ class TestSharedDefinitions:
     @pytest.mark.parametrize("target", sorted(ACTIONS))
     def test_later_cases_build_no_graph(self, target, monkeypatch):
         calls = []
-        original = targets.generate_full_graph
+        original = worlds.generate_full_graph
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(targets, "generate_full_graph", counting)
+        monkeypatch.setattr(worlds, "generate_full_graph", counting)
         run_case(target, DELAYED)
         calls.clear()
         for tie_seed in range(10):
@@ -87,12 +87,12 @@ class TestCollectorPause:
         def crash():
             raise RuntimeError("boom")
 
-        def build(faults, **options):
-            system = get_target("nested_abort").build(faults, **options)
-            system.run = crash
-            return system
+        def build(**params):
+            built = WORLDS.get("nested_abort").build(**params)
+            built.system.run = crash
+            return built
 
-        target = replace(get_target("nested_abort"), build=build)
+        target = replace(WORLDS.get("nested_abort"), builder=build)
         result = run_case(target, DELAYED)
         assert [v.invariant for v in result.violations] == [oracles.NO_CRASH]
         assert result.error == "RuntimeError: boom"
@@ -122,10 +122,10 @@ class TestCollectorPause:
     def test_the_build_runs_with_the_collector_paused(self, collector_on):
         seen = []
 
-        def build(faults, **options):
+        def build(**params):
             seen.append(gc.isenabled())
-            return get_target("concurrent_raises").build(faults, **options)
+            return WORLDS.get("concurrent_raises").build(**params)
 
-        run_case(replace(get_target("concurrent_raises"), build=build),
+        run_case(replace(WORLDS.get("concurrent_raises"), builder=build),
                  DELAYED)
         assert seen == [False]

@@ -6,9 +6,9 @@ from repro.core import oracles
 from repro.core.oracles import ThreadQuiescence
 from repro.core.state import ThreadState
 from repro.explore import ExplorationPlan, run_case
-from repro.explore.targets import get_target
 from repro.net.faults import FaultDirective
 from repro.runtime.monitor import InvariantMonitor
+from repro.worlds import WORLDS
 
 
 def _quiet(thread="T1", **overrides):
@@ -92,9 +92,9 @@ class TestOraclePredicates:
 
 class TestInvariantMonitor:
     def test_clean_run_upholds_every_invariant(self):
-        system = get_target("nested_abort").build(
-            ExplorationPlan().make_fault_plan())
-        monitor = InvariantMonitor(system)
+        built = WORLDS.get("nested_abort").build(
+            faults=ExplorationPlan().make_fault_plan())
+        system, monitor = built.system, built.monitor
         system.run()
         assert monitor.check(require_liveness=True) == []
         # The monitor actually saw the run: Outer resolved on all threads.
@@ -103,9 +103,9 @@ class TestInvariantMonitor:
         assert all(count == 1 for count in monitor.outcomes.values())
 
     def test_monitor_sees_agreed_resolution_per_instance(self):
-        system = get_target("concurrent_raises").build(
-            ExplorationPlan().make_fault_plan())
-        monitor = InvariantMonitor(system)
+        built = WORLDS.get("concurrent_raises").build(
+            faults=ExplorationPlan().make_fault_plan())
+        system, monitor = built.system, built.monitor
         system.run()
         [(key, seen)] = list(monitor.resolutions.items())
         assert key[0] == "Concurrent"

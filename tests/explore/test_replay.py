@@ -7,10 +7,10 @@ import pytest
 from repro import obs
 from repro.bench.engine import run_scenario
 from repro.explore import ExplorationPlan, run_case
-from repro.explore.targets import get_target
 from repro.explore.trace import CASE_PROFILE, canonical_trace, trace_digest
 from repro.net.faults import FaultDirective
 from repro.runtime.events import KERNEL_STEP
+from repro.worlds import WORLDS
 
 RACE_PLAN = ExplorationPlan(directives=(
     FaultDirective("delay_type", source="T2", destination="T3",
@@ -18,8 +18,8 @@ RACE_PLAN = ExplorationPlan(directives=(
 
 
 def _run_once(plan, target="nested_abort"):
-    system = get_target(target).build(plan.make_fault_plan(),
-                                      tie_seed=plan.tie_seed)
+    system = WORLDS.get(target).build(faults=plan.make_fault_plan(),
+                                      tie_seed=plan.tie_seed).system
     obs.observe_system(system, CASE_PROFILE)
     system.run()
     return canonical_trace(system), system.network.stats.snapshot()
@@ -65,16 +65,16 @@ class TestByteIdenticalReplay:
         assert observed.digest == uncaptured.digest
 
     def test_canonical_trace_refuses_a_partial_record_log(self):
-        system = get_target("nested_abort").build(
-            RACE_PLAN.make_fault_plan(), tie_seed=None)
+        system = WORLDS.get("nested_abort").build(
+            faults=RACE_PLAN.make_fault_plan()).system
         obs.observe_system(system, obs.ObsConfig.flight_only())
         system.run()
         with pytest.raises(RuntimeError, match="whole record log"):
             canonical_trace(system)
 
     def test_canonical_trace_refuses_an_unobserved_system(self):
-        system = get_target("nested_abort").build(
-            RACE_PLAN.make_fault_plan(), tie_seed=None)
+        system = WORLDS.get("nested_abort").build(
+            faults=RACE_PLAN.make_fault_plan()).system
         system.run()
         assert system.observation is None
         with pytest.raises(RuntimeError, match="CASE_PROFILE"):

@@ -24,9 +24,9 @@ from repro.bench.reporting import (
     paper_reference_figure9,
     series,
 )
-from repro.bench.scenarios import HANDLER_TIME, NORMAL_COMPUTATION_TIME
 from repro.runtime import ActionStatus
 from repro.runtime.events import MESSAGE_DELIVERED
+from repro.worlds import HANDLER_TIME, NORMAL_COMPUTATION_TIME
 
 
 # ----------------------------------------------------------------------

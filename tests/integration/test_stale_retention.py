@@ -25,8 +25,8 @@ from repro.core.messages import ExceptionMessage, SuspendedMessage
 from repro.core.exception_graph import generate_full_graph
 from repro.core.exceptions import internal
 from repro.explore import ExplorationPlan, run_case
-from repro.explore.targets import get_target
 from repro.net.faults import FaultDirective
+from repro.worlds import WORLDS
 
 
 def _plan(*directives):
@@ -59,7 +59,8 @@ class TestExplorerFoundRetentionLeaks:
                                     destination="T3", n=2, extra=2.209),
                      FaultDirective("delay_nth", source="T3",
                                     destination="T1", n=2, extra=3.179))
-        system = get_target("nested_abort").build(plan.make_fault_plan())
+        system = WORLDS.get("nested_abort").build(
+            faults=plan.make_fault_plan()).system
         system.run()
         for partition in system.partitions.values():
             assert partition.coordinator.retained == []

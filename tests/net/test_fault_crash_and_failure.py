@@ -14,10 +14,10 @@ from repro.core.exceptions import FAILURE, NO_EXCEPTION, internal
 from repro.core.signalling import SignalCoordinator, SignalOutcome
 from repro.core.state import ActionContext
 from repro.core.exception_graph import generate_full_graph
-from repro.explore.targets import get_target
 from repro.net.faults import FaultPlan
 from repro.net.message import Envelope
 from repro.runtime.report import ActionStatus
+from repro.worlds import WORLDS
 
 
 class TestCrashFaults:
@@ -130,7 +130,7 @@ class TestSignallingDegradesToFailure:
         # toBeSignalled proposal is recorded as ƒ — so every thread
         # signals ƒ and every participation ends FAILED.
         faults = FaultPlan(corrupt_probability=1.0)
-        system = get_target("concurrent_raises").build(faults)
+        system = WORLDS.get("concurrent_raises").build(faults=faults).system
         reports = system.run_to_completion()
         assert [r.status for r in reports] == [ActionStatus.FAILED] * 3
         assert all(r.signalled == FAILURE for r in reports)

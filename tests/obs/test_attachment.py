@@ -78,7 +78,7 @@ class TestOneObservationPerSystem:
         assert once and steps(2) == once
 
     def test_an_adopted_node_build_keeps_feeding_the_ambient_capture(self):
-        # run_sim builds its nodes through bench.scenarios.observed_node,
+        # run_sim builds its world through bench.scenarios.observed_node,
         # which asks for a span observation of a system the capture has
         # already adopted.
         with obs.capture() as cap:

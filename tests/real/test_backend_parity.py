@@ -7,7 +7,7 @@ scheduling-sensitive.  The contract checked is the acceptance bar of the
 real backend — on every real-capable scenario of the registry x
 algorithm cell the real run must pass every oracle of the catalogue and
 report the *same* oracle verdicts and (action, status) conclusion counts
-as the deterministic sim run of the same node builder.
+as the deterministic sim run of the same world.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.realbackend
 #: Fast pacing for CI: 0.01 wall seconds per virtual time unit.
 FAST = RealBackend(time_scale=0.01, wall_timeout=90.0)
 
-REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.nodes]
+REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.world]
 ALGORITHMS = ("ours", "campbell-randell", "romanovsky96")
 
 
@@ -36,7 +36,7 @@ def test_parity(name, algorithm):
     assert real.violations == []
     assert real.outcomes == sim.outcomes
     assert real.crashed == []
-    assert set(real.records) == set(REGISTRY.get(name).nodes)
+    assert set(real.records) == set(REGISTRY.get(name).real_world().nodes)
     # Where a no-lost-update counter is tracked, the node hosting it saw
     # the same authoritative value as the all-local run.
     assert real.record.counters == sim.record.counters

@@ -1,8 +1,8 @@
 """Real-capable scenarios on the sim backend, and the backend's checks.
 
 These are the fast halves of the backend-parity contract: every scenario
-of the one registry that declares ``nodes`` runs all-local on the
-deterministic kernel through its node builder, and
+of the one registry that names a world runs that world all-local on the
+deterministic kernel, and
 :meth:`~repro.real.RealBackend.run` validates its scenario, parameters
 and crash target without spawning any process.  The multi-process halves
 live in ``test_backend_parity.py`` under the ``realbackend`` marker.
@@ -14,20 +14,21 @@ import pytest
 
 from repro.bench import engine
 from repro.bench.engine import REGISTRY, run_scenario
-from repro.bench.scenarios import collect_record, run_sim
+from repro.bench.scenarios import collect_record, observed_node, run_sim
 from repro.core.registry import ParamValidationError
 from repro.real import RealBackend
 from repro.real.framing import FrameDecoder, encode_frame
 from repro.real.host import NodeInbox
 
-REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.nodes]
+REAL_CAPABLE = [scenario.name for scenario in REGISTRY if scenario.world]
 ALGORITHMS = ["ours", "campbell-randell", "romanovsky96"]
 
 
 class TestRegistry:
-    def test_real_capable_scenarios_declare_their_nodes(self):
-        assert REGISTRY.get("figure9").nodes == ("T1", "T2", "T3")
-        assert REGISTRY.get("remote_counter").nodes == \
+    def test_real_capable_scenarios_run_their_worlds_nodes(self):
+        assert REGISTRY.get("figure9").real_world().nodes == \
+            ("T1", "T2", "T3")
+        assert REGISTRY.get("remote_counter").real_world().nodes == \
             ("W1", "W2", "objhost")
         assert set(REAL_CAPABLE) == {"figure9", "remote_counter"}
 
@@ -37,11 +38,11 @@ class TestRegistry:
         assert params["iterations"] == 7
         assert params["limit"] == 1 and params["algorithm"] == "ours"
 
-    def test_nodes_and_builder_must_be_declared_together(self):
-        registry = engine.ScenarioRegistry()
-        with pytest.raises(ValueError, match="declared together"):
-            registry.add(engine.Scenario("half", lambda: {}, (),
-                                         nodes=("A",)))
+    def test_an_unknown_world_lists_the_registered_ones(self):
+        scenario = engine.Scenario("lost", lambda: {}, (), world="nowhere")
+        with pytest.raises(KeyError, match=r"unknown world 'nowhere'; "
+                                           r"registered: \['concurrent_"):
+            scenario.real_world()
 
     def test_listing_shows_the_nodes_of_real_capable_scenarios(self):
         from repro.cli import registry_listing
@@ -67,11 +68,11 @@ class TestFigure9Sim:
         assert result.outcomes[("Outer", "recovered")] == 6
         assert result.outcomes[("Inner", "aborted")] == 4
 
-    def test_node_builder_takes_the_sweep_point(self):
-        # The same grid point drives the sim row and the node build.
+    def test_the_world_takes_the_sweep_point(self):
+        # The same grid point drives the sim row and the world's build.
         point = {"varying": "t_abort", "value": 0.9, "iterations": 1}
         [row] = run_scenario("figure9", points=[point])
-        built = REGISTRY.get("figure9").build_node(point)
+        built = observed_node("figure9", point)
         built.system.run_to_completion()
         assert built.system.now == row["total_time"]
 
@@ -113,7 +114,7 @@ class TestRemoteCounterSim:
 
 class TestCollectRecord:
     def test_local_filter_restricts_quiescence_to_own_thread(self):
-        built = REGISTRY.get("remote_counter").build_node({"iterations": 1})
+        built = observed_node("remote_counter", {"iterations": 1})
         built.system.kernel.run()
         full = collect_record(built)["record"]
         assert {snap.thread for snap in full.quiescence} == {"W1", "W2"}
@@ -128,8 +129,7 @@ class TestParamValidation:
     def no_build(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("validation must come before any build")
-        monkeypatch.setattr("repro.bench.scenarios.build_experiment1",
-                            forbidden)
+        monkeypatch.setattr("repro.worlds.build_experiment1", forbidden)
         monkeypatch.setattr("repro.real.backend.asyncio.run", forbidden)
         monkeypatch.setattr(
             "repro.real.backend.multiprocessing.get_context", forbidden)

@@ -251,15 +251,16 @@ class TestPartitionInterpreter:
             self, target, algorithm):
         # Every effect the coordinators build (the baselines' included)
         # has a handler: none reaches the partition log as unknown.
-        from repro.explore.targets import get_target
         from repro.net.faults import FaultPlan
+        from repro.worlds import WORLDS
 
         faults = FaultPlan()
         faults.corrupt_nth_message("T1", "T2", 1)
-        built = get_target(target).build(faults, algorithm=algorithm)
-        built.run()
-        assert built.network.stats.sent > 0
-        assert not [line for partition in built.partitions.values()
+        system = WORLDS.get(target).build(faults=faults,
+                                          algorithm=algorithm).system
+        system.run()
+        assert system.network.stats.sent > 0
+        assert not [line for partition in system.partitions.values()
                     for line in partition.log if "unknown effect" in line]
 
     def test_send_to_reaches_the_network(self, system, partition):

@@ -16,11 +16,11 @@ from repro.core.exception_graph import generate_full_graph
 from repro.core.exceptions import interface, internal
 from repro.core.handlers import HandlerMap, HandlerResult
 from repro.runtime.monitor import InvariantMonitor
-from repro.explore.targets import delay_handler, install_action
 from repro.net.latency import ConstantLatency
 from repro.runtime import events as kinds
 from repro.runtime import DistributedCASystem, RuntimeConfig
 from repro.runtime.metrics import RunMetrics
+from repro.worlds import delay_handler, install_action
 
 OUTER_FAULT = internal("outer_fault")
 ABORT_RESIDUE = internal("abort_residue")

@@ -31,6 +31,7 @@ ORDER = (
     ("runtime",),
     ("obs",),
     ("workload", "productioncell"),
+    ("worlds",),
     ("explore",),
     ("bench",),
     ("real",),
@@ -163,13 +164,12 @@ def test_no_packages_import_each_other_in_a_cycle():
 
 
 def test_scenario_references_stay_at_or_below_the_engine():
-    # A runner or node builder given as ``"module:function"`` is imported
-    # by the engine on first use: it must not reach above ``bench``.
+    # A runner given as ``"module:function"`` is imported by the engine
+    # on first use: it must not reach above ``bench``.
     from repro.bench.engine import REGISTRY
 
-    references = [reference for scenario in REGISTRY
-                  for reference in (scenario.runner, scenario.build)
-                  if isinstance(reference, str)]
+    references = [scenario.runner for scenario in REGISTRY
+                  if isinstance(scenario.runner, str)]
     assert references
     above = [reference for reference in references
              if RANK[package_of(reference.split(":")[0])] > RANK["bench"]]

@@ -26,7 +26,7 @@ SOURCE = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: Each re-exporting package and the size of its ``__all__`` (a dropped
 #: re-export shrinks it).
 PACKAGES = {"repro": 9, "repro.analysis": 12, "repro.bench": 34,
-            "repro.core": 60, "repro.explore": 13, "repro.net": 15,
+            "repro.core": 60, "repro.explore": 11, "repro.net": 15,
             "repro.objects": 17, "repro.obs": 19, "repro.real": 2,
             "repro.runtime": 15, "repro.workload": 24}
 
@@ -82,14 +82,14 @@ _PROBE = """
 import json
 {preload}
 from repro.bench.engine import REGISTRY
-from repro.explore.targets import TARGETS
 from repro.workload.registry import ACTIONS
+from repro.worlds import WORLDS
 print(json.dumps({{
-    "scenarios": [[s.name, list(s.grid), s.description, list(s.nodes),
+    "scenarios": [[s.name, list(s.grid), s.description, s.world,
                    [repr(p) for p in s.params], s.accepts_extra]
                   for s in REGISTRY],
     "actions": [[spec.name, repr(spec)] for spec in ACTIONS],
-    "targets": sorted(TARGETS),
+    "worlds": [[w.name, list(w.nodes)] for w in WORLDS],
 }}, default=repr))
 """
 
@@ -109,7 +109,8 @@ def test_registries_do_not_depend_on_what_was_imported():
     assert [row[0] for row in fresh["scenarios"]] == SCENARIOS
     assert [name for name, _ in fresh["actions"]] == [
         "Serve", "Ping", "Crunch", "Flaky", "Transfer"]
-    assert fresh["targets"] == ["concurrent_raises", "nested_abort"]
+    assert [name for name, _ in fresh["worlds"]] == [
+        "nested_abort", "concurrent_raises", "figure9", "remote_counter"]
     # Every deferred runner imported first: the same entries.
     assert registries("repro.explore.explorer",
                       "repro.productioncell.workload",
