@@ -191,7 +191,10 @@ class ScenarioRegistry(Registry[Scenario]):
 
         A runner function resolves here, so a plugin's mistyped grid fails
         at registration, not mid-sweep; a reference resolves on first use.
+        A world the catalogue does not hold is refused here too.
         """
+        if scenario.world:
+            WORLDS.get(scenario.world)
         if callable(scenario.runner):
             scenario.params  # resolving checks the default grid
         return super().add(scenario)

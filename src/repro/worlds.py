@@ -1,10 +1,11 @@
 """The catalogue of worlds, and the scaffold every application is built from.
 
 A *world* is a named, deterministic application builder.  Given its own
-parameters plus a fault plan, a schedule seed (``tie_seed``), an
-algorithm and — for one node of a real-backend run — ``local`` and
-``forward``, it returns a :class:`BuiltNode`: the spawned system and its
-invariant monitor, with no observation attached.  :data:`WORLDS` holds
+parameters plus a fault plan, a schedule seed (``tie_seed``) and an
+algorithm, it returns a :class:`BuiltNode`: the spawned system and its
+invariant monitor, with no observation attached.  A world that a
+real-capable scenario names also takes ``local`` and ``forward``, which
+build one node of a real-backend run.  :data:`WORLDS` holds
 ``nested_abort``, ``concurrent_raises``, ``figure9`` (Experiment 1) and
 ``remote_counter``; the explorer (:mod:`repro.explore`) builds cases from
 them, and a real-capable bench scenario names one, which the sim path
@@ -166,8 +167,10 @@ def new_system(t_msg: float, algorithm: str = "ours",
     All-local under ``faults`` and schedule seed ``tie_seed`` by default.
     With ``local`` set, this process is node ``local`` of a real-backend
     run: the network delivers locally only to that node and hands
-    everything else to ``forward``.
+    everything else to ``forward``, which no fault plan acts on.
     """
+    if local is not None and faults is not None:
+        raise ValueError("a real-backend node (local=...) takes no faults")
     config = RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution,
                            abort_time=t_abort)
     latency = ConstantLatency(t_msg)
@@ -295,8 +298,7 @@ def _nested_abort_definitions() -> Tuple[CAActionDefinition,
 
 
 def nested_abort(algorithm: str = "ours", faults: Optional[FaultPlan] = None,
-                 tie_seed: Optional[int] = None, local: Optional[str] = None,
-                 forward=None) -> BuiltNode:
+                 tie_seed: Optional[int] = None) -> BuiltNode:
     """Nested action aborted while its resolution is still in flight.
 
     ``T1``–``T3`` run ``Outer``; ``T2``/``T3`` enter the nested ``Inner``.
@@ -308,13 +310,13 @@ def nested_abort(algorithm: str = "ours", faults: Optional[FaultPlan] = None,
     recover through the ``abort_residue&outer_fault`` cover.
     """
     system = new_system(0.1, algorithm, t_abort=3.0, faults=faults,
-                        tie_seed=tie_seed, local=local, forward=forward)
+                        tie_seed=tie_seed)
     system.add_threads(["T1", "T2", "T3"])
     inner, outer = _nested_abort_definitions()
     system.define_action(inner)
     system.bind("Inner", {"b2": "T2", "b3": "T3"})
     install_action(system, outer, {"a1": "T1", "a2": "T2", "a3": "T3"},
-                   iterations=None, local=local)
+                   iterations=None)
     return _monitored(system)
 
 
@@ -332,19 +334,17 @@ def _concurrent_definition() -> CAActionDefinition:
 
 def concurrent_raises(algorithm: str = "ours",
                       faults: Optional[FaultPlan] = None,
-                      tie_seed: Optional[int] = None,
-                      local: Optional[str] = None, forward=None) -> BuiltNode:
+                      tie_seed: Optional[int] = None) -> BuiltNode:
     """Three threads raise different exceptions nearly simultaneously.
 
     The paper's Experiment 2 application (one pass) built by the same
     flat-raise scaffold as the Figure 12 scenario.
     """
     system = new_system(0.1, algorithm, t_resolution=0.1, faults=faults,
-                        tie_seed=tie_seed, local=local, forward=forward)
+                        tie_seed=tie_seed)
     system.add_threads(["T1", "T2", "T3"])
     install_action(system, _concurrent_definition(),
-                   {"r1": "T1", "r2": "T2", "r3": "T3"}, iterations=None,
-                   local=local)
+                   {"r1": "T1", "r2": "T2", "r3": "T3"}, iterations=None)
     return _monitored(system)
 
 
@@ -473,9 +473,10 @@ def remote_counter(iterations: int = 3, limit: int = 1,
     exclusive lock, writes ``value + 1``, and raises ``overdraft`` once
     the value it read reaches ``limit`` (deterministic from the
     authoritative host state); the resolved exception is handled by
-    both workers and the action still commits.
+    both workers and the action still commits.  An RPC timeout on the lock
+    or read raises ``host_unreachable`` instead, which undoes the action.
     """
-    from .net.rpc import RpcEndpoint
+    from .net.rpc import RpcEndpoint, RpcTimeoutError
     from .objects.remote import ObjectHostService, install_remote_objects
 
     system = new_system(t_msg, algorithm, t_resolution, t_abort, faults,
@@ -503,12 +504,18 @@ def remote_counter(iterations: int = 3, limit: int = 1,
             timeout=rpc_timeout)
 
     overdraft = internal("overdraft")
-    handled = delay_handler(0.1)
+    # No role handles ``host_unreachable``: the model's default handler
+    # aborts the action (µ), which rolls its transaction back on the host.
+    unreachable = internal("host_unreachable")
+    settle = delay_handler(0.1)
 
     def u1_body(ctx):
         txn = ctx.transaction
-        yield txn.lock("acct")
-        value = yield txn.read("acct", "value")
+        try:
+            yield txn.lock("acct")
+            value = yield txn.read("acct", "value")
+        except RpcTimeoutError:
+            ctx.raise_exception(unreachable)
         txn.write("acct", "value", value + 1)
         yield ctx.delay(0.2)
         if value >= limit:
@@ -521,10 +528,11 @@ def remote_counter(iterations: int = 3, limit: int = 1,
 
     transfer = CAActionDefinition(
         "Transfer",
-        [RoleDefinition("u1", u1_body, HandlerMap(default_handler=handled)),
-         RoleDefinition("u2", u2_body, HandlerMap(default_handler=handled))],
-        internal_exceptions=[overdraft],
-        graph=generate_full_graph([overdraft], action_name="Transfer"),
+        [RoleDefinition(role, body, HandlerMap({overdraft: settle}))
+         for role, body in (("u1", u1_body), ("u2", u2_body))],
+        internal_exceptions=[overdraft, unreachable],
+        graph=generate_full_graph([overdraft, unreachable],
+                                  action_name="Transfer"),
         external_objects=["acct"])
     install_action(system, transfer, {"u1": "W1", "u2": "W2"}, iterations,
                    local)

@@ -13,7 +13,9 @@ from repro.core import oracles
 from repro.core.registry import ParamValidationError
 from repro.explore import Explorer
 from repro.explore.explorer import _execute
-from repro.explore.generator import DEFAULT_KINDS, FaultPlanGenerator
+from repro.explore.generator import (DEFAULT_KINDS, STORM_KINDS,
+                                     FaultPlanGenerator)
+from repro.runtime.report import ActionStatus
 from repro.worlds import WORLDS
 
 
@@ -39,6 +41,12 @@ def test_a_mistyped_world_parameter_is_named():
         WORLDS.get("nested_abort").build(tie_seed="3")
 
 
+def test_a_fault_plan_is_refused_on_a_real_backend_node():
+    from repro.net.faults import FaultPlan
+    with pytest.raises(ValueError, match="real-backend node"):
+        WORLDS.get("figure9").build(faults=FaultPlan(), local="T1")
+
+
 def test_an_unknown_world_lists_every_world(capsys):
     with pytest.raises(SystemExit):
         cli.main(["explore", "run", "--target", "nowhere"])
@@ -56,4 +64,32 @@ def test_an_explored_remote_counter_case_tracks_its_counter():
     [counter] = record.counters
     assert counter["object"] == "acct"
     assert counter["final"] == counter["initial"] + 3
+    assert oracles.check(record) == []
+
+
+def test_remote_counter_survives_the_failure_storm():
+    report = Explorer("remote_counter", seed=2026, budget=100,
+                      kinds=STORM_KINDS, algorithm="ours").run()
+    assert len(report.cases) == 100
+    assert report.summary() == {}
+
+
+def test_an_rpc_timeout_undoes_the_transfer():
+    # Plan 3 of seed 2026 drops the host's replies to W1: the lock or read
+    # times out, W1 raises ``host_unreachable``, and the action is undone
+    # (µ) instead of the timeout escaping the run.
+    world = WORLDS.get("remote_counter")
+    plan = FaultPlanGenerator(2026, world.nodes, kinds=STORM_KINDS).sample(3)
+    system, monitor, error = _execute(world, plan, "ours")
+    assert error is None
+    resolved = {exception for outcomes in monitor.resolutions.values()
+                for _, exception in outcomes}
+    assert "host_unreachable" in resolved
+    for worker in ("W1", "W2"):
+        reports = system.partitions[worker].thread_process.value
+        assert ActionStatus.UNDONE in {report.status for report in reports}
+    record = monitor.record()
+    [counter] = record.counters
+    assert counter["final"] == counter["initial"] + counter[
+        "committed_writers"] < counter["initial"] + 3
     assert oracles.check(record) == []

@@ -44,6 +44,13 @@ class TestRegistry:
                                            r"registered: \['concurrent_"):
             scenario.real_world()
 
+    def test_an_unknown_world_is_refused_at_registration(self):
+        scenario = engine.Scenario("lost", lambda: {}, (), world="nowhere")
+        registry = engine.ScenarioRegistry()
+        with pytest.raises(KeyError, match="unknown world 'nowhere'"):
+            registry.add(scenario)
+        assert "lost" not in registry.names()
+
     def test_listing_shows_the_nodes_of_real_capable_scenarios(self):
         from repro.cli import registry_listing
         lines = registry_listing()
