@@ -64,5 +64,5 @@ def test_wide_graph_rows_identical_in_parallel_mode(report):
         return [{k: v for k, v in row.items() if k != "wall_seconds"}
                 for row in rows]
     sequential = run_scenario("wide_graph")
-    parallel = run_scenario("wide_graph", parallel=True)
+    parallel = run_scenario("wide_graph", workers=2)
     assert strip(sequential) == strip(parallel)

@@ -34,7 +34,7 @@ def main() -> None:
     # -- 1. a paper figure, sequential vs parallel ---------------------
     points = figure9_grid("t_msg", values=[0.2, 0.6, 1.0], iterations=2)
     sequential = run_scenario("figure9", points=points)
-    parallel = run_scenario("figure9", points=points, parallel=True)
+    parallel = run_scenario("figure9", points=points, workers=2)
     print("\nFigure 9 (3 points, 2 iterations), parallel == sequential:",
           parallel == sequential)
     print(format_table(sequential, title="figure9 rows"))
@@ -42,7 +42,7 @@ def main() -> None:
     # -- 2. the new workloads ------------------------------------------
     large_n = run_scenario("large_n",
                            points=[{"n_threads": n} for n in (4, 8, 16)],
-                           parallel=True)
+                           workers=2)
     print("\n" + format_table(
         large_n, title="large_n: message complexity beyond the paper",
         columns=["n_threads", "resolution_messages", "paper_single",

@@ -60,7 +60,7 @@ def main() -> None:
           f"mean concurrency={report.mean_concurrency:.2f}")
 
     # -- 3. the capacity sweep and its knee ----------------------------
-    rows = run_scenario("capacity", parallel=True)
+    rows = run_scenario("capacity", workers=2)
     columns = ["offered_load", "throughput", "latency_p50", "latency_p99",
                "dropped", "max_concurrency"]
     print("\n" + format_table(

@@ -10,12 +10,13 @@ a registry mapping a scenario name to
 * a default **parameter grid** — the list of points the paper (or the new
   workload) sweeps.
 
-:func:`run_scenario` executes a grid either sequentially or in parallel on
-a :class:`concurrent.futures.ProcessPoolExecutor`.  Every run builds a
-fresh :class:`~repro.runtime.system.DistributedCASystem` with its own
-network and :class:`~repro.net.network.MessageStatistics`, and the
-simulation itself is deterministic virtual time, so the two execution modes
-produce byte-identical rows; results are always returned in grid order.
+:func:`run_scenario` executes a grid through
+:func:`repro.runtime.system.parallel_map`: in this process, or on a
+process pool when asked for ``workers > 1``.  Every run builds a fresh
+:class:`~repro.runtime.system.DistributedCASystem` with its own network
+and :class:`~repro.net.network.MessageStatistics`, and the simulation
+itself is deterministic virtual time, so the two execution modes produce
+byte-identical rows; results are always returned in grid order.
 (The perf scenarios are the documented exception: ``graph_microbench``
 rows are wall-clock throughout, and ``wide_graph`` rows carry one
 wall-clock field, ``wall_seconds``.)
@@ -36,7 +37,7 @@ A plugin registers the function itself::
         return {"n": n, "total_time": system.now}
 
 Runners must be module-level functions (picklable) for the process-pool
-path; anything else silently degrades to the sequential fallback.
+path; anything else runs in-process, with a logged warning.
 
 This registry is the only scenario model: a scenario that can also run
 across OS processes names its world (:data:`repro.worlds.WORLDS`), and
@@ -66,7 +67,7 @@ from ..core.registry import (
     resolve,
     validate_params,
 )
-from ..runtime.system import collector_paused
+from ..runtime.system import collector_paused, parallel_map
 from ..worlds import EXPERIMENT1_ITERATIONS, WORLDS, World
 
 logger = logging.getLogger(__name__)
@@ -209,20 +210,21 @@ REGISTRY = ScenarioRegistry()
 # Execution
 # ----------------------------------------------------------------------
 def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
-                 parallel: bool = False, max_workers: Optional[int] = None,
+                 workers: int = 0,
                  registry: Optional[ScenarioRegistry] = None,
                  config: Optional[ScenarioConfig] = None) -> List[Row]:
     """Run ``name`` over ``points`` (its default grid when omitted).
 
-    With ``parallel=True`` the grid points are distributed over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; each point still runs
-    a fresh, fully isolated system, so the rows are identical to the
-    sequential path (which is also the automatic fallback when the runner
-    cannot be shipped to worker processes or no pool can be created).
-    Rows are always returned in grid order.
+    The grid runs through :func:`~repro.runtime.system.parallel_map`: on
+    a process pool of up to ``workers`` workers when ``workers > 1``,
+    otherwise (and on its logged fallback) in this process.  Each point
+    runs a fresh, fully isolated system, so the rows are identical either
+    way and always in grid order.  The cyclic collector is paused for the
+    sweep: every point builds a short-lived system whose processes and
+    events form cycles.
 
     ``config`` carries cross-cutting options; when ``config.obs`` is set
-    the sweep runs traced (see :class:`ScenarioConfig`).
+    the sweep runs traced, in this process (see :class:`ScenarioConfig`).
     """
     scenario = (registry or REGISTRY).get(name)
     grid: List[GridPoint] = [dict(point) for point in
@@ -232,51 +234,18 @@ def run_scenario(name: str, points: Optional[Sequence[GridPoint]] = None,
     errors = scenario.validate_grid(grid)
     if errors:
         raise ParamValidationError(errors)
-    if config is not None and config.obs is not None:
-        if parallel and len(grid) > 1:
-            logger.warning(
-                "scenario %r: tracing is process-local; running the "
-                "%d-point grid sequentially under one capture",
-                name, len(grid))
-        return _run_traced(scenario, grid, config)
-    if parallel and len(grid) > 1:
-        if not _shippable(scenario.resolved_runner):
-            logger.warning(
-                "scenario %r: runner is not picklable; running the %d-point "
-                "grid sequentially instead of on a process pool",
-                name, len(grid))
-        else:
-            rows = _run_pool(scenario, grid, max_workers)
-            if rows is not None:
-                return rows
-            logger.warning(
-                "scenario %r: process pool unavailable or broken; falling "
-                "back to the sequential (byte-identical) path for the "
-                "%d-point grid", name, len(grid))
-    return _run_sequential(scenario, grid)
-
-
-def _run_sequential(scenario: Scenario, grid: Sequence[GridPoint]) -> List[Row]:
-    """The in-process sweep (the byte-identical reference path).
-
-    The cyclic collector is paused for the whole sweep: every grid point
-    builds a short-lived system whose processes and events form cycles.
-    """
-    with collector_paused():
-        runner = scenario.resolved_runner
-        return [runner(**point) for point in grid]
-
-
-def _run_traced(scenario: Scenario, grid: Sequence[GridPoint],
-                config: ScenarioConfig) -> List[Row]:
-    """Sequential sweep under one ambient capture, with optional export.
-
-    The observation layer never schedules kernel events or draws from the
-    simulation's RNG streams, so traced rows are identical to untraced
-    ones — the conformance suite pins this.
-    """
-    with obs.capture(config.obs) as cap:
-        rows = _run_sequential(scenario, grid)
+    runner = scenario.resolved_runner
+    if config is None or config.obs is None:
+        with collector_paused():
+            return parallel_map(runner, grid, workers)[0]
+    if workers > 1 and len(grid) > 1:
+        logger.warning(
+            "scenario %r: tracing is process-local; running the %d-point "
+            "grid sequentially under one capture", name, len(grid))
+    # The observation layer never schedules kernel events or draws from
+    # the simulation's RNG streams, so traced rows equal untraced ones.
+    with obs.capture(config.obs) as cap, collector_paused():
+        rows = [runner(**point) for point in grid]
     if config.export_dir is not None:
         export_capture(cap, scenario.name, config.export_dir)
     return rows
@@ -297,44 +266,6 @@ def export_capture(cap: "obs.Capture", name: str, directory: str) -> List[str]:
         handle.write(cap.prometheus_text())
     logger.info("scenario %r: wrote trace artefacts to %s", name, directory)
     return paths
-
-
-def _shippable(runner: Callable[..., Row]) -> bool:
-    """True if ``runner`` can be pickled into a worker process."""
-    import pickle
-
-    try:
-        pickle.dumps(runner)
-        return True
-    except Exception:
-        return False
-
-
-def _run_pool(scenario: Scenario, grid: Sequence[GridPoint],
-              max_workers: Optional[int]) -> Optional[List[Row]]:
-    """Run the grid on a process pool; ``None`` means "fall back"."""
-    from concurrent.futures.process import (BrokenProcessPool,
-                                            ProcessPoolExecutor)
-
-    workers = max_workers or min(len(grid), 8)
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except OSError as error:
-        # Restricted environments (no fork/semaphores): sequential fallback.
-        logger.warning("scenario %r: cannot create a %d-worker process pool "
-                       "(%s)", scenario.name, workers, error)
-        return None
-    try:
-        with pool:
-            futures = [pool.submit(scenario.resolved_runner, **point)
-                       for point in grid]
-            # A runner's own exception propagates to the caller here — only
-            # a broken pool (workers killed at spawn) triggers the fallback.
-            return [future.result() for future in futures]
-    except BrokenProcessPool as error:
-        logger.warning("scenario %r: process pool broke mid-sweep (%s)",
-                       scenario.name, error)
-        return None
 
 
 # ----------------------------------------------------------------------

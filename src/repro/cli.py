@@ -186,18 +186,22 @@ def _write_reproducers(reproducers, directory: str) -> List[str]:
 def cmd_run(arguments) -> int:
     """Sweep ``--budget`` seeded plans; exit 1 on any oracle violation.
 
-    The sweep runs on the engine's ``explore`` scenario in chunks of
-    ``EXPLORE_CHUNK_SIZE`` plans, and each failing plan is shrunk into a
-    pytest reproducer (one per reduced plan).  Without ``--parallel`` the
-    chunks run in this process outside the engine's sweep-wide collector
-    pause, so each case's cyclic garbage is collected before the next.
+    The sweep runs in chunks of ``EXPLORE_CHUNK_SIZE`` plans, one
+    :func:`~repro.explore.explorer.explore_chunk` call each, through
+    :func:`~repro.runtime.system.parallel_map`: ``--parallel`` fans the
+    chunks over one worker per core (at most one per chunk), and without
+    it they run in this process.  No sweep-wide collector pause is taken,
+    so each case's cyclic garbage is collected before the next.  Each
+    failing plan is shrunk into a pytest reproducer (one per reduced
+    plan).
     """
     import hashlib
 
-    from .bench.engine import EXPLORE_CHUNK_SIZE, run_scenario
+    from .bench.engine import EXPLORE_CHUNK_SIZE
     from .explore import ExplorationPlan
     from .explore.explorer import explore_chunk
     from .explore.shrink import shrink_to_reproducers
+    from .runtime.system import parallel_map
     from .worlds import WORLDS
 
     if arguments.target not in WORLDS:
@@ -210,10 +214,8 @@ def cmd_run(arguments) -> int:
                "stop": min(start + EXPLORE_CHUNK_SIZE, arguments.budget),
                "kinds": _kinds(arguments.kinds)}
               for start in range(0, arguments.budget, EXPLORE_CHUNK_SIZE)]
-    if arguments.parallel:
-        rows = run_scenario("explore", points=points, parallel=True)
-    else:
-        rows = [explore_chunk(**point) for point in points]
+    workers = (os.cpu_count() or 1) if arguments.parallel else 0
+    rows, _ = parallel_map(explore_chunk, points, workers)
     failing = [ExplorationPlan.from_dict(plan) for row in rows
                for plan in row["failing_plans"]]
     reproducers = shrink_to_reproducers(arguments.target, failing)
@@ -372,7 +374,8 @@ COMMANDS = {
             _arg("--reproducers", metavar="DIR",
                  help="write auto-shrunk pytest reproducers here"),
             _arg("--parallel", action="store_true",
-                 help="fan chunks over the scenario engine's process pool")),
+                 help="fan chunks over a process pool, one worker per "
+                      "core")),
     }),
     "obs": ("summarize, convert, and diff exported traces", {
         "summarize": ("event counts, span outcomes, time range",

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from ..core.action import ActionRegistry, CAActionDefinition
 from ..core.state import thread_order_key
@@ -66,6 +67,60 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def parallel_map(fn: Callable[..., Any], points: Sequence[Mapping[str, Any]],
+                 workers: int) -> Tuple[List[Any], str]:
+    """``[fn(**point) for point in points]`` and the executor that ran it.
+
+    With ``workers > 1`` and more than one point, the points fan out over a
+    :class:`~concurrent.futures.ProcessPoolExecutor` of
+    ``min(workers, len(points))`` workers (``"process-pool"``); otherwise
+    they run in this process (``"sequential"``).  When ``fn`` does not
+    pickle, the pool cannot be created (``OSError``) or it breaks mid-run
+    (``BrokenProcessPool``), the points run in this process after one
+    logged warning.  Results come back in ``points`` order, and an
+    exception ``fn`` raises propagates.  The collector is left as the
+    caller set it.
+    """
+    if workers > 1 and len(points) > 1:
+        size = min(workers, len(points))
+        results, failure = _pool_map(fn, points, size)
+        if failure is None:
+            return results, "process-pool"
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "%s: no %d-worker process pool (%s); falling back to running "
+            "its %d points in-process", getattr(fn, "__name__", fn), size,
+            failure, len(points))
+    return [fn(**point) for point in points], "sequential"
+
+
+def _pool_map(fn: Callable[..., Any], points: Sequence[Mapping[str, Any]],
+              size: int) -> Tuple[List[Any], Optional[BaseException]]:
+    """The pool path of :func:`parallel_map`; an error in place of
+    results means "fall back"."""
+    import pickle
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        return [], error
+    try:
+        pool = ProcessPoolExecutor(max_workers=size)
+    except OSError as error:
+        # Restricted environments (no fork, no semaphores).
+        return [], error
+    try:
+        with pool:
+            futures = [pool.submit(fn, **point) for point in points]
+            return [future.result() for future in futures], None
+    except BrokenProcessPool as error:
+        # A worker died; fn's own exceptions propagate from result().
+        return [], error
 
 
 class DistributedCASystem:

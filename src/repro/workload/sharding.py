@@ -14,11 +14,10 @@ scales the *capacity* workload horizontally instead:
   :class:`~repro.simkernel.kernel.Kernel` +
   :class:`~repro.runtime.system.DistributedCASystem` +
   :class:`~repro.workload.driver.WorkloadDriver` serving that shard's
-  slice of the traffic.  Shards ship to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` when ``workers > 1``
-  and fall back to in-process sequential execution (logged, never
-  silent) when no pool can be created — the same byte-identical-fallback
-  idiom as :func:`repro.bench.engine.run_scenario`;
+  slice of the traffic.  Shards fan out through
+  :func:`repro.runtime.system.parallel_map` (a process pool when
+  ``workers > 1``, with its logged in-process fallback), as the
+  engine's sweeps do;
 * a :class:`GlobalAdmissionController` keeps backpressure meaningful at
   scale: a **global** max-in-flight budget is split into per-shard
   leases up front (each shard's admission controller enforces its
@@ -44,9 +43,8 @@ semantics across PRs.
 from __future__ import annotations
 
 import json
-import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.histograms import LatencyHistogram
@@ -55,14 +53,12 @@ from ..net.network import MessageStatistics
 from ..runtime.config import RuntimeConfig
 from ..runtime.metrics import RunMetrics
 from ..runtime.monitor import InvariantMonitor
-from ..runtime.system import DistributedCASystem
+from ..runtime.system import DistributedCASystem, parallel_map
 from ..simkernel.rng import SeededStreams
 from .admission import AdmissionController, AdmissionStats
 from .arrivals import OpenLoopPoisson
 from .actions import TrafficActionSpec
 from .driver import WorkloadDriver
-
-logger = logging.getLogger(__name__)
 
 #: Stream-name prefix the per-shard seeds are derived under.
 SHARD_SEED_PREFIX = "shard"
@@ -82,15 +78,6 @@ class ShardSpec:
     #: Per-shard max-in-flight lease granted by the global controller
     #: (``None`` means the global budget is unlimited).
     lease: Optional[int]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shard_id": self.shard_id,
-            "seed": self.seed,
-            "n_instances": self.n_instances,
-            "offered_load": self.offered_load,
-            "lease": self.lease,
-        }
 
 
 def shard_seed(seed: int, shard_id: int) -> int:
@@ -243,40 +230,43 @@ class GlobalAdmissionController:
 # ----------------------------------------------------------------------
 # One shard = one kernel + system + driver (worker-side, picklable)
 # ----------------------------------------------------------------------
-def run_shard(spec: Mapping[str, Any]) -> Dict[str, Any]:
+def run_shard(shard_id: int, seed: int, n_instances: int,
+              offered_load: float, lease: Optional[int], pool_size: int,
+              width: int, mean_service: float, raise_probability: float,
+              t_msg: float, t_resolution: float, queue_capacity: int,
+              policy: str, algorithm: str) -> Dict[str, Any]:
     """Run one shard of a sharded capacity workload and snapshot it.
 
-    ``spec`` is a plain dict (picklable both ways) built by
-    :meth:`ShardedPool._shard_params`.  The returned snapshot carries
-    only JSON-friendly mergeable telemetry: histogram/metrics/message
+    The arguments are one :class:`ShardSpec`'s fields plus the
+    :class:`ShardedPool`'s per-shard workload shape (plain values,
+    picklable both ways).  The returned snapshot carries only
+    JSON-friendly mergeable telemetry: histogram/metrics/message
     snapshots plus scalar counters — never live objects — so shards
     merge identically whether they ran in this process or a worker.
     """
     system = DistributedCASystem(
-        RuntimeConfig(algorithm=spec["algorithm"],
-                      resolution_time=spec["t_resolution"]),
-        latency=ConstantLatency(spec["t_msg"]))
-    system.add_threads([f"S{spec['shard_id']:03d}W{i:03d}"
-                        for i in range(1, spec["pool_size"] + 1)])
+        RuntimeConfig(algorithm=algorithm, resolution_time=t_resolution),
+        latency=ConstantLatency(t_msg))
+    system.add_threads([f"S{shard_id:03d}W{i:03d}"
+                        for i in range(1, pool_size + 1)])
     monitor = InvariantMonitor(system)
     driver = WorkloadDriver(
-        system, seed=spec["seed"],
-        admission=AdmissionController(max_in_flight=spec["lease"],
-                                      queue_capacity=spec["queue_capacity"],
-                                      policy=spec["policy"]))
+        system, seed=seed,
+        admission=AdmissionController(max_in_flight=lease,
+                                      queue_capacity=queue_capacity,
+                                      policy=policy))
     driver.add_action(TrafficActionSpec(
-        "Serve", width=spec["width"], mean_service=spec["mean_service"],
-        raise_probability=spec["raise_probability"]))
-    driver.run(OpenLoopPoisson(rate=spec["offered_load"],
-                               count=spec["n_instances"]))
+        "Serve", width=width, mean_service=mean_service,
+        raise_probability=raise_probability))
+    driver.run(OpenLoopPoisson(rate=offered_load, count=n_instances))
 
     violations = [str(v) for v in monitor.check(require_liveness=True)]
     snapshot = driver.telemetry_snapshot()
     snapshot.update({
-        "shard_id": spec["shard_id"],
-        "seed": spec["seed"],
-        "offered_load": spec["offered_load"],
-        "lease": spec["lease"],
+        "shard_id": shard_id,
+        "seed": seed,
+        "offered_load": offered_load,
+        "lease": lease,
         "protocol_messages": system.network.stats.protocol_messages(),
         "resolutions": system.metrics.resolutions,
         "message_stats": system.network.stats.snapshot(),
@@ -366,14 +356,12 @@ class ShardedPool:
 
     Per-shard workload shape (pool size, action width, service time,
     fault rate, admission queue) is fixed at construction; the plan
-    supplies the traffic split.  ``workers`` picks the executor:
-
-    * ``0`` / ``1`` — in-process sequential (the reference execution);
-    * ``N > 1`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-      with ``N`` workers.  A pool that cannot be created or breaks at
-      spawn falls back to sequential — logged, and recorded in the
-      result's ``executor`` field, never silent — and the merged
-      snapshot is byte-identical either way.
+    supplies the traffic split.  ``workers`` is handed to
+    :func:`~repro.runtime.system.parallel_map`: ``0`` / ``1`` run the
+    shards in-process (the reference execution), ``N > 1`` on a process
+    pool.  The result's ``executor`` field records which one ran, a
+    fallback included, and the merged snapshot is byte-identical either
+    way.
 
     A shard's memory does not grow with the instances it serves: its
     :class:`~repro.workload.driver.WorkloadDriver` keeps state only for
@@ -405,35 +393,25 @@ class ShardedPool:
         self.workers = int(workers)
 
     # ------------------------------------------------------------------
-    def _shard_params(self, spec: ShardSpec) -> Dict[str, Any]:
-        return {
-            "shard_id": spec.shard_id,
-            "seed": spec.seed,
-            "n_instances": spec.n_instances,
-            "offered_load": spec.offered_load,
-            "lease": spec.lease,
-            "pool_size": self.pool_size,
-            "width": self.width,
-            "mean_service": self.mean_service,
-            "raise_probability": self.raise_probability,
-            "t_msg": self.t_msg,
-            "t_resolution": self.t_resolution,
-            "queue_capacity": self.queue_capacity,
-            "policy": self.policy,
-            "algorithm": self.algorithm,
-        }
-
     def run(self, plan: ShardPlan) -> Dict[str, Any]:
         """Execute every (non-empty) shard of ``plan`` and merge.
 
-        Returns ``{"plan", "per_shard", "merged", "executor", "workers",
-        "wall_seconds", ...}``; everything except the wall-clock fields
-        is a pure function of the plan.
+        The shards fan out through
+        :func:`~repro.runtime.system.parallel_map`, whose executor name
+        the result records.  Returns ``{"plan", "per_shard", "merged",
+        "executor", "workers", "wall_seconds", ...}``; everything except
+        the wall-clock fields is a pure function of the plan.
         """
-        specs = [spec for spec in plan.shards if spec.n_instances > 0]
-        params = [self._shard_params(spec) for spec in specs]
+        shape = {"pool_size": self.pool_size, "width": self.width,
+                 "mean_service": self.mean_service,
+                 "raise_probability": self.raise_probability,
+                 "t_msg": self.t_msg, "t_resolution": self.t_resolution,
+                 "queue_capacity": self.queue_capacity,
+                 "policy": self.policy, "algorithm": self.algorithm}
+        params = [{**asdict(spec), **shape} for spec in plan.shards
+                  if spec.n_instances > 0]
         started = time.perf_counter()
-        snapshots, executor = self._execute(params)
+        snapshots, executor = parallel_map(run_shard, params, self.workers)
         wall_seconds = time.perf_counter() - started
         merged = merge_shard_snapshots(snapshots)
         completed = merged["completed"]
@@ -449,43 +427,6 @@ class ShardedPool:
             "submitted_per_second": (merged["jobs"] / wall_seconds
                                      if wall_seconds > 0 else 0.0),
         }
-
-    def _execute(self, params: List[Dict[str, Any]]
-                 ) -> Tuple[List[Dict[str, Any]], str]:
-        """Run every shard, preferring the process pool; returns
-        ``(snapshots in shard order, executor name)``."""
-        if self.workers > 1 and len(params) > 1:
-            snapshots = self._run_pool(params)
-            if snapshots is not None:
-                return snapshots, "process-pool"
-        return [run_shard(p) for p in params], "sequential"
-
-    def _run_pool(self, params: List[Dict[str, Any]]
-                  ) -> Optional[List[Dict[str, Any]]]:
-        """Shard fan-out on a process pool; ``None`` means "fall back"."""
-        from concurrent.futures.process import (BrokenProcessPool,
-                                                ProcessPoolExecutor)
-
-        workers = min(self.workers, len(params))
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        except OSError as error:
-            logger.warning(
-                "sharded pool: cannot create a %d-worker process pool (%s); "
-                "falling back to sequential in-process shards", workers,
-                error)
-            return None
-        try:
-            with pool:
-                futures = [pool.submit(run_shard, p) for p in params]
-                # A shard's own exception propagates; only a broken pool
-                # (workers killed at spawn) triggers the fallback.
-                return [future.result() for future in futures]
-        except BrokenProcessPool as error:
-            logger.warning(
-                "sharded pool: process pool broke (%s); falling back to "
-                "sequential in-process shards", error)
-            return None
 
     # ------------------------------------------------------------------
     def sweep(self, loads: Sequence[float], seed: int, n_instances: int,
@@ -517,17 +458,20 @@ class ShardedPool:
             result = self.run(plan)
             row = scale_row(result)
             rows.append(row)
-            for spec, shard in zip(plan.shards, result["per_shard"]):
-                shard_curves[spec.shard_id].append({
+            for shard in result["per_shard"]:
+                shard_curves[shard["shard_id"]].append({
                     "offered_load": shard["offered_load"],
                     "throughput": shard["throughput"],
                     "latency_p99": shard["latency"]["p99"],
                 })
             if rebalance and global_max_in_flight is not None:
-                demands = [shard["admission"]["max_in_flight"]
-                           + shard["admission"]["max_queue_length"]
-                           for shard in result["per_shard"]]
-                controller.rebalance(demands)
+                # A shard with no instances did not run: its demand is 0.
+                demand = {shard["shard_id"]:
+                          shard["admission"]["max_in_flight"]
+                          + shard["admission"]["max_queue_length"]
+                          for shard in result["per_shard"]}
+                controller.rebalance([demand.get(shard_id, 0)
+                                      for shard_id in range(n_shards)])
         merged_curve = [{"offered_load": row["offered_load"],
                          "throughput": row["throughput"],
                          "latency_p99": row["latency_p99"]}
@@ -536,7 +480,7 @@ class ShardedPool:
             "rows": rows,
             "lease_history": lease_history,
             "merged_knee": saturation_knee(merged_curve),
-            "per_shard_knees": [saturation_knee(curve)
+            "per_shard_knees": [saturation_knee(curve) if curve else None
                                 for curve in shard_curves],
         }
 

@@ -102,10 +102,10 @@ class TestGridValidation:
                                                     point, typo):
         from repro.core.registry import ParamValidationError
 
-        def no_run(scenario, grid):
+        def no_run(fn, points, workers):
             raise AssertionError("the runner was called")
 
-        monkeypatch.setattr(engine, "_run_sequential", no_run)
+        monkeypatch.setattr(engine, "parallel_map", no_run)
         registry = self.make_registry() if name == "demo" else REGISTRY
         with pytest.raises(ParamValidationError) as excinfo:
             run_scenario(name, points=[{**point, typo: 5}],
@@ -206,44 +206,26 @@ class TestParallelExecution:
     def test_figure9_parallel_equals_sequential(self):
         points = figure9_grid("t_msg", values=[0.2, 0.4, 0.6], iterations=1)
         sequential = run_scenario("figure9", points=points)
-        parallel = run_scenario("figure9", points=points, parallel=True,
-                                max_workers=2)
+        parallel = run_scenario("figure9", points=points, workers=2)
         assert parallel == sequential
 
     def test_figure12_parallel_equals_sequential(self):
         points = [{"t_msg": 1.0}, {"t_msg": 1.4}]
         sequential = run_scenario("figure12_tmmax", points=points)
-        parallel = run_scenario("figure12_tmmax", points=points,
-                                parallel=True)
+        parallel = run_scenario("figure12_tmmax", points=points, workers=2)
         assert parallel == sequential
 
     def test_large_n_parallel_equals_sequential(self):
         points = [{"n_threads": n} for n in (3, 5, 8)]
         sequential = run_scenario("large_n", points=points)
-        parallel = run_scenario("large_n", points=points, parallel=True)
+        parallel = run_scenario("large_n", points=points, workers=2)
         assert parallel == sequential
 
     def test_churn_parallel_equals_sequential(self):
         points = [{"n_groups": n, "iterations": 1} for n in (1, 3)]
         sequential = run_scenario("churn", points=points)
-        parallel = run_scenario("churn", points=points, parallel=True)
+        parallel = run_scenario("churn", points=points, workers=2)
         assert parallel == sequential
-
-    def test_unpicklable_runner_falls_back_to_sequential(self):
-        registry = ScenarioRegistry()
-        offset = 10
-
-        @registry.register("closure", grid=[{"n": 1}, {"n": 2}])
-        def closure_runner(n):
-            return {"n": n + offset}
-
-        rows = run_scenario("closure", registry=registry, parallel=True)
-        assert rows == [{"n": 11}, {"n": 12}]
-
-    def test_single_point_grids_run_in_process(self):
-        rows = run_scenario("large_n", points=[{"n_threads": 3}],
-                            parallel=True)
-        assert rows[0]["n_threads"] == 3
 
     def test_empty_grid_returns_no_rows(self):
         assert run_scenario("large_n", points=[]) == []

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import repro.worlds as worlds
-from repro.bench.engine import _run_sequential
+from repro.bench.engine import ScenarioRegistry, run_scenario
 from repro.core import oracles
 from repro.explore import ExplorationPlan, run_case
 from repro.net.faults import FaultDirective, FaultPlan
@@ -112,10 +112,10 @@ class TestCollectorPause:
             seen.append(gc.isenabled())
             return {}
 
-        class Sweep:
-            resolved_runner = staticmethod(runner)
-
-        _run_sequential(Sweep(), [{"tie_seed": 1}, {"tie_seed": 2}])
+        registry = ScenarioRegistry()
+        registry.register("sweep", grid=[{"tie_seed": 1},
+                                         {"tie_seed": 2}])(runner)
+        run_scenario("sweep", registry=registry)
         assert seen == [False, False]
         assert gc.isenabled()
 

@@ -96,8 +96,8 @@ class TestEngineSweepDeterminism:
         points = [{"target": "nested_abort", "seed": 2026,
                    "start": start, "stop": start + 10}
                   for start in (0, 10, 20)]
-        sequential = run_scenario("explore", points=points, parallel=False)
-        parallel = run_scenario("explore", points=points, parallel=True)
+        sequential = run_scenario("explore", points=points, workers=0)
+        parallel = run_scenario("explore", points=points, workers=2)
         assert sequential == parallel
 
     def test_chunked_sweep_equals_one_big_sweep(self):

@@ -184,12 +184,31 @@ class TestExplore:
         assert summary["executed"] == 10
         assert summary["failures"] == 0
 
-    def test_parallel_prints_the_sequential_summary(self, capsys):
+    def test_parallel_prints_the_sequential_summary(self, monkeypatch,
+                                                     capsys, caplog):
+        # On a pool, not on a silent fallback: one worker per core, so
+        # the two 25-plan chunks get two workers on any host.
+        from repro.runtime import system
+
+        executors = []
+        parallel_map = system.parallel_map
+
+        def recording_parallel_map(fn, points, workers):
+            rows, executor = parallel_map(fn, points, workers)
+            executors.append(executor)
+            return rows, executor
+
+        monkeypatch.setattr(system, "parallel_map", recording_parallel_map)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ["explore", "run", "--budget", "30"]
         assert main(argv) == 0
         sequential = capsys.readouterr().out
-        assert main(argv + ["--parallel"]) == 0
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert main(argv + ["--parallel"]) == 0
         assert capsys.readouterr().out == sequential
+        assert executors == ["sequential", "process-pool"]
+        assert [record for record in caplog.records
+                if record.levelno >= logging.WARNING] == []
 
     def test_an_unknown_target_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

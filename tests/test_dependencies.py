@@ -9,8 +9,9 @@ Two gates over the checkout, both read as text (no third-party parser):
   scope's own local helpers in ``tests/`` and ``benchmarks/``; and the
   ``test`` extra in ``tests/``, the ``bench`` extra in ``benchmarks/``
   (a distribution ``a-b`` is imported as ``a_b``);
-* every workflow job that runs ``pytest`` over ``tests/`` installs the
-  ``test`` extra (``.[test]``) or names every package in it.
+* every workflow job whose ``pytest`` collects ``tests/`` installs the
+  ``test`` extra (``.[test]``), and every job whose ``pytest`` collects
+  ``benchmarks/`` installs the ``bench`` extra (``.[test,bench]``).
 
 Run alone with ``python -m pytest tests/test_dependencies.py -q``.
 """
@@ -23,6 +24,8 @@ import shlex
 import sys
 from pathlib import Path
 from typing import Dict, List, Set
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,8 +97,8 @@ def workflow_jobs(text: str) -> Dict[str, str]:
     return jobs
 
 
-def runs_pytest_over_tests(job: str) -> bool:
-    """True if a ``pytest`` command of ``job`` collects ``tests/``.
+def runs_pytest_over(job: str, scope: str) -> bool:
+    """True if a ``pytest`` command of ``job`` collects ``scope``.
 
     A command with no path argument collects the ``testpaths`` of
     ``pyproject.toml``, which is ``tests``.
@@ -110,7 +113,7 @@ def runs_pytest_over_tests(job: str) -> bool:
         paths = [token for previous, token in zip([""] + tokens, tokens)
                  if not token.startswith("-")
                  and previous not in _VALUED_OPTIONS]
-        if not paths or any(path.split("/")[0] == "tests" for path in paths):
+        if any(path.split("/")[0] == scope for path in paths or ["tests"]):
             return True
     return False
 
@@ -120,19 +123,21 @@ def installs(job: str, extra: str) -> bool:
     for line in job.splitlines():
         if "pip install" not in line:
             continue
-        tokens = shlex.split(line.split("pip install", 1)[1])
-        if any(token.endswith(f"[{extra}]") for token in tokens):
-            return True
+        for token in shlex.split(line.split("pip install", 1)[1]):
+            extras = re.search(r"\[([\w,-]+)\]$", token)
+            if extras and extra in extras.group(1).split(","):
+                return True
     return False
 
 
-def jobs_missing_the_test_extra(workflows: Dict[str, str]) -> List[str]:
-    """``file:job`` for each job that runs tier-1 without the extra."""
+def jobs_missing_an_extra(workflows: Dict[str, str]) -> List[str]:
+    """``file:job`` for each job that runs a scope without its extra."""
     return [f"{filename}:{name}"
             for filename, text in sorted(workflows.items())
             for name, job in workflow_jobs(text).items()
-            if runs_pytest_over_tests(job)
-            and not installs(job, "test")]
+            if any(extra is not None and runs_pytest_over(job, scope)
+                   and not installs(job, extra)
+                   for scope, extra in SCOPES.items())]
 
 
 def _workflows() -> Dict[str, str]:
@@ -164,16 +169,25 @@ def test_an_undeclared_test_dependency_names_its_modules():
 
 def test_every_tier1_job_installs_the_test_extra():
     workflows = _workflows()
-    assert sum(runs_pytest_over_tests(job) for text in workflows.values()
+    assert sum(runs_pytest_over(job, "tests") for text in workflows.values()
                for job in workflow_jobs(text).values()) >= 5
-    assert jobs_missing_the_test_extra(workflows) == []
+    assert jobs_missing_an_extra(workflows) == []
 
 
-def test_a_job_that_drops_the_extra_is_named():
+def test_a_benchmark_job_installs_the_bench_extra():
+    jobs = workflow_jobs(_workflows()["ci.yml"])
+    assert [name for name, job in jobs.items()
+            if runs_pytest_over(job, "benchmarks")] == ["perf-smoke"]
+    assert installs(jobs["perf-smoke"], "bench")
+
+
+@pytest.mark.parametrize("install, job", [
+    ('".[test]"', "tests"), ('".[test,bench]"', "perf-smoke")])
+def test_a_job_that_drops_the_extra_is_named(install, job):
     workflows = _workflows()
     ci = workflows["ci.yml"]
-    assert '".[test]"' in ci
+    assert install in ci
     dropped = {**workflows, "ci.yml": ci.replace(
-        'python -m pip install -e ".[test]"\n',
+        f"python -m pip install -e {install}\n",
         "python -m pip install pytest\n", 1)}
-    assert jobs_missing_the_test_extra(dropped) == ["ci.yml:tests"]
+    assert jobs_missing_an_extra(dropped) == [f"ci.yml:{job}"]

@@ -8,8 +8,9 @@ entry point loads the modules its run executes and nothing else.  This
 gate pins that in ``sys.modules`` terms, which read the same on any host:
 
 * no entry point loads the process-pool machinery (``multiprocessing``,
-  ``concurrent.futures``, the sharded pool) — ``repro.bench.engine``
-  loads it only when a sweep actually runs on a pool;
+  ``concurrent.futures``, the sharded pool) —
+  ``repro.runtime.system.parallel_map``, the one place that starts a
+  pool, imports it only when it does;
 * none loads the trace exporters or the production cell, which only
   their own runners use;
 * the number of ``repro`` modules stays within :data:`BUDGET`;

@@ -156,14 +156,14 @@ class TestEngineIntegration:
 
     def test_capacity_parallel_equals_sequential(self):
         sequential = run_scenario("capacity", points=self.POINTS)
-        parallel = run_scenario("capacity", points=self.POINTS, parallel=True)
+        parallel = run_scenario("capacity", points=self.POINTS, workers=2)
         assert parallel == sequential
 
     def test_mixed_traffic_parallel_equals_sequential(self):
         points = [{"seed": 2026, "n_instances": 200},
                   {"seed": 2027, "n_instances": 200}]
         sequential = run_scenario("mixed_traffic", points=points)
-        parallel = run_scenario("mixed_traffic", points=points, parallel=True)
+        parallel = run_scenario("mixed_traffic", points=points, workers=2)
         assert parallel == sequential
         assert all(row["violations"] == [] for row in sequential)
 

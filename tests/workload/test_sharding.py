@@ -1,7 +1,6 @@
 """Sharded partition pools: plans, leases, merging, determinism."""
 
 import json
-import logging
 
 import pytest
 
@@ -147,26 +146,18 @@ class TestGlobalBackpressure:
             "knee", "never_saturated", "all_saturated")
         assert len(result["per_shard_knees"]) == 2
 
-
-class TestFallbackLogging:
-    def test_oserror_falls_back_to_sequential_and_warns(
-            self, monkeypatch, caplog):
-        class ExplodingPool:
-            def __init__(self, max_workers):
-                raise OSError("no semaphores in this sandbox")
-
-        monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor",
-                            ExplodingPool)
-        pool = ShardedPool(pool_size=8, workers=2)
-        plan = ShardPlan(seed=1, n_shards=2, n_instances=60,
-                         offered_load=4.0)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.workload.sharding"):
-            result = pool.run(plan)
-        assert result["executor"] == "sequential"
-        assert result["merged"]["jobs"] == 60
-        assert any("falling back" in record.getMessage()
-                   for record in caplog.records)
+    def test_sweep_rebalances_over_shards_that_did_not_run(self):
+        # Three instances over four shards: shard 3 is empty at every
+        # load, demands 0 and keeps its one-slot floor, and has no knee.
+        result = ShardedPool(workers=0).sweep(
+            (2.0, 4.0), seed=1, n_instances=3, n_shards=4,
+            global_max_in_flight=8)
+        assert all(len(leases) == 4 and sum(leases) == 8
+                   for leases in result["lease_history"])
+        assert result["lease_history"][1][3] == 1
+        assert result["per_shard_knees"][3] is None
+        assert all(knee is not None
+                   for knee in result["per_shard_knees"][:3])
 
 
 class TestEngineScaleScenario:
@@ -178,8 +169,7 @@ class TestEngineScaleScenario:
     def test_parallel_equals_sequential_on_deterministic_fields(self):
         points = [dict(SMALL), dict(SMALL, offered_load=12.0)]
         sequential = run_scenario("scale", points=points)
-        parallel = run_scenario("scale", points=points, parallel=True,
-                                max_workers=2)
+        parallel = run_scenario("scale", points=points, workers=2)
         strip = (lambda row: {key: value for key, value in row.items()
                               if key not in VOLATILE_KEYS})
         assert [strip(row) for row in sequential] == \
