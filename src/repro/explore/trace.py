@@ -6,10 +6,10 @@ naming the system's registered actions (which tells apart two targets'
 runs that stall before any action is entered) and the final
 message-statistics snapshot.  The log holds every kernel
 step, every action life-cycle event, every ``message.*`` record (with
-per-run flow ids and a mark on corrupted envelopes) and every lock
-transition (with per-run transaction ids), so the trace is built only
-from per-run data (notably *not* from ``Envelope.sequence``, which is a
-process-global counter).
+its flow id — ``Envelope.sequence``, which the system's network numbers
+from 1 — and a mark on corrupted envelopes) and every lock transition
+(with per-run transaction ids), so the trace is built only from per-run
+data.
 
 Two runs of the same ``(target, plan)`` must produce byte-identical
 canonical traces; :func:`trace_digest` hashes them so sweeps can compare

@@ -7,11 +7,7 @@ routing and timing metadata used by metrics and by fault injection.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
-
-_sequence = itertools.count(1)
-_next_sequence = _sequence.__next__
 
 
 class Envelope:
@@ -35,8 +31,10 @@ class Envelope:
         Virtual time at which it will be (or was) placed in the receiver's
         buffer.  ``None`` until the network schedules delivery.
     sequence:
-        Globally unique, monotonically increasing identifier; used for
-        deterministic tie-breaking and for tracing.
+        The envelope's number on the network that sent it: 1, 2, 3, ...
+        per network, forwarded sends included, 0 for one built outside a
+        send (a real-backend injection, a test's bare envelope).  The
+        observation reads it as the message's flow id.
     corrupted:
         Set by fault injection; a corrupted payload must not be trusted by
         the receiver (the signalling algorithm treats it as ``ƒ``).
@@ -48,14 +46,14 @@ class Envelope:
     def __init__(self, source: str, destination: str, payload: Any,
                  send_time: float = 0.0,
                  deliver_time: Optional[float] = None,
-                 sequence: Optional[int] = None,
+                 sequence: int = 0,
                  corrupted: bool = False) -> None:
         self.source = source
         self.destination = destination
         self.payload = payload
         self.send_time = send_time
         self.deliver_time = deliver_time
-        self.sequence = _next_sequence() if sequence is None else sequence
+        self.sequence = sequence
         self.corrupted = corrupted
 
     @property

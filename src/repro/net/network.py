@@ -16,6 +16,7 @@ benchmarks (Theorem 2, Section 3.2.3) read.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -176,6 +177,8 @@ class Network(Transport):
         #: Last scheduled delivery time per directed link, used to enforce
         #: FIFO even under non-deterministic latency.
         self._link_clock: Dict[tuple, float] = {}
+        #: Numbers this network's sends 1, 2, 3, ... (``Envelope.sequence``).
+        self._next_sequence = itertools.count(1).__next__
         #: The attached observation sink (``repro.obs``), or ``None`` when
         #: observability is off — the hot path then pays one None check.
         self._obs = None
@@ -221,7 +224,8 @@ class Network(Transport):
 
         kernel = self.kernel
         now = kernel._now
-        envelope = Envelope(source, destination, payload, now)
+        envelope = Envelope(source, destination, payload, now, None,
+                            self._next_sequence())
         stats = self.stats
         stats.sent += 1
         stats.by_type[type(payload).__name__] += 1

@@ -46,11 +46,12 @@ class RealNetwork(Network):
         # and hand it to the wire.  The receiver enforces arrival no
         # earlier than ``deliver_time`` on its own clock.
         now = self.kernel._now
-        envelope = Envelope(source, destination, payload, now)
+        envelope = Envelope(source, destination, payload, now, None,
+                            self._next_sequence())
         self.stats.record_sent(envelope)
         obs = self._obs
         if obs is not None:
-            obs.message_forwarded(envelope)
+            obs.message_sent(envelope)
         deliver_at = now + self.latency.sample(source, destination)
         envelope.deliver_time = deliver_at
         self._forward(source, destination, payload, now, deliver_at)
@@ -67,6 +68,7 @@ class RealNetwork(Network):
         """
         kernel = self.kernel
         now = kernel._now
+        # Sequence 0: the sending process's network numbered this message.
         envelope = Envelope(source, destination, payload, now)
         link = (source, destination)
         deliver_at = max(deliver_vt, now)

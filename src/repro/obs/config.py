@@ -24,6 +24,8 @@ class ObsConfig:
     With ``spans`` or ``metrics`` on, the whole log is kept (it grows
     with the run).  With only the flight recorder on, the log is a
     bounded ring: fixed memory, O(1) per event — the cheapest profile.
+    With none of the three on there is nowhere to record, and the
+    observation refuses the config.
 
     ``kernel_steps`` additionally hooks the scheduler's step tracer —
     one record per executed event, high volume — and is off by default.

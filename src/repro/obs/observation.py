@@ -16,7 +16,8 @@ fields are what the event was reported with — the life-cycle payload
 dict as emitted, a message's routing fields and payload type name, a
 job's instance and action — and ``layout`` names the reader that turns
 the record into its event dict (a message record also carries its
-envelope's corruption mark).  Records hold no envelope, job or
+envelope's number, which is the message's flow id, and its corruption
+mark).  Records hold no envelope, job or
 kernel event, so a record of plain values is one the garbage collector
 stops tracking.  The only other work on the hot path is one float
 compare against the next timeline tick; at a tick the network totals,
@@ -26,8 +27,7 @@ rendered with ``str`` — is converted when recorded.
 
 **Everything else is derived when somebody reads:**
 
-* :attr:`events` — the event dicts, built once, ``message.*`` flow
-  ``seq`` numbers assigned in log order;
+* :attr:`events` — the event dicts, built once;
 * :meth:`flight_dump` — the log's last ``flight_capacity`` events;
 * :attr:`metrics` — every ``*_total`` counter and the ``span_duration``
   / ``job_latency`` histograms folded from the log, and the timelines
@@ -35,9 +35,9 @@ rendered with ``str`` — is converted when recorded.
 
 The log is kept whole while spans or metrics are on.  Under the
 flight-only profile the log *is* the bounded ring (a
-:class:`~repro.obs.recorder.FlightRecorder`); a window cannot name the
-evicted send a delivery belongs to, so that profile fixes message flow
-ids as it records.
+:class:`~repro.obs.recorder.FlightRecorder`).  A delivery's record
+carries its envelope's number, as its send's does, so a window still
+names the flow of a send it evicted.
 
 Nothing in this module schedules kernel events, draws randomness, or
 mutates run results: observation is strictly read-only with respect to
@@ -50,7 +50,6 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from collections import deque
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..runtime.events import (ACTION_ABORTING, ACTION_CONCLUDED,
@@ -67,10 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Record layouts: the third field of a record names its reader.
 _LIFE_CYCLE, _MESSAGE, _RPC_FAILURE, _JOB, _LOCK, _KERNEL_STEP = range(6)
-
-#: Record kind of a send that leaves the process.  It reads as
-#: ``message.sent`` but opens no flow a local delivery could close.
-_FORWARDED = "message.forwarded"
 
 #: Life-cycle kind -> the counter it increments (the other life-cycle
 #: kinds are recorded but not counted).
@@ -100,37 +95,10 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
-class _Flows:
-    """``message.*`` flow ids, assigned in recording order.
-
-    The observation's n-th send is flow n; a delivery or drop carries
-    the id of its send, or 0 when that send was not recorded here or left
-    the process.  Keyed by the envelope's own number (``id()`` values are
-    recycled), and an entry lives only while its message is in flight.
-    """
-
-    __slots__ = ("sent", "open")
-
-    def __init__(self) -> None:
-        self.sent = 0
-        self.open: Dict[int, int] = {}
-
-    def seq(self, kind: str, sequence: int) -> int:
-        """The flow id of a message record (``sequence``: its envelope's)."""
-        if kind == MESSAGE_SENT:
-            self.sent += 1
-            self.open[sequence] = self.sent
-            return self.sent
-        if kind == _FORWARDED:
-            self.sent += 1
-            return self.sent
-        return self.open.pop(sequence, 0)
-
-
 # ----------------------------------------------------------------------
-# Readers: one per record layout, each ``(record, flows) -> event dict``.
+# Readers: one per record layout, each ``record -> event dict``.
 # ----------------------------------------------------------------------
-def _life_cycle(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
+def _life_cycle(record: tuple) -> Dict[str, Any]:
     t, kind, _, thread, action, instance, data = record
     event: Dict[str, Any] = {"t": t, "kind": kind, "thread": thread,
                              "action": action, "instance": instance}
@@ -139,14 +107,13 @@ def _life_cycle(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
     return event
 
 
-def _message(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
-    """A ``message.*`` record; without ``flows`` it carries its own id."""
-    (t, kind, _, source, destination, payload_type, sequence,
-     corrupted) = record[:8]
-    event: Dict[str, Any] = {
-        "t": t, "kind": MESSAGE_SENT if kind == _FORWARDED else kind,
-        "src": source, "dst": destination, "type": payload_type,
-        "seq": record[-1] if flows is None else flows.seq(kind, sequence)}
+def _message(record: tuple) -> Dict[str, Any]:
+    """A ``message.*`` record; its envelope's number is its flow ``seq``."""
+    t, kind, _, source, destination, payload_type, flow, corrupted = \
+        record[:8]
+    event: Dict[str, Any] = {"t": t, "kind": kind, "src": source,
+                             "dst": destination, "type": payload_type,
+                             "seq": flow}
     if kind == MESSAGE_DROPPED:
         event["reason"] = record[8]
     if corrupted:
@@ -154,13 +121,13 @@ def _message(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
     return event
 
 
-def _rpc_failure(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
+def _rpc_failure(record: tuple) -> Dict[str, Any]:
     t, kind, _, node, procedure, error = record
     return {"t": t, "kind": kind, "node": node, "procedure": procedure,
             "error": error}
 
 
-def _job(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
+def _job(record: tuple) -> Dict[str, Any]:
     t, kind, _, instance, action, extra = record
     event: Dict[str, Any] = {"t": t, "kind": kind, "instance": instance,
                              "action": action}
@@ -168,7 +135,7 @@ def _job(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
     return event
 
 
-def _lock(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
+def _lock(record: tuple) -> Dict[str, Any]:
     t, kind, _, object_name, transaction, mode, extra = record
     event: Dict[str, Any] = {"t": t, "kind": kind, "object": object_name,
                              "transaction": transaction}
@@ -178,7 +145,7 @@ def _lock(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
     return event
 
 
-def _kernel_step(record: tuple, flows: Optional[_Flows]) -> Dict[str, Any]:
+def _kernel_step(record: tuple) -> Dict[str, Any]:
     t, kind, _, priority, eid, event_name = record
     return {"t": t, "kind": kind, "priority": priority, "eid": eid,
             "event": event_name}
@@ -189,15 +156,17 @@ _READERS = (_life_cycle, _message, _rpc_failure, _job, _lock, _kernel_step)
 
 
 #: Layout -> the format of its :meth:`SystemObservation.record_lines`
-#: line: every field of the record, a message's flow id for its envelope
-#: number and its drop reason (or nothing) last.
-_LINE_FORMATS = ("%.9f %s %d %s %s %s %r", "%.9f %s %d %s %s %s %d %s%s",
+#: line: every field of the record.
+_LINE_FORMATS = ("%.9f %s %d %s %s %s %r", "%.9f %s %d %s %s %s %d %s",
                  "%.9f %s %d %s %s %s", "%.9f %s %d %s %s %r",
                  "%.9f %s %d %s %s %s %r", "%.9f %s %d %d %d %s")
 
+#: A dropped message's line: its reason last.
+_DROP_LINE = _LINE_FORMATS[_MESSAGE] + " %s"
 
-def _render(records, flows: Optional[_Flows]) -> List[Dict[str, Any]]:
-    return [_READERS[record[2]](record, flows) for record in records]
+
+def _render(records) -> List[Dict[str, Any]]:
+    return [_READERS[record[2]](record) for record in records]
 
 
 def _fold(log: List[tuple], registry: MetricsRegistry) -> None:
@@ -246,9 +215,8 @@ class SystemObservation:
     """Collector state for one observed system."""
 
     __slots__ = ("config", "system", "_kernel", "_log", "_append",
-                 "_flight", "_flows", "_events", "_read_flows", "_interval",
-                 "_next_tick", "_samples", "_ticks", "_stats", "_admission",
-                 "_driver_at")
+                 "_flight", "_events", "_interval", "_next_tick", "_samples",
+                 "_ticks", "_stats", "_admission", "_driver_at")
 
     def __init__(self, system: "DistributedCASystem",
                  config: Optional[ObsConfig] = None) -> None:
@@ -257,23 +225,20 @@ class SystemObservation:
             raise ValueError("flight recorder capacity must be >= 1")
         if config.metrics and config.timeline_interval <= 0:
             raise ValueError("timeline interval must be positive")
+        if not (config.spans or config.metrics or config.flight_recorder):
+            raise ValueError("an observation needs spans, metrics or the "
+                             "flight recorder on")
         self.config = config
         self.system = system
         self._kernel = system.kernel
         self._log: List[tuple] = []
         self._append = self._log.append
         self._flight: Optional[FlightRecorder] = None
-        self._flows: Optional[_Flows] = None
         if not (config.spans or config.metrics):
-            if config.flight_recorder:
-                self._flight = FlightRecorder(config.flight_capacity)
-                self._flows = _Flows()
-                self._append = self._ring_append
-            else:  # no collector: records go nowhere
-                self._append = deque(maxlen=0).append
-        #: Read side: the event dicts built so far, and their flow ids.
+            self._flight = FlightRecorder(config.flight_capacity)
+            self._append = self._flight.append
+        #: Read side: the event dicts built so far.
         self._events: List[Dict[str, Any]] = []
-        self._read_flows = _Flows()
         #: Timeline: grid points ``k * interval`` for ``k < _samples`` are
         #: sampled; each entry of ``_ticks`` is one catch-up (see _tick).
         self._interval = float(config.timeline_interval)
@@ -301,12 +266,6 @@ class SystemObservation:
         driver_at, admission = self._driver_at, self._admission
         self.__init__(self.system, config)
         self._driver_at, self._admission = driver_at, admission
-
-    def _ring_append(self, record: tuple) -> None:
-        """Flight-only recording: message flow ids are fixed now."""
-        if record[2] == _MESSAGE:
-            record += (self._flows.seq(record[1], record[6]),)
-        self._flight.append(record)
 
     def _tick(self, now: float) -> None:
         """Sample every grid point virtual time ``now`` newly reached.
@@ -346,15 +305,6 @@ class SystemObservation:
     def message_sent(self, envelope: Any) -> None:
         now = self._kernel._now
         self._append((now, MESSAGE_SENT, _MESSAGE, envelope.source,
-                      envelope.destination, type(envelope.payload).__name__,
-                      envelope.sequence, envelope.corrupted))
-        if now >= self._next_tick:
-            self._tick(now)
-
-    def message_forwarded(self, envelope: Any) -> None:
-        """A send that leaves the process: no local delivery will close it."""
-        now = self._kernel._now
-        self._append((now, _FORWARDED, _MESSAGE, envelope.source,
                       envelope.destination, type(envelope.payload).__name__,
                       envelope.sequence, envelope.corrupted))
         if now >= self._next_tick:
@@ -428,7 +378,7 @@ class SystemObservation:
     def _rendered(self) -> List[Dict[str, Any]]:
         """Every record of the (whole) log as its event dict."""
         events = self._events
-        events.extend(_render(self._log[len(events):], self._read_flows))
+        events.extend(_render(self._log[len(events):]))
         return events
 
     @property
@@ -439,23 +389,20 @@ class SystemObservation:
     def record_lines(self) -> List[str]:
         """Every record of the whole log as one text line, oldest first.
 
-        What :attr:`events` holds — message flow ids in place of the
-        process-global envelope numbers, life-cycle values in plain form,
-        times to the nanosecond — without building the dicts (the
-        explorer digests every case).
+        What :attr:`events` holds — a message's flow id (its envelope's
+        number), life-cycle values in plain form, times to the nanosecond
+        — without building the dicts (the explorer digests every case).
         """
-        flows = _Flows()
         lines: List[str] = []
         append = lines.append
         for record in self._log:
             layout = record[2]
-            if layout == _MESSAGE:
-                record = (*record[:6], flows.seq(record[1], record[6]),
-                          record[7],
-                          " " + record[8] if len(record) > 8 else "")
-            elif layout == _LIFE_CYCLE:
+            if layout == _LIFE_CYCLE:
                 record = (*record[:6], [(key, _plain(value)) for key, value
                                         in record[6].items()])
+            elif layout == _MESSAGE and record[1] == MESSAGE_DROPPED:
+                append(_DROP_LINE % record)
+                continue
             append(_LINE_FORMATS[layout] % record)
         return lines
 
@@ -465,7 +412,7 @@ class SystemObservation:
             return None
         if self._flight is not None:
             dump = self._flight.dump()
-            dump["events"] = _render(dump["events"], None)
+            dump["events"] = _render(dump["events"])
             return dump
         events = self._rendered()
         return dump_window(self.config.flight_capacity, len(events),
@@ -481,8 +428,7 @@ class SystemObservation:
         links: List[Tuple[int, str, tuple]] = []
         named = set()
         for index, record in enumerate(self._log):
-            if record[2] == _MESSAGE and record[1] in (MESSAGE_SENT,
-                                                       _FORWARDED):
+            if record[2] == _MESSAGE and record[1] == MESSAGE_SENT:
                 name = f"messages_sent[{record[3]}->{record[4]}]"
                 if name not in named:
                     named.add(name)

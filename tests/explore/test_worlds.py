@@ -6,6 +6,9 @@ nodes are the plan generator's link endpoints, and what its monitor
 tracks is what the oracles judge.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro import cli
@@ -25,6 +28,28 @@ def test_delay_only_plans_find_nothing(name):
                       algorithm="ours").run()
     assert len(report.cases) == 25
     assert report.summary() == {}
+
+
+def storm_sweeps(workflow: str):
+    """``{world: step}`` of each ``explore run --kinds storm`` step."""
+    sweeps = {}
+    for step in re.split(r"\n(?=\s*- name:)", workflow):
+        command = re.sub(r"\\\n\s*", " ", step)
+        match = re.search(r"-m repro explore run .*--target (\w+)", command)
+        if match and "--kinds storm" in command:
+            sweeps[match.group(1)] = command
+    return sweeps
+
+
+def test_the_nightly_explorer_sweeps_every_world():
+    workflow = Path(__file__).resolve().parents[2] / ".github" / \
+        "workflows" / "explore.yml"
+    sweeps = storm_sweeps(workflow.read_text(encoding="utf-8"))
+    assert sorted(sweeps) == sorted(WORLDS.names())
+    assert all(f"--reproducers reproducers/{name}/" in step
+               for name, step in sweeps.items())
+    # A violation in one world's sweep must not skip the sweeps after it.
+    assert all("if: always()" in step for step in list(sweeps.values())[1:])
 
 
 def test_a_misspelt_world_parameter_is_named():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.net import (
     ConstantLatency,
     FaultPlan,
@@ -14,6 +15,8 @@ from repro.net import (
     UniformLatency,
     UnknownNodeError,
 )
+from repro.net.realnet import RealNetwork
+from repro.runtime import DistributedCASystem, RuntimeConfig
 from repro.simkernel import Kernel, SeededStreams
 
 
@@ -256,6 +259,64 @@ class TestFaults:
     def test_invalid_nth_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan().drop_nth_message("A", "B", 0)
+
+
+# ----------------------------------------------------------------------
+# Envelope numbering
+# ----------------------------------------------------------------------
+def inbox_numbers(node, count):
+    """Process that records the ``sequence`` of ``count`` received envelopes."""
+    numbers = []
+
+    def consumer(node):
+        for _ in range(count):
+            envelope = yield node.inbox.get()
+            numbers.append(envelope.sequence)
+
+    node.kernel.process(consumer(node))
+    return numbers
+
+
+class TestEnvelopeNumbering:
+    def test_two_systems_number_their_interleaved_sends_from_one(self):
+        faults = FaultPlan()
+        faults.drop_nth_message("A", "B", 2)
+        first = DistributedCASystem(RuntimeConfig(), faults=faults)
+        second = DistributedCASystem(RuntimeConfig())
+        sent = {first: [], second: []}
+        for system in sent:
+            system.add_threads(["A", "B"])
+            obs.observe_system(system, obs.ObsConfig(metrics=False))
+        for index in range(3):
+            for system in (first, second, first):
+                sent[system].append(
+                    system.network.send("A", "B", index).sequence)
+        for system in sent:
+            system.run()
+        assert sent == {first: [1, 2, 3, 4, 5, 6], second: [1, 2, 3]}
+        # A dropped send keeps its number; a delivery carries its send's.
+        arrivals = {system: [(event["kind"], event["seq"])
+                             for event in system.observation.events
+                             if event["kind"] != "message.sent"]
+                    for system in sent}
+        assert arrivals[first] == [("message.dropped", 2)] + [
+            ("message.delivered", n) for n in (1, 3, 4, 5, 6)]
+        assert arrivals[second] == [("message.delivered", n)
+                                    for n in (1, 2, 3)]
+
+    def test_a_real_network_numbers_forwarded_sends_not_injections(self):
+        network = RealNetwork(Kernel(), ConstantLatency(0.1), local={"A"},
+                              forward=lambda *frame: None)
+        network.add_node("A")
+        network.add_node("B")
+        received = inbox_numbers(network.node("A"), 3)
+        assert [network.send("B", "A", 0).sequence,
+                network.send("A", "B", 1).sequence,
+                network.send("B", "A", 2).sequence] == [1, 2, 3]
+        network.inject("B", "A", 3, deliver_vt=0.5)
+        network.kernel.run()
+        # The sender's network numbered the injected message, not this one.
+        assert received == [1, 3, 0]
 
 
 # ----------------------------------------------------------------------

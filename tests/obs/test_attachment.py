@@ -43,6 +43,18 @@ class TestOneObservationPerSystem:
         with pytest.raises(RuntimeError, match="without spans, metrics"):
             obs.observe_system(system, obs.ObsConfig())
 
+    def test_an_observation_without_a_collector_is_refused(self):
+        # It would record nothing, so ``recorded`` would stay 0 and a
+        # later observe_system would widen it after the run had begun.
+        system = new_system()
+        system.add_threads(["A", "B"])
+        off = obs.ObsConfig(spans=False, metrics=False, flight_recorder=False,
+                            kernel_steps=True)
+        with pytest.raises(ValueError, match="needs spans, metrics or the "
+                                             "flight recorder"):
+            obs.observe_system(system, off)
+        assert system.observation is None and system.network._obs is None
+
     def test_an_observation_that_recorded_nothing_is_widened(self):
         system = new_system()
         system.add_threads(["A", "B"])

@@ -170,8 +170,8 @@ class TestRecordLines:
         assert not any("corrupted" in event for event in self.run().events)
 
     def test_lines_follow_the_events_not_the_process(self):
-        # Envelope numbers are process-global; the lines carry flow ids,
-        # so two equal runs give equal lines.
+        # Each system's network numbers its envelopes from 1, and the
+        # lines carry those flow ids, so two equal runs give equal lines.
         first, second = self.run(), self.run()
         lines = first.record_lines()
         assert lines == second.record_lines()

@@ -7,7 +7,10 @@ in a module for the next one to see.  This gate reads every module of
 
 * each module-level binding to a literal or constructed ``dict``,
   ``list``, ``set`` (comprehensions included), ``defaultdict``,
-  ``deque``, ``Counter``, ``OrderedDict`` or ``itertools.count``, and
+  ``deque``, ``Counter``, ``OrderedDict`` or ``itertools.count``,
+* each such binding in a class body (``Class.name``; a class attribute
+  lives as long as its module, so every instance in the process shares
+  it), and
 * each function decorated with ``@cache`` / ``@lru_cache``,
 
 unless :data:`ALLOWED` names it with a one-line reason.  ``__all__`` and
@@ -45,9 +48,6 @@ ALLOWED = {
     "core/registry.py:_SIMPLE_TYPES": "read-only table of parameter types",
     "core/state.py:_ORDER_KEY_CACHE":
         "memo of a pure function of the thread identifier",
-    "net/message.py:_sequence":
-        "known: numbers envelopes process-wide; ROADMAP item 22 makes it "
-        "per network and deletes it",
     "obs/observation.py:_ACTION_COUNTERS":
         "read-only table of life-cycle counters",
     "productioncell/exceptions.py:MOVE_LOADED_TABLE_PRIMITIVES":
@@ -91,11 +91,12 @@ def _module_statements(body: List[ast.stmt]) -> Iterator[ast.stmt]:
                 yield from _module_statements(handler.body)
 
 
-def module_state(text: str) -> List[str]:
-    """Names of the module-level state and cached functions in ``text``."""
-    tree = ast.parse(text)
-    found = []
-    for statement in _module_statements(tree.body):
+def _bindings(body: List[ast.stmt], prefix: str = "") -> Iterator[str]:
+    """Container bindings of a module or class body, nested classes too."""
+    for statement in _module_statements(body):
+        if isinstance(statement, ast.ClassDef):
+            yield from _bindings(statement.body, f"{prefix}{statement.name}.")
+            continue
         if isinstance(statement, ast.Assign):
             targets, value = statement.targets, statement.value
         elif isinstance(statement, ast.AnnAssign):
@@ -103,9 +104,15 @@ def module_state(text: str) -> List[str]:
         else:
             continue
         if value is not None and _is_container(value):
-            found.extend(target.id for target in targets
-                         if isinstance(target, ast.Name)
-                         and not target.id.startswith("__"))
+            yield from (prefix + target.id for target in targets
+                        if isinstance(target, ast.Name)
+                        and not target.id.startswith("__"))
+
+
+def module_state(text: str) -> List[str]:
+    """Names of the module and class state and cached functions in ``text``."""
+    tree = ast.parse(text)
+    found = list(_bindings(tree.body))
     found.extend(node.name for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and any(_called_name(decorator) in CACHES
@@ -138,3 +145,17 @@ def test_a_new_counter_or_container_or_cache_is_flagged():
               "TABLE = ('a', 'b')\n"
               "@lru_cache(maxsize=None)\ndef f(x):\n    return x\n")
     assert module_state(source) == ["_ids", "SEEN", "_queue", "f"]
+
+
+def test_a_class_attribute_counter_or_container_is_flagged():
+    source = ("import itertools\n"
+              "class Network:\n"
+              "    __slots__ = ('kernel',)\n"
+              "    _sequence = itertools.count(1)\n"
+              "    FIFO_EPSILON = 1e-9\n"
+              "    def __init__(self):\n"
+              "        self._next = itertools.count(1).__next__\n"
+              "    class Stats:\n"
+              "        by_link: dict = {}\n")
+    assert module_state(source) == ["Network._sequence",
+                                    "Network.Stats.by_link"]
