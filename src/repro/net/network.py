@@ -273,21 +273,32 @@ class Network(Transport):
         self._link_clock[link] = deliver_at
         envelope.deliver_time = deliver_at
 
-        def _deliver(_event, env=envelope, obs=obs):
-            target = nodes.get(env.destination)
-            if target is None or not target.alive:
-                stats.dropped += 1
-                if obs is not None:
-                    obs.message_dropped(env, "dead_target")
-                return
-            stats.delivered += 1
-            if obs is not None:
-                obs.message_delivered(env)
-            # Node.deliver, minus the liveness check made just above.
-            target.inbox.deliver(env)
-
-        Timeout(kernel, deliver_at - now).callbacks.append(_deliver)
+        Timeout(kernel, deliver_at - now, envelope).callbacks.append(
+            self._deliver)
         return envelope
+
+    def _deliver(self, event: Timeout) -> None:
+        """The one delivery step of every message, sent or injected: the
+        envelope is the ``Timeout``'s value (see :attr:`Node.consumer`)."""
+        envelope = event._value
+        target = self.nodes.get(envelope.destination)
+        obs = self._obs
+        if target is None or not target.alive:
+            self.stats.dropped += 1
+            if obs is not None:
+                obs.message_dropped(envelope, "dead_target")
+            return
+        self.stats.delivered += 1
+        if obs is not None:
+            obs.message_delivered(envelope)
+        consume = target.consumer
+        if consume is None or target.busy:
+            target.inbox.deliver(envelope)
+            return
+        pending = consume(envelope.payload, envelope.corrupted)
+        if pending is not None:
+            target.busy = True
+            target.inbox.deliver(pending)
 
     def broadcast(self, source: str, destinations: Iterable[str],
                   payload: Any) -> List[Envelope]:

@@ -8,7 +8,7 @@ the shared simulation kernel.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
 
 from ..simkernel.channels import CyclicBuffer
 from ..simkernel.kernel import Kernel
@@ -38,6 +38,15 @@ class Node:
         self.inbox: CyclicBuffer = CyclicBuffer(kernel, capacity=buffer_capacity)
         self.network: Optional["Network"] = None
         self.alive = True
+        #: ``consumer(payload, corrupted)``, called by the network inside
+        #: each delivery event; ``None`` buffers every envelope in
+        #: :attr:`inbox`.  A consumer that returns a continuation makes the
+        #: node :attr:`busy`: the continuation goes through :attr:`inbox` to
+        #: the consumer's process, which finishes it and the envelopes
+        #: buffered meanwhile, then clears :attr:`busy`.
+        self.consumer: Optional[
+            Callable[[Any, bool], Optional[Iterator[Any]]]] = None
+        self.busy = False
         #: Free-form per-node registry used by upper layers (the partition
         #: executive stores itself here so application code co-located on
         #: the node can find it).
@@ -58,12 +67,6 @@ class Node:
         if self.network is None:
             raise RuntimeError(f"node {self.name!r} is not attached to a network")
         return self.network.send(self.name, destination, payload)
-
-    def deliver(self, envelope: Envelope) -> None:
-        """Called by the network to place a message in the inbox."""
-        if not self.alive:
-            return
-        self.inbox.deliver(envelope)
 
     def crash(self) -> None:
         """Mark the node as crashed: no further delivery or sending."""

@@ -77,19 +77,5 @@ class RealNetwork(Network):
             deliver_at = last
         self._link_clock[link] = deliver_at
         envelope.deliver_time = deliver_at
-        stats = self.stats
-        obs = self._obs
-
-        def _deliver(_event, env=envelope):
-            target = self.nodes.get(env.destination)
-            if target is None or not target.alive:
-                stats.dropped += 1
-                if obs is not None:
-                    obs.message_dropped(env, "dead_target")
-                return
-            stats.delivered += 1
-            if obs is not None:
-                obs.message_delivered(env)
-            target.deliver(env)
-
-        Timeout(kernel, deliver_at - now).callbacks.append(_deliver)
+        Timeout(kernel, deliver_at - now, envelope).callbacks.append(
+            self._deliver)

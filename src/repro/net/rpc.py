@@ -66,18 +66,13 @@ class RpcReply:
 class RpcEndpoint:
     """Attaches RPC dispatch to a node.
 
-    By default the endpoint owns the node's inbox-draining process:
-    incoming :class:`RpcRequest` envelopes are dispatched to registered
-    handlers; anything else is passed to the ``fallback`` callable (the
-    CA-action partition executive registers itself as the fallback so
-    protocol messages flow to it).
+    By default the endpoint is its node's :attr:`~Node.consumer`: RPC
+    payloads are handled inside their delivery event (handlers never wait,
+    so no process is needed) and any other payload goes to ``fallback``.
 
-    With ``drain=False`` no process is spawned: the endpoint only attaches
-    itself under ``node.services["rpc"]`` and an external inbox consumer
-    (the partition :class:`~repro.runtime.dispatcher.Dispatcher`) is
-    expected to route RPC payloads to :meth:`handle_payload`.  This lets a
-    partition act as an RPC client/server without competing with its own
-    dispatcher for the inbox.
+    With ``drain=False`` another consumer (the partition
+    :class:`~repro.runtime.dispatcher.Dispatcher`) routes RPC payloads to
+    :meth:`handle_payload`, so a partition can be an RPC client/server.
     """
 
     def __init__(self, node: Node, network: Network,
@@ -92,10 +87,8 @@ class RpcEndpoint:
         #: Per-endpoint call-id counter: ids are deterministic for a given
         #: call sequence regardless of whatever else ran in the process.
         self._call_ids = itertools.count(1)
-        self._dispatcher = None
         if drain:
-            self._dispatcher = self.kernel.process(
-                self._dispatch_loop(), name=f"rpc-dispatch:{node.name}")
+            node.consumer = self._consume
         node.services["rpc"] = self
 
     # ------------------------------------------------------------------
@@ -172,14 +165,11 @@ class RpcEndpoint:
             return True
         return False
 
-    def _dispatch_loop(self):
-        while True:
-            envelope = yield self.node.inbox.get()
-            payload = envelope.payload
-            if not self.handle_payload(payload) and self.fallback is not None:
-                self.fallback(envelope)
-            # Messages with no handler and no fallback are dropped silently;
-            # the network statistics still recorded them.
+    def _consume(self, payload: Any, corrupted: bool) -> None:
+        if not self.handle_payload(payload) and self.fallback is not None:
+            self.fallback(payload)
+        # Messages with no handler and no fallback are dropped silently;
+        # the network statistics still recorded them.
 
     def _handle_request(self, request: RpcRequest) -> None:
         handler = self._procedures.get(request.procedure)

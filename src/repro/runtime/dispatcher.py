@@ -1,7 +1,7 @@
 """Message dispatch for the partition executive.
 
-The dispatcher is the per-node process that drains the node's cyclic
-receive buffer and routes each payload to the right consumer:
+The dispatcher is the node's inbox consumer, called inside each delivery
+event; it routes each payload to the right consumer:
 
 * entry/exit announcements update the barrier bookkeeping that the
   life-cycle waits on;
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Dispatcher:
-    """Drains one node's inbox and routes payloads to their consumers."""
+    """Consumes one node's deliveries, routing payloads to their consumers."""
 
     def __init__(self, partition: "Partition") -> None:
         self.partition = partition
@@ -64,35 +64,36 @@ class Dispatcher:
     # The dispatch process
     # ------------------------------------------------------------------
     def loop(self):
-        """The dispatcher process body: drain the inbox forever."""
-        inbox = self.partition.node.inbox
-        dispatch_sync = self.dispatch_sync
+        """The process body: drive what a delivery left waiting, then the
+        envelopes buffered meanwhile (see ``Node.consumer``)."""
+        node = self.partition.node
+        inbox = node.inbox
         while True:
-            envelope = yield inbox.get()
-            pending = dispatch_sync(envelope.payload, envelope.corrupted)
-            # Wait for the next message holding no reference to this one.
-            del envelope
-            if pending is not None:
+            pending = yield inbox.get()
+            while pending is not None:
                 yield from pending
+                pending = self._dispatch_buffered()
+            node.busy = False
 
-    def dispatch(self, payload, corrupted: bool = False):
-        """Route one received payload (generator, used via ``yield from``).
-
-        Compatibility wrapper over :meth:`dispatch_sync` for callers that
-        drive dispatching as a generator.
-        """
-        pending = self.dispatch_sync(payload, corrupted)
-        if pending is not None:
-            yield from pending
+    def _dispatch_buffered(self):
+        """Dispatch buffered envelopes in order until one has to wait."""
+        items = self.partition.node.inbox.items
+        dispatch_sync = self.dispatch_sync
+        while items:
+            envelope = items.popleft()
+            pending = dispatch_sync(envelope.payload, envelope.corrupted)
+            if pending is not None:
+                return pending
+        return None
 
     def dispatch_sync(self, payload, corrupted: bool = False):
-        """Route one received payload without generator overhead.
+        """Route one received payload (the node's inbox consumer).
 
         Returns ``None`` when the payload was fully handled, which is
         nearly always; a protocol message whose effects have to wait
         (:meth:`EffectInterpreter.interpret` suspended on a resolution
         charge or an undo round) returns the generator the caller must
-        drive to finish them.
+        drive to finish them (:meth:`loop` does, for deliveries).
 
         A corrupted signalling message is not trusted: per Section 3.4 "the
         corrupted message … can be simply treated as a failure exception",
@@ -128,8 +129,8 @@ class Dispatcher:
             return partition.interpreter.interpret(effects)
         # RPC traffic for an endpoint co-located on this node (external
         # atomic objects, transport-backend services).  The endpoint is
-        # constructed with ``drain=False`` so it does not compete with
-        # this dispatcher for the inbox.
+        # constructed with ``drain=False`` so it leaves the node's consumer
+        # slot to this dispatcher.
         rpc = partition.node.services.get("rpc")
         if rpc is not None and rpc.handle_payload(payload):
             return None

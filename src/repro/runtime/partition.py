@@ -5,8 +5,8 @@ in the paper's prototype, Figure 8).  :class:`Partition` is the composition
 root of the per-node runtime; the actual behaviour lives in three layered
 subsystems:
 
-* :class:`~repro.runtime.dispatcher.Dispatcher` — drains the node's cyclic
-  receive buffer and routes protocol messages to the resolution and
+* :class:`~repro.runtime.dispatcher.Dispatcher` — consumes the node's
+  deliveries and routes protocol messages to the resolution and
   signalling coordinators;
 * :class:`~repro.runtime.effects.PartitionEffectInterpreter` — executes the
   effects those coordinators emit (sending messages, informing external
@@ -75,6 +75,7 @@ class Partition:
         self.dispatcher = Dispatcher(self)
         self.lifecycle = ActionLifecycle(self)
 
+        self.node.consumer = self.dispatcher.dispatch_sync
         self._dispatcher_process = self.kernel.process(
             self.dispatcher.loop(), name=f"dispatch:{name}")
 

@@ -5,9 +5,7 @@ Two primitives are provided:
 * :class:`Store` — unbounded (or capacity-bounded) FIFO buffer; ``get()``
   blocks (returns an event) until an item is available.
 * :class:`Mailbox` — a Store specialised for message delivery, with a
-  non-blocking ``drain()`` used by the CA-action runtime to "consume
-  messages having arrived" when a thread enters an action (as the paper's
-  algorithm requires).
+  never-blocking ``deliver()`` and a non-blocking ``drain()``.
 
 Both preserve FIFO ordering, which is Assumption 2 of the paper.
 """
@@ -155,10 +153,11 @@ class CyclicBuffer(Mailbox):
     """Bounded mailbox modelling the paper's per-partition cyclic buffer.
 
     The prototype in the paper keeps incoming messages "in the cyclic buffer
-    of the receiver and then processed afterwards".  A cyclic buffer
-    overwrites the oldest entry when full; here we record any overwritten
-    message so that tests can assert the buffer was sized adequately (the
-    algorithms assume no message loss).
+    of the receiver and then processed afterwards"; here, while the
+    receiver is busy (see ``Node.consumer``).  A cyclic buffer overwrites
+    the oldest entry when full; here we record any overwritten message so
+    that tests can assert the buffer was sized adequately (the algorithms
+    assume no message loss).
     """
 
     __slots__ = ("overwritten",)
@@ -168,12 +167,12 @@ class CyclicBuffer(Mailbox):
         self.overwritten: List[Any] = []
 
     def deliver(self, item: Any) -> None:
-        """One step per message: hand over, or account for overflow and buffer.
+        """One step per item: hand over, or account for overflow and buffer.
 
-        The network calls this once per delivered envelope, so the whole
-        decision lives here instead of in a ``super()`` chain; the outcome
-        is :meth:`Mailbox.deliver`'s, with the oldest entry overwritten
-        first when the buffer is full.
+        The network calls this once per envelope a busy node buffers, so
+        the whole decision lives here instead of in a ``super()`` chain; the
+        outcome is :meth:`Mailbox.deliver`'s, with the oldest entry
+        overwritten first when the buffer is full.
         """
         items = self.items
         if not items:

@@ -5,8 +5,11 @@ each ``build_churn`` group and the ``concurrent_raises`` world are calls
 to :func:`repro.worlds.add_flat_raise` with different
 constants.  The values pinned here were measured on the hand-written
 builders the scaffold replaced: traces must not move.  The two explorer
-digests were re-pinned once, when the canonical trace came to be read
-from the record log (a new rendering of the same runs).
+digests were re-pinned twice: when the canonical trace came to be read
+from the record log (a new rendering of the same runs), and when
+receivers came to consume each envelope inside its delivery event (the
+dispatcher's wake-up steps left the trace, and records within one
+virtual instant interleave differently).
 """
 
 from repro.bench.scenarios import (
@@ -40,13 +43,13 @@ def test_family_reproduces_the_hand_written_builders():
 
     case = run_case("concurrent_raises", ExplorationPlan())
     assert case.completed and case.violations == []
-    assert case.digest == ("76a1a0cc54ffa9d3d79a183999721a1c68030546"
-                           "991531a026fc5e06efdddf99")
+    assert case.digest == ("bdf563c9c5f346deaf4a5c526a79ce73a2a43133"
+                           "56dfcfd9c3b3cd03cc18107a")
     chunk = explore_chunk(target="concurrent_raises", seed=2026,
                           start=0, stop=10)
     assert chunk["failures"] == 0
-    assert chunk["digest"] == ("80c803088af73627011ebfe613fbe8ad761e1f55"
-                               "f7cfb77152ef3d39ec3c0d2a")
+    assert chunk["digest"] == ("0db96afca5a146f38fc921d86f748f8473aaeb39"
+                               "2a14184f295470dcea8bd22b")
 
 
 def test_scaffold_called_directly_is_the_experiment2_application():

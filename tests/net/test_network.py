@@ -106,6 +106,56 @@ class TestDelivery:
         assert received[0][1] == "back"
 
 
+def consuming(node):
+    """Make ``node``'s consumer record ``(now, payload)`` per delivery."""
+    consumed = []
+    node.consumer = lambda payload, corrupted: consumed.append(
+        (node.kernel.now, payload))
+    return consumed
+
+
+class TestConsumer:
+    """A node's consumer takes each envelope inside its delivery event."""
+
+    def test_one_instant_arrivals_on_a_link_are_consumed_in_send_order(self):
+        kernel, network, a, b = make_network(ConstantLatency(0.2))
+        consumed = consuming(b)
+        for payload in ("first", "second", "third"):
+            a.send("B", payload)
+        kernel.run()
+        assert consumed == [(0.2, "first"), (0.2, "second"), (0.2, "third")]
+        assert len(b.inbox) == 0
+        # One kernel event per message: its delivery.
+        assert next(kernel._eid) == 3
+
+    def test_a_crashed_target_drops_as_dead_target_and_never_consumes(self):
+        system = DistributedCASystem(RuntimeConfig())
+        system.add_threads(["A", "B"])
+        obs.observe_system(system, obs.ObsConfig(metrics=False))
+        b = system.network.node("B")
+        consumed = consuming(b)
+        b.crash()
+        system.network.send("A", "B", "lost")
+        system.run()
+        assert consumed == [] and len(b.inbox) == 0
+        assert system.network.stats.dropped == 1
+        assert [(event["kind"], event.get("reason"))
+                for event in system.observation.events
+                if event["kind"].startswith("message.")] == [
+            ("message.sent", None), ("message.dropped", "dead_target")]
+
+    def test_a_recovered_target_consumes_again(self):
+        kernel, network, a, b = make_network()
+        consumed = consuming(b)
+        b.crash()
+        a.send("B", "lost")
+        kernel.run()
+        b.recover()
+        a.send("B", "back")
+        kernel.run()
+        assert consumed == [(0.0, "back")]
+
+
 # ----------------------------------------------------------------------
 # FIFO guarantee (Assumption 2)
 # ----------------------------------------------------------------------
@@ -571,9 +621,7 @@ class TestRpc:
     def test_fallback_receives_non_rpc_payloads(self):
         kernel, network, a, b = make_network()
         fallback_payloads = []
-        RpcEndpoint(b, network,
-                    fallback=lambda envelope: fallback_payloads.append(
-                        envelope.payload))
+        RpcEndpoint(b, network, fallback=fallback_payloads.append)
         a.send("B", {"kind": "custom"})
         kernel.run()
         assert fallback_payloads == [{"kind": "custom"}]

@@ -109,6 +109,20 @@ class TestRequestReply:
         kernel.run()
         assert errors == ["ValueError: bad input"]
 
+    def test_a_round_trip_schedules_one_kernel_event_per_message(self):
+        kernel, network, alpha, beta = build_pair()
+        beta.register("add", lambda a, b: a + b)
+        kernel.run()
+        scheduled_before = next(kernel._eid)
+        reply = alpha.call("beta", "add", 19, 23)
+        kernel.run()
+        assert reply.value == 42
+        scheduled = next(kernel._eid) - scheduled_before - 1
+        # The request's and the reply's deliveries, and the reply event
+        # the caller waits on: both endpoints consume inside the delivery.
+        assert network.stats.delivered == 2
+        assert scheduled == network.stats.delivered + 1
+
     def test_unsolicited_reply_is_ignored(self):
         kernel, network, _alpha, _beta = build_pair()
         network.send("beta", "alpha", RpcReply(call_id=999_999, value="?"))
@@ -125,8 +139,7 @@ class TestFallback:
                     fallback=seen.append)
         network.send("alpha", "beta", {"kind": "app"})
         kernel.run()
-        assert len(seen) == 1
-        assert seen[0].payload == {"kind": "app"}
+        assert seen == [{"kind": "app"}]
 
     def test_without_fallback_non_rpc_payload_is_dropped(self):
         kernel = Kernel()

@@ -1,22 +1,36 @@
-"""Every observation artefact, pinned to what the per-event-dict recorder wrote.
+"""Every observation artefact of four small runs, pinned.
 
-The golden files in ``tests/obs/golden/`` were written by this module's
-``__main__`` against the last commit whose observation built one dict per
-event at record time::
+The golden files in ``tests/obs/golden/`` are written by this module's
+``__main__`` from the tree that defines them::
 
-    PYTHONPATH=<that commit>/src python tests/obs/test_pinned_outputs.py \
+    PYTHONPATH=<that tree>/src python tests/obs/test_pinned_outputs.py \
         tests/obs/golden
 
-Recording is now one tuple append per event and every artefact is derived
-when read, so each one — the event stream, the flight dumps, the merged
-metrics snapshot, the Prometheus exposition and the (single-system)
-Chrome trace — must come out exactly as the dict recorder wrote it: same
-values, same keys, same key order.
+Each artefact — the event stream, the flight dumps, the merged metrics
+snapshot, the Prometheus exposition and the (single-system) Chrome
+trace — must come out exactly as the golden holds it: same values, same
+keys, same key order.
 
-One golden was written later, from the tree that defines it:
-``explore_flight_only.json``, when the explorer's per-case observation
-became the record log its canonical trace is read from (a flight-only
-capture is widened to that log, kernel steps included).
+Which tree wrote each golden:
+
+* ``mixed_traffic.json``, ``transactional.json`` and
+  ``capacity_full.json`` were first written by the last commit whose
+  observation built one dict per event at record time; the tuple-append
+  recorder that derives every artefact when read reproduced them byte
+  for byte.
+* ``explore_flight_only.json`` was first written when the explorer's
+  per-case observation became the record log its canonical trace is read
+  from (a flight-only capture is widened to that log, kernel steps
+  included).
+* All four were rewritten by the commit "One kernel event per message: a
+  receiver consumes each envelope inside its delivery event".  With the
+  ``kernel.step`` records dropped, every virtual instant holds the same
+  records as before, as a multiset; the steps differ only by the
+  dispatcher ``StoreGet`` wake-ups that commit removed (and the eids
+  after them), so ``kernel_steps_total`` fell and the bounded flight ring
+  reaches further back.  That is why the same commit cut
+  ``explore_flight_only``'s ring from 32 to 24 events: its window must
+  still hold deliveries whose sends it lost.
 """
 
 from __future__ import annotations
@@ -59,12 +73,14 @@ def _capacity_full():
 
 #: name -> (capture config, run).  The explorer widens its flight-only
 #: capture to the case's whole record log with kernel steps, and a
-#: 32-event window of that log holds deliveries whose sends it lost; the
-#: full run's kernel steps overflow its ring too, so both dumps truncate.
+#: 24-event window of that log holds deliveries whose sends it lost (a
+#: 32-event one did while each delivery also cost a dispatcher wake-up
+#: step); the full run's kernel steps overflow its ring too, so both dumps
+#: truncate.
 RUNS = {
     "mixed_traffic": (obs.ObsConfig(), _mixed_traffic),
     "transactional": (obs.ObsConfig(), _transactional),
-    "explore_flight_only": (obs.ObsConfig.flight_only(32), _explore_case),
+    "explore_flight_only": (obs.ObsConfig.flight_only(24), _explore_case),
     "capacity_full": (dataclasses.replace(obs.ObsConfig.full(),
                                           flight_capacity=96),
                       _capacity_full),
