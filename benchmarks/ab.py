@@ -7,8 +7,9 @@ each side's median and quartiles per end-to-end metric of
 ``BENCHMARK.json``, and two verdicts per metric:
 
 * **gain** — the change wins at least nine tenths of the pairs (ties count
-  for neither side) and the medians differ, in the better direction, by
-  more than the parent's interquartile range;
+  for neither side), the medians differ, in the better direction, by
+  more than the parent's interquartile range, and the change has no more
+  incorrect or failed runs than the parent;
 * **bound** — ``worse`` when the change's median is worse than the
   parent's by more than the metric's bound, ``unresolved`` when the
   parent's own spread (IQR over median) is wider than that bound and not
@@ -20,7 +21,7 @@ each side's median and quartiles per end-to-end metric of
         --pairs 10 --seed 2026
 
 ``run.py`` is called unchanged, each run in a fresh interpreter with
-``--trace 0``; ``--seconds`` is passed through when given.  Stdlib only.
+``--trace 0`` and its own run window.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ def wins(parent: Sequence[float], change: Sequence[float],
     return sum(c > p for p, c in zip(parent, change))
 
 
-def gain(parent: Sequence[float], change: Sequence[float],
-         better: str) -> bool:
-    """The rule a claimed gain must meet on ``parent`` / ``change`` pairs."""
+def gain(parent: Sequence[float], change: Sequence[float], better: str,
+         bad_parent: int = 0, bad_change: int = 0) -> bool:
+    """The rule a claimed gain must meet on ``parent`` / ``change`` pairs,
+    which had ``bad_parent`` / ``bad_change`` incorrect or failed runs."""
+    if bad_change > bad_parent:
+        return False
     p_q1, p_median, p_q3 = quartiles(parent)
     c_median = quartiles(change)[1]
     ahead = (p_median - c_median if better == "lower"
@@ -93,13 +97,10 @@ def unpack(revision: str, directory: str) -> None:
         raise SystemExit(f"git archive {revision} failed")
 
 
-def run_once(tree: str, workload: str, seed: int,
-             seconds: float = None) -> dict:
+def run_once(tree: str, workload: str, seed: int) -> dict:
     """One fresh ``run.py --workload`` in ``tree``; its JSON result line."""
     command = [sys.executable, "benchmarks/perf/run.py", "--workload",
                workload, "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(command, cwd=tree, env=env, check=True,
                           stdout=subprocess.PIPE, text=True)
@@ -113,8 +114,6 @@ def main(argv: Sequence[str] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="passed to run.py (default: its own)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
@@ -130,8 +129,7 @@ def main(argv: Sequence[str] = None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else (
                 "change", "parent")
             for side in order:
-                result = run_once(trees[side], args.workload, args.seed,
-                                  args.seconds)
+                result = run_once(trees[side], args.workload, args.seed)
                 bad[side] += (not result["correct"]) + result["failed"]
                 for name in series[side]:
                     series[side][name].append(
@@ -150,10 +148,11 @@ def main(argv: Sequence[str] = None) -> int:
         name, better = metric["name"], metric["better"]
         parent, change = series["parent"][name], series["change"][name]
         p, c = quartiles(parent), quartiles(change)
+        gained = gain(parent, change, better, bad["parent"], bad["change"])
         print(f"{name:16s} {p[0]:8.4g} {p[1]:9.4g} {p[2]:9.4g} "
               f"{c[0]:8.4g} {c[1]:9.4g} {c[2]:9.4g} "
               f"{wins(parent, change, better):3d}/{len(parent):<2d} "
-              f"{'yes' if gain(parent, change, better) else 'no':>5s} "
+              f"{'yes' if gained else 'no':>5s} "
               f"{bound_verdict(parent, change, better, metric['bound'])}")
     return 0
 

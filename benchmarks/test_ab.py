@@ -36,6 +36,14 @@ def test_winning_every_pair_inside_the_parent_spread_is_no_gain():
     assert not gain(PARENT, change, "lower")
 
 
+def test_a_gain_with_more_failed_runs_than_the_parent_does_not_count():
+    change = [value - 0.4 for value in PARENT]
+    assert gain(PARENT, change, "lower", bad_parent=0, bad_change=0)
+    assert gain(PARENT, change, "lower", bad_parent=2, bad_change=1)
+    assert gain(PARENT, change, "lower", bad_parent=1, bad_change=1)
+    assert not gain(PARENT, change, "lower", bad_parent=0, bad_change=1)
+
+
 def test_higher_is_better_metrics():
     change = [value + 0.5 for value in PARENT]
     assert gain(PARENT, change, "higher")

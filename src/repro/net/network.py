@@ -291,14 +291,10 @@ class Network(Transport):
         self.stats.delivered += 1
         if obs is not None:
             obs.message_delivered(envelope)
-        consume = target.consumer
-        if consume is None or target.busy:
+        if target.consumer is None:
             target.inbox.deliver(envelope)
-            return
-        pending = consume(envelope.payload, envelope.corrupted)
-        if pending is not None:
-            target.busy = True
-            target.inbox.deliver(pending)
+        else:
+            target.consumer(envelope)
 
     def broadcast(self, source: str, destinations: Iterable[str],
                   payload: Any) -> List[Envelope]:

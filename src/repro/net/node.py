@@ -8,7 +8,7 @@ the shared simulation kernel.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from ..simkernel.channels import CyclicBuffer
 from ..simkernel.kernel import Kernel
@@ -38,15 +38,10 @@ class Node:
         self.inbox: CyclicBuffer = CyclicBuffer(kernel, capacity=buffer_capacity)
         self.network: Optional["Network"] = None
         self.alive = True
-        #: ``consumer(payload, corrupted)``, called by the network inside
-        #: each delivery event; ``None`` buffers every envelope in
-        #: :attr:`inbox`.  A consumer that returns a continuation makes the
-        #: node :attr:`busy`: the continuation goes through :attr:`inbox` to
-        #: the consumer's process, which finishes it and the envelopes
-        #: buffered meanwhile, then clears :attr:`busy`.
-        self.consumer: Optional[
-            Callable[[Any, bool], Optional[Iterator[Any]]]] = None
-        self.busy = False
+        #: ``consumer(envelope)``, called by the network inside each
+        #: delivery event of the live node; ``None`` buffers every envelope
+        #: in :attr:`inbox` (a busy consumer buffers there itself).
+        self.consumer: Optional[Callable[[Envelope], None]] = None
         #: Free-form per-node registry used by upper layers (the partition
         #: executive stores itself here so application code co-located on
         #: the node can find it).

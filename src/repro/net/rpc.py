@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..simkernel.events import Event, Timeout
 from ..simkernel.kernel import Kernel
+from .message import Envelope
 from .network import Network
 from .node import Node
 
@@ -68,7 +69,7 @@ class RpcEndpoint:
 
     By default the endpoint is its node's :attr:`~Node.consumer`: RPC
     payloads are handled inside their delivery event (handlers never wait,
-    so no process is needed) and any other payload goes to ``fallback``.
+    so no process is needed) and any other envelope goes to ``fallback``.
 
     With ``drain=False`` another consumer (the partition
     :class:`~repro.runtime.dispatcher.Dispatcher`) routes RPC payloads to
@@ -165,9 +166,10 @@ class RpcEndpoint:
             return True
         return False
 
-    def _consume(self, payload: Any, corrupted: bool) -> None:
-        if not self.handle_payload(payload) and self.fallback is not None:
-            self.fallback(payload)
+    def _consume(self, envelope: Envelope) -> None:
+        if not self.handle_payload(envelope.payload) and \
+                self.fallback is not None:
+            self.fallback(envelope)
         # Messages with no handler and no fallback are dropped silently;
         # the network statistics still recorded them.
 

@@ -30,6 +30,7 @@ from ..simkernel.events import Event
 from . import events as kinds
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..net.message import Envelope
     from .partition import Partition
 
 
@@ -59,41 +60,50 @@ class Dispatcher:
         #: lookup on the (pool_size - width) dispatchers that never saw
         #: the instance, instead of scanning six registries each.
         self._active_scopes: Set[str] = set()
+        self._inbox = partition.node.inbox
+        #: Set while :meth:`loop` finishes a dispatch that had to wait.
+        self.busy = False
 
     # ------------------------------------------------------------------
-    # The dispatch process
+    # Consuming deliveries
     # ------------------------------------------------------------------
+    def consume(self, envelope: "Envelope") -> None:
+        """The node's consumer: dispatch now, or buffer while :attr:`busy`.
+
+        A dispatch that has to wait hands its continuation to :meth:`loop`.
+        """
+        if self.busy:
+            self._inbox.deliver(envelope)
+            return
+        pending = self.dispatch_sync(envelope.payload, envelope.corrupted)
+        if pending is not None:
+            self.busy = True
+            self._inbox.deliver(pending)
+
     def loop(self):
-        """The process body: drive what a delivery left waiting, then the
-        envelopes buffered meanwhile (see ``Node.consumer``)."""
-        node = self.partition.node
-        inbox = node.inbox
+        """The process body: finish a waiting dispatch, then the backlog."""
+        inbox = self._inbox
+        items = inbox.items
+        dispatch_sync = self.dispatch_sync
         while True:
             pending = yield inbox.get()
             while pending is not None:
                 yield from pending
-                pending = self._dispatch_buffered()
-            node.busy = False
-
-    def _dispatch_buffered(self):
-        """Dispatch buffered envelopes in order until one has to wait."""
-        items = self.partition.node.inbox.items
-        dispatch_sync = self.dispatch_sync
-        while items:
-            envelope = items.popleft()
-            pending = dispatch_sync(envelope.payload, envelope.corrupted)
-            if pending is not None:
-                return pending
-        return None
+                pending = None
+                while items and pending is None:
+                    envelope = items.popleft()
+                    pending = dispatch_sync(envelope.payload,
+                                            envelope.corrupted)
+            self.busy = False
 
     def dispatch_sync(self, payload, corrupted: bool = False):
-        """Route one received payload (the node's inbox consumer).
+        """Route one received payload.
 
         Returns ``None`` when the payload was fully handled, which is
         nearly always; a protocol message whose effects have to wait
         (:meth:`EffectInterpreter.interpret` suspended on a resolution
         charge or an undo round) returns the generator the caller must
-        drive to finish them (:meth:`loop` does, for deliveries).
+        drive to finish them (:meth:`consume` hands it to :meth:`loop`).
 
         A corrupted signalling message is not trusted: per Section 3.4 "the
         corrupted message … can be simply treated as a failure exception",

@@ -75,7 +75,7 @@ class Partition:
         self.dispatcher = Dispatcher(self)
         self.lifecycle = ActionLifecycle(self)
 
-        self.node.consumer = self.dispatcher.dispatch_sync
+        self.node.consumer = self.dispatcher.consume
         self._dispatcher_process = self.kernel.process(
             self.dispatcher.loop(), name=f"dispatch:{name}")
 

@@ -154,10 +154,10 @@ class CyclicBuffer(Mailbox):
 
     The prototype in the paper keeps incoming messages "in the cyclic buffer
     of the receiver and then processed afterwards"; here, while the
-    receiver is busy (see ``Node.consumer``).  A cyclic buffer overwrites
-    the oldest entry when full; here we record any overwritten message so
-    that tests can assert the buffer was sized adequately (the algorithms
-    assume no message loss).
+    receiver is busy finishing an earlier message.  A cyclic buffer
+    overwrites the oldest entry when full; here we record any overwritten
+    message so that tests can assert the buffer was sized adequately (the
+    algorithms assume no message loss).
     """
 
     __slots__ = ("overwritten",)
@@ -169,7 +169,7 @@ class CyclicBuffer(Mailbox):
     def deliver(self, item: Any) -> None:
         """One step per item: hand over, or account for overflow and buffer.
 
-        The network calls this once per envelope a busy node buffers, so
+        A busy receiver calls this once per envelope it buffers, so
         the whole decision lives here instead of in a ``super()`` chain; the
         outcome is :meth:`Mailbox.deliver`'s, with the oldest entry
         overwritten first when the buffer is full.

@@ -109,8 +109,8 @@ class TestDelivery:
 def consuming(node):
     """Make ``node``'s consumer record ``(now, payload)`` per delivery."""
     consumed = []
-    node.consumer = lambda payload, corrupted: consumed.append(
-        (node.kernel.now, payload))
+    node.consumer = lambda envelope: consumed.append(
+        (node.kernel.now, envelope.payload))
     return consumed
 
 
@@ -621,7 +621,9 @@ class TestRpc:
     def test_fallback_receives_non_rpc_payloads(self):
         kernel, network, a, b = make_network()
         fallback_payloads = []
-        RpcEndpoint(b, network, fallback=fallback_payloads.append)
+        RpcEndpoint(b, network,
+                    fallback=lambda envelope: fallback_payloads.append(
+                        envelope.payload))
         a.send("B", {"kind": "custom"})
         kernel.run()
         assert fallback_payloads == [{"kind": "custom"}]

@@ -139,7 +139,8 @@ class TestFallback:
                     fallback=seen.append)
         network.send("alpha", "beta", {"kind": "app"})
         kernel.run()
-        assert seen == [{"kind": "app"}]
+        assert len(seen) == 1
+        assert seen[0].payload == {"kind": "app"}
 
     def test_without_fallback_non_rpc_payload_is_dropped(self):
         kernel = Kernel()

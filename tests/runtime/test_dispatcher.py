@@ -133,11 +133,11 @@ class TestBusyReceiver:
         kernel.process(sender())
         kernel.run(until=0.8)
         # m1 (arrived at 0.1) is charging until 1.1; m2 and m3 wait.
-        assert receiver.node.busy
+        assert receiver.dispatcher.busy
         assert [envelope.payload.exception.name
                 for envelope in receiver.node.inbox.items] == ["m2", "m3"]
         kernel.run()
         assert [name for _, name in received] == ["m1", "m2", "m3", "m4"]
         assert [when for when, _ in received] == pytest.approx(
             [0.1, 1.1, 1.1, 2.1])
-        assert not receiver.node.busy and len(receiver.node.inbox) == 0
+        assert not receiver.dispatcher.busy and len(receiver.node.inbox) == 0
